@@ -220,12 +220,11 @@ def synth_digits(n_per_class: int, classes, image_size: int = 16, seed: int = 0,
     """
     classes = sorted(classes)
     rng = np.random.default_rng(seed)
-    tpl_rng = np.random.default_rng(1234)  # templates fixed across seeds
     grid = np.linspace(-1, 1, image_size)
     yy, xx = np.meshgrid(grid, grid, indexing="ij")
     templates = {}
     for c in classes:
-        r = np.random.default_rng(1000 + c)
+        r = np.random.default_rng(1000 + c)  # templates fixed across seeds
         pattern = np.zeros((image_size, image_size))
         for _ in range(3):
             cy, cx = r.uniform(-0.6, 0.6, 2)
@@ -233,7 +232,6 @@ def synth_digits(n_per_class: int, classes, image_size: int = 16, seed: int = 0,
             pattern += np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s * s)))
         pattern = pattern / pattern.max()
         templates[c] = pattern
-    del tpl_rng
 
     images = np.empty((n_per_class * len(classes), 1, image_size, image_size), dtype=np.uint8)
     labels = np.empty(n_per_class * len(classes), dtype=np.int64)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .layers import state_array
 from .tensor import Tensor
 
 
@@ -112,8 +113,11 @@ class MultiLayerDiscriminator:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_dict(self, state: dict) -> None:
+        """Load every parameter; a bad state changes nothing."""
+        loaded = {name: state_array(state, name, t.data.shape, t.data.dtype)
+                  for name, t in self.params.items()}
         for name, t in self.params.items():
-            t.data = np.asarray(state[name], dtype=t.data.dtype).reshape(t.data.shape).copy()
+            t.data = loaded[name]
 
 
 def disc_prob(logit: Tensor) -> Tensor:

@@ -98,11 +98,22 @@ def _cases(rng, corrupt=False):
         c = rand(2, 2, 3, 3)
         return lambda w: (T.conv2d(x, w, b, stride=2, padding=1) * c).sum(), rand(2, 3, 3, 3)
 
+    def case_conv_stride2(r):
+        w = rand(2, 3, 3, 3)
+        b = rand(2)
+        c = rand(2, 2, 3, 2)
+        return lambda x: (T.conv2d(x, w, b, stride=2, padding=0) * c).sum(), rand(2, 3, 7, 5)
+
     def case_maxpool(r):
-        # distinct values per window keep the argmax away from ties
+        # distinct values per window keep each maximum away from ties
         x = Tensor(r.permutation(64).reshape(1, 1, 8, 8) * 0.1)
         c = rand(1, 1, 4, 4)
         return lambda x: (T.maxpool2d(x) * c).sum(), x
+
+    def case_maxpool3(r):
+        x = Tensor(r.permutation(108).reshape(1, 2, 9, 6) * 0.1)
+        c = rand(1, 2, 3, 2)
+        return lambda x: (T.maxpool2d(x, size=3, stride=3) * c).sum(), x
 
     def case_bn_x(r):
         gamma = Tensor(r.uniform(0.5, 1.5, 2))
@@ -245,7 +256,9 @@ def _cases(rng, corrupt=False):
     yield "index_select", case_index_select
     yield "conv2d", case_conv
     yield "conv2d_weight", case_conv_w
+    yield "conv2d_stride2", case_conv_stride2
     yield "maxpool2d", case_maxpool
+    yield "maxpool2d_size3", case_maxpool3
     yield "batchnorm2d_x", case_bn_x
     yield "batchnorm2d_gamma", case_bn_gamma
     yield "batchnorm2d_beta", case_bn_beta

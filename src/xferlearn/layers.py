@@ -73,6 +73,16 @@ def infer_shapes(spec: NetworkSpec) -> dict:
     return out
 
 
+def state_array(state: dict, key: str, shape: tuple, dtype=None) -> np.ndarray:
+    """A fresh copy of state[key], which must exist and have exactly `shape`."""
+    if key not in state:
+        raise BuildError(f"state has no {key!r} (expected shape {tuple(shape)})")
+    arr = np.asarray(state[key])
+    if arr.shape != tuple(shape):
+        raise BuildError(f"state {key!r}: expected shape {tuple(shape)}, got {arr.shape}")
+    return arr.astype(dtype or arr.dtype, copy=True)
+
+
 class ParamStore:
     """Flat name -> Tensor map, partitioned into named groups."""
 
@@ -191,12 +201,17 @@ class EmbeddingNetwork:
         return out
 
     def load_state_dict(self, state: dict) -> None:
+        """Load every parameter and running statistic; a bad state changes nothing."""
+        params = {name: state_array(state, name, t.data.shape, t.data.dtype)
+                  for name, t in self.params.items()}
+        stats = {name: [state_array(state, f"{self.prefix}{name}.running_{kind}", a.shape)
+                        for kind, a in zip(("mean", "var"), arrays)]
+                 for name, arrays in self.running_stats.items()}
         for name, t in self.params.items():
-            t.data = np.asarray(state[name], dtype=t.data.dtype).reshape(t.data.shape).copy()
-        for name in self.running_stats:
-            mean, var = self.running_stats[name]
-            mean[:] = state[f"{self.prefix}{name}.running_mean"]
-            var[:] = state[f"{self.prefix}{name}.running_var"]
+            t.data = params[name]
+        for name, arrays in self.running_stats.items():
+            for a, loaded in zip(arrays, stats[name]):
+                a[...] = loaded
 
 
 def clone_into_target(source: EmbeddingNetwork, head_classes: int | None = None,

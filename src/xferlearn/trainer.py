@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import losses
-from .data import LabeledDataset, UnlabeledDataset, batch_iterator, normalize_batch
+from .data import LabeledDataset, UnlabeledDataset, normalize_batch
 from .discriminator import DiscriminatorSpec, MultiLayerDiscriminator
 from .layers import EmbeddingNetwork, NetworkSpec, clone_into_target
 from .metrics import evaluate
 from .optim import Adam
-from .tensor import Tensor, backward, set_deterministic
+from .tensor import Tensor, backward
 
 
 class TrainDivergence(RuntimeError):
@@ -106,7 +106,6 @@ def _freeze(net: EmbeddingNetwork) -> None:
 
 def pretrain_source(d1: LabeledDataset, net_spec: NetworkSpec, config: TrainConfig):
     """Supervised pretraining on the labeled source set."""
-    set_deterministic(config.deterministic)
     net = EmbeddingNetwork(net_spec, seed=config.seed)
     opt = Adam(net.parameters(), lr=config.lr, clip=config.grad_clip)
     record = TrainRecord(config=asdict(config), seed=config.seed)
@@ -171,7 +170,6 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
     (no discriminator or unlabeled forwards run), so the trajectory is
     bit-identical to the fine-tune baseline under shared seeds.
     """
-    set_deterministic(config.deterministic)
     _freeze(source_net)
     n_target_classes = head_classes or len(set(d2.classes))
     target_net = clone_into_target(source_net, head_classes=n_target_classes,
@@ -277,7 +275,6 @@ def run_baseline(kind: str, d2: LabeledDataset, config: TrainConfig,
                  net_spec: NetworkSpec | None = None,
                  head_classes: int | None = None, reinit_head: bool = False):
     """Supervised-only baselines: target_only (from scratch) or fine_tune."""
-    set_deterministic(config.deterministic)
     n_classes = head_classes or len(set(d2.classes))
     if kind == "target_only":
         if net_spec is None:
@@ -317,7 +314,6 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
     The classifier head is copied from the source network and frozen; only
     the target encoder body and the discriminator train.
     """
-    set_deterministic(config.deterministic)
     _freeze(source_net)
     target_net = clone_into_target(source_net, head_seed=config.seed + 3)
     target_net.train()

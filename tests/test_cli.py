@@ -192,6 +192,14 @@ class TestCli:
         for name in outs[0][1]:
             np.testing.assert_array_equal(outs[0][1][name], outs[1][1][name])
 
+    def test_eval_checkpoint_missing_key_is_runtime_error(self, tmp_path, capsys):
+        state = EmbeddingNetwork(synth_embedding_spec(n_classes=5), seed=0).state_dict()
+        del state["fc1.b"]
+        p = tmp_path / "partial.ckpt"
+        save_checkpoint(p, state)
+        assert main(["eval", "--experiment", "synth", "--checkpoint", str(p)]) == 1
+        assert "fc1.b" in capsys.readouterr().err
+
     def test_gradcheck_clean_passes(self, capsys):
         assert main(["gradcheck", "--instances", "2", "--seed", "0"]) == 0
         out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from xferlearn import tensor as T
 from xferlearn.discriminator import (DiscriminatorError, DiscriminatorSpec,
                                      MultiLayerDiscriminator, ablation_discriminator_spec,
                                      digit_discriminator_spec, disc_prob)
+from xferlearn.layers import BuildError
 from xferlearn.tensor import Tensor, backward
 
 
@@ -160,3 +161,20 @@ class TestProb:
         with use_float64():
             p = disc_prob(Tensor([-3.0])).item()
         assert abs(p - 1.0 / (1.0 + np.exp(3.0))) <= 1e-9
+
+
+class TestStrictLoading:
+    def test_roundtrip_and_wrong_shape_rejected(self):
+        spec = DiscriminatorSpec(tap_widths=[6, 4, 3], head_widths=[8], decay=0.5)
+        disc = MultiLayerDiscriminator(spec, seed=0)
+        state = disc.state_dict()
+        other = MultiLayerDiscriminator(spec, seed=1)
+        other.load_state_dict(state)
+        for name in state:
+            np.testing.assert_array_equal(other.params[name].data, state[name])
+        bad = dict(state, **{"mirror1.w": state["mirror1.w"].T.copy()})
+        with pytest.raises(BuildError, match=r"'mirror1\.w'.*\(6, 4\).*\(4, 6\)"):
+            other.load_state_dict(bad)
+        del state["head_out.b"]
+        with pytest.raises(BuildError, match=r"'head_out\.b'"):
+            other.load_state_dict(state)

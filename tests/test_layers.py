@@ -134,3 +134,29 @@ class TestClone:
         src = EmbeddingNetwork(synth_embedding_spec(n_classes=5), seed=0)
         tgt = clone_into_target(src, head_classes=3)
         assert tgt.params["fc2.w"].data.shape == (32, 3)
+
+
+class TestStrictLoading:
+    def test_transposed_head_weight_rejected(self):
+        net = EmbeddingNetwork(digit_embedding_spec(n_classes=5), seed=0)
+        state = net.state_dict()
+        state["fc2.w"] = state["fc2.w"].T.copy()  # same size, wrong shape
+        before = net.params["fc2.w"].data.copy()
+        with pytest.raises(BuildError, match=r"'fc2\.w'.*\(64, 5\).*\(5, 64\)"):
+            net.load_state_dict(state)
+        np.testing.assert_array_equal(net.params["fc2.w"].data, before)
+
+    def test_missing_key_rejected(self):
+        net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
+        state = net.state_dict()
+        del state["bn2.running_var"]
+        with pytest.raises(BuildError, match=r"'bn2\.running_var'.*\(16,\)"):
+            net.load_state_dict(state)
+
+    def test_scalar_running_stat_not_broadcast(self):
+        net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
+        state = net.state_dict()
+        state["bn1.running_mean"] = np.float32(0.5)
+        with pytest.raises(BuildError, match=r"'bn1\.running_mean'.*\(16,\).*\(\)"):
+            net.load_state_dict(state)
+        np.testing.assert_array_equal(net.running_stats["bn1"][0], np.zeros(16))

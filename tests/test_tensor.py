@@ -1,9 +1,13 @@
 """Tensor core: op semantics against brute-force oracles, backward rules."""
 
 import math
+import platform
+import resource
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xferlearn import tensor as T
 from xferlearn.tensor import ParameterError, ShapeError, Tensor, backward, grad_check, use_float64
@@ -40,6 +44,27 @@ def naive_conv2d(x, w, bias, stride, padding):
     return out
 
 
+def naive_conv2d_grads(x, w, g, stride, padding):
+    """Gradients of sum(g * conv2d(x, w, b)) w.r.t. x, w and b, by the same loops."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for ni in range(n):
+        for fi in range(f):
+            for oi in range(g.shape[2]):
+                for oj in range(g.shape[3]):
+                    for ci in range(c):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                r, q = oi * stride + ki, oj * stride + kj
+                                gw[fi, ci, ki, kj] += g[ni, fi, oi, oj] * xp[ni, ci, r, q]
+                                gxp[ni, ci, r, q] += g[ni, fi, oi, oj] * w[fi, ci, ki, kj]
+    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+    return gx, gw, g.sum(axis=(0, 2, 3))
+
+
 def naive_maxpool(x, size=2):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h // size, w // size))
@@ -49,6 +74,32 @@ def naive_maxpool(x, size=2):
                 for j in range(w // size):
                     out[ni, ci, i, j] = x[ni, ci, i * size:(i + 1) * size, j * size:(j + 1) * size].max()
     return out
+
+
+def naive_maxpool_grad(x, g, size):
+    """Route each window's gradient to its first maximum in row-major order."""
+    gx = np.zeros_like(x)
+    n, c, h, w = x.shape
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(h // size):
+                for j in range(w // size):
+                    win = x[ni, ci, i * size:(i + 1) * size, j * size:(j + 1) * size]
+                    first = next(t for t, v in enumerate(win.reshape(-1)) if v == win.max())
+                    ki, kj = divmod(first, size)
+                    gx[ni, ci, i * size + ki, j * size + kj] = g[ni, ci, i, j]
+    return gx
+
+
+@st.composite
+def conv_geometries(draw):
+    """(n, c, f, h, w, kernel, stride, padding) with an integral output and H != W."""
+    k, s, p = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    ho, wo = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = (ho - 1) * s + k - 2 * p, (wo - 1) * s + k - 2 * p
+    assume(h >= 1 and w >= 1 and h != w)
+    n, c, f = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    return n, c, f, h, w, k, s, p
 
 
 class TestMatmul:
@@ -105,6 +156,54 @@ class TestConv2d:
                      Tensor(np.zeros(1)), stride=2)
 
 
+class TestConvOracleProperties:
+    @given(conv_geometries(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_output_and_gradients_match_naive_loops(self, geom, seed):
+        n, c, f, h, w, k, s, p = geom
+        rng = np.random.default_rng(seed)
+        x, kernel = rng.normal(0, 1, (n, c, h, w)), rng.normal(0, 1, (f, c, k, k))
+        bias = rng.normal(0, 1, f)
+        with use_float64():
+            xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
+            out = T.conv2d(xt, kt, bt, stride=s, padding=p)
+            g = rng.normal(0, 1, out.shape)
+            backward((out * Tensor(g)).sum())
+        np.testing.assert_allclose(out.data, naive_conv2d(x, kernel, bias, s, p),
+                                   rtol=1e-10, atol=1e-10)
+        for got, want in zip((xt.grad, kt.grad, bt.grad), naive_conv2d_grads(x, kernel, g, s, p)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    @given(conv_geometries(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_im2col_and_col2im_are_adjoint(self, geom, seed):
+        n, c, _, h, w, k, s, p = geom
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0, 1, (n, c, h, w))
+        cols, ho, wo = T._im2col(x, k, k, s, p)
+        y = rng.normal(0, 1, cols.shape)
+        back = T._col2im(y, x.shape, k, k, s, p, ho, wo)
+        assert back.shape == x.shape
+        np.testing.assert_allclose(np.vdot(cols, y), np.vdot(x, back), rtol=1e-10, atol=1e-10)
+
+
+class TestMaxpoolOracleProperties:
+    @given(st.sampled_from([2, 3]), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_scan_with_partial_ties(self, size, n, c, ho, wo, levels, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct levels: windows mix ties with unique maxima
+        x = rng.integers(0, levels, (n, c, ho * size, wo * size)).astype(np.float64)
+        g = rng.normal(0, 1, (n, c, ho, wo))
+        with use_float64():
+            xt = Tensor(x, requires_grad=True)
+            out = T.maxpool2d(xt, size=size, stride=size)
+            backward((out * Tensor(g)).sum())
+        np.testing.assert_array_equal(out.data, naive_maxpool(x, size))
+        np.testing.assert_array_equal(xt.grad, naive_maxpool_grad(x, g, size))
+
+
 class TestMaxpool:
     def test_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
@@ -128,6 +227,13 @@ class TestMaxpool:
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError):
             T.maxpool2d(Tensor(np.zeros((1, 1, 5, 4))))
+
+    def test_nan_propagates(self):
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        x[0, 0, 1, 0] = np.nan
+        out = T.maxpool2d(Tensor(x)).data
+        assert np.isnan(out[0, 0, 0, 0])
+        np.testing.assert_array_equal(out.reshape(-1)[1:], [7, 13, 15])
 
 
 class TestBatchnorm:
@@ -312,3 +418,23 @@ class TestDtypeControl:
         backward(T.exp(x).sum())
         x.zero_grad()
         assert (x.grad == 0.0).all()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc options are glibc's")
+class TestMemoryReuse:
+    def test_repeated_conv_step_faults_in_no_fresh_pages(self):
+        # the im2col columns here are 36 MiB, above glibc's default mmap ceiling
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((64, 64, 16, 16)), requires_grad=True)
+        w = Tensor(rng.standard_normal((64, 64, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(64), requires_grad=True)
+
+        def step():
+            backward(T.conv2d(x, w, b, padding=1).sum())
+
+        step()
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            step()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
