@@ -2,8 +2,9 @@
 
 Subcommands: pretrain, transfer, uda, gradcheck, eval.  Every run writes
 its resolved config, metrics CSV, checkpoints, and a seeds manifest into
-the output directory, enough to re-run bit-identically when the
-deterministic flag is set.
+the output directory, enough to re-run bit-identically.  Reruns are
+bit-identical whatever the deterministic flag says; the key is still
+accepted so that existing configs and scripts keep working.
 """
 
 from __future__ import annotations

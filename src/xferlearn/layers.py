@@ -83,24 +83,6 @@ def state_array(state: dict, key: str, shape: tuple, dtype=None) -> np.ndarray:
     return arr.astype(dtype or arr.dtype, copy=True)
 
 
-class ParamStore:
-    """Flat name -> Tensor map, partitioned into named groups."""
-
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
-        self.groups: dict[str, list[str]] = {}
-
-    def add(self, group: str, name: str, t: Tensor) -> None:
-        if name in self.params:
-            raise BuildError(f"duplicate parameter name {name!r}")
-        t.requires_grad = True
-        self.params[name] = t
-        self.groups.setdefault(group, []).append(name)
-
-    def group_tensors(self, group: str) -> list[Tensor]:
-        return [self.params[n] for n in self.groups.get(group, [])]
-
-
 class EmbeddingNetwork:
     def __init__(self, spec: NetworkSpec, seed: int = 0, param_prefix: str = ""):
         self.spec = spec

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LabeledDataset, normalize_batch
+from .tensor import no_grad
 
 
 @dataclass
@@ -25,8 +26,13 @@ class Aggregate:
     n_seeds: int
 
 
+@no_grad()
 def evaluate(net, dataset: LabeledDataset, batch_size: int = 256, seed: int = 0) -> EvalResult:
-    """Argmax accuracy of net over a labeled dataset (eval mode, first-index ties)."""
+    """Argmax accuracy of net over a labeled dataset (eval mode, first-index ties).
+
+    The forwards record no graph, so each layer's activations are freed
+    as soon as the next layer has run.
+    """
     if len(dataset) == 0:
         raise ValueError("empty evaluation dataset")
     was_training = net.training

@@ -1,8 +1,9 @@
 """Dense n-d arrays with reverse-mode automatic differentiation.
 
 The graph is recorded dynamically: every op that touches a tensor with
-``requires_grad=True`` appends a node holding the backward closure.  Nodes
-are ordered by creation, so the backward pass is a simple reverse sweep.
+``requires_grad=True`` appends a node holding the backward closure, except
+inside ``no_grad()``.  Nodes are ordered by creation, so the backward pass
+is a simple reverse sweep.
 Storage is float32 by default; ``use_float64()`` switches the whole module
 to double precision for gradient checking.  Importing the module sets
 glibc's malloc thresholds so that freed arrays are reused (see
@@ -20,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 _DTYPE = np.float32
+_RECORDING = True  # False inside no_grad()
 
 
 def _reuse_freed_memory() -> None:
@@ -72,6 +74,23 @@ def use_float64():
         yield
     finally:
         set_dtype(prev)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: every op returns a plain tensor.
+
+    Forwards whose gradients are never taken (evaluation, frozen encoders)
+    then free each layer's saved inputs as soon as the next layer runs.
+    Use it as ``with no_grad():`` or as the decorator ``@no_grad()``.
+    """
+    global _RECORDING
+    prev = _RECORDING
+    _RECORDING = False
+    try:
+        yield
+    finally:
+        _RECORDING = prev
 
 
 class ShapeError(ValueError):
@@ -172,7 +191,7 @@ def _lift(x) -> Tensor:
 
 def _make(data, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(t.requires_grad or t.node is not None for t in inputs):
+    if _RECORDING and any(t.requires_grad or t.node is not None for t in inputs):
         out.requires_grad = True
         out.node = GraphNode(op, inputs, backward_fn)
     return out

@@ -1,10 +1,10 @@
 """Training procedures: source pretraining, joint adaptation, baselines,
 and the unsupervised-adaptation ablation.
 
-Each adaptation step runs one discriminator update followed by one
-encoder/classifier update on fresh forward passes; there are no inner
-optimization loops.  The source encoder stays frozen in eval mode
-throughout adaptation.
+Each adaptation step (``adversarial_step``) runs one discriminator update
+followed by one encoder/classifier update; both updates read the same
+forward pass of each batch, and there are no inner optimization loops.
+The source encoder stays frozen in eval mode throughout adaptation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .discriminator import DiscriminatorSpec, MultiLayerDiscriminator
 from .layers import EmbeddingNetwork, NetworkSpec, clone_into_target
 from .metrics import evaluate
 from .optim import Adam
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, no_grad
 
 
 class TrainDivergence(RuntimeError):
@@ -47,7 +47,7 @@ class TrainConfig:
     disc_taps: tuple = ()  # names of encoder taps fed to the discriminator
     head_widths: tuple = (500, 500, 500)
     stop_grad_prototypes: bool = False
-    deterministic: bool = True
+    deterministic: bool = True  # read by nothing: runs are bit-identical either way
     grad_clip: float | None = None
     src_proto_per_class: int = 1000
 
@@ -81,18 +81,16 @@ class TrainRecord:
         })
 
 
-def _check_finite(value: float, what: str) -> None:
-    if not np.isfinite(value):
-        raise TrainDivergence(f"{what} became non-finite")
-
-
-def _tap_dict(taps) -> dict:
-    return dict(taps)
+def _check_finite(report: losses.LossReport, step: int) -> None:
+    """Raise TrainDivergence naming the first non-finite loss term and its step."""
+    for term, value in asdict(report).items():
+        if not np.isfinite(value):
+            raise TrainDivergence(f"loss term {term!r} became non-finite at step {step}")
 
 
 def _embed(net: EmbeddingNetwork, x: Tensor, layer: str) -> Tensor:
     logits, taps = net.forward(x)
-    d = _tap_dict(taps)
+    d = dict(taps)
     if layer not in d:
         raise ValueError(f"embed layer {layer!r} not among taps {list(d)}")
     return d[layer]
@@ -116,11 +114,11 @@ def pretrain_source(d1: LabeledDataset, net_spec: NetworkSpec, config: TrainConf
         x = normalize_batch(d1.images[idx])
         logits, _ = net.forward(x)
         loss = losses.supervised_ce(logits, d1.labels[idx])
-        _check_finite(loss.item(), "pretraining loss")
+        report = losses.LossReport(sup=loss.item(), total=loss.item())
+        _check_finite(report, step + 1)
         opt.zero_grads()
         backward(loss)
         opt.step()
-        report = losses.LossReport(sup=loss.item(), total=loss.item())
         if config.eval_every and (step + 1) % config.eval_every == 0:
             record.log(step + 1, report, evaluate(net, d1).accuracy)
         else:
@@ -129,11 +127,11 @@ def pretrain_source(d1: LabeledDataset, net_spec: NetworkSpec, config: TrainConf
     return net, record
 
 
+@no_grad()
 def source_prototypes(source_net: EmbeddingNetwork, d1: LabeledDataset,
                       config: TrainConfig) -> Tensor:
     """Per-class source centroids from the frozen encoder, computed once."""
     source_net.eval()
-    n_classes = len(set(d1.classes))
     rng = np.random.default_rng((config.seed, 23))
     protos = []
     for c in sorted(set(d1.classes)):
@@ -156,9 +154,49 @@ def _build_discriminator(net: EmbeddingNetwork, tap_names, config: TrainConfig
     return MultiLayerDiscriminator(spec, seed=config.seed + 7)
 
 
-def _select_taps(taps, names):
-    d = _tap_dict(taps)
-    return [d[n] for n in names]
+def adversarial_step(step: int, source_net: EmbeddingNetwork, target_net: EmbeddingNetwork,
+                     disc: MultiLayerDiscriminator, disc_opt: Adam, enc_opt: Adam,
+                     x_src: Tensor, x_unl: Tensor, tap_names, encoder_objective
+                     ) -> losses.LossReport:
+    """One discriminator update, then one encoder update, on one forward per batch.
+
+    ``x_src`` runs once through the frozen source net and ``x_unl`` once
+    through the target net.  The discriminator learns from detached copies
+    of the target taps, which changes no target weight, so the encoder
+    update reuses the same taps with their graph; the updated
+    discriminator scores both batches again.
+    ``encoder_objective(l_dt_e, unl_taps, report)`` returns the encoder's
+    total loss from the adversarial term and the target taps of ``x_unl``
+    (a name -> Tensor dict), filling in the report's other terms.  The
+    encoder steps only when that total depends on its weights.
+    """
+    _, src_taps = source_net.forward(x_src)
+    _, unl_taps = target_net.forward(x_unl)
+    src_taps, unl_taps = dict(src_taps), dict(unl_taps)
+    src_flat = [src_taps[n].reshape(x_src.shape[0], -1) for n in tap_names]
+    unl_flat = [unl_taps[n].reshape(x_unl.shape[0], -1) for n in tap_names]
+
+    loss_d = losses.domain_loss_D(disc.forward(src_flat),
+                                  disc.forward([t.detach() for t in unl_flat]))
+    report = losses.LossReport(dt_d=loss_d.item())
+    _check_finite(report, step)
+    disc_opt.zero_grads()
+    backward(loss_d)
+    disc_opt.step()
+
+    enc_opt.zero_grads()
+    disc_opt.zero_grads()
+    l_dt_e = losses.domain_loss_E(disc.forward(src_flat), disc.forward(unl_flat))
+    report.dt_e = l_dt_e.item()
+    total = encoder_objective(l_dt_e, unl_taps, report)
+    report.total = total.item()
+    _check_finite(report, step)
+    if total.requires_grad:
+        backward(total)
+        enc_opt.step()
+    enc_opt.zero_grads()
+    disc_opt.zero_grads()
+    return report
 
 
 def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDataset,
@@ -166,10 +204,13 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
                 reinit_head: bool = False):
     """Joint adaptation: supervised + adversarial + semantic transfer.
 
-    With alpha == beta == 0 this degenerates to plain fine-tuning on D2
-    (no discriminator or unlabeled forwards run), so the trajectory is
-    bit-identical to the fine-tune baseline under shared seeds.
+    With alpha == beta == 0 this is plain fine-tuning on D2: it runs
+    ``run_baseline("fine_tune", ...)`` itself, so the trajectory is the
+    fine-tune baseline's under shared seeds.
     """
+    if config.alpha == 0 and config.beta == 0:
+        return run_baseline("fine_tune", d2, config, source_net=source_net,
+                            head_classes=head_classes, reinit_head=reinit_head)
     _freeze(source_net)
     n_target_classes = head_classes or len(set(d2.classes))
     target_net = clone_into_target(source_net, head_classes=n_target_classes,
@@ -178,93 +219,42 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
     record = TrainRecord(config=asdict(config), seed=config.seed)
 
     enc_opt = Adam(target_net.parameters(), lr=config.lr, clip=config.grad_clip)
-    degenerate = config.alpha == 0 and config.beta == 0
+    tap_names = config.disc_taps or tuple(source_net.spec.taps)
+    disc = _build_discriminator(target_net, tap_names, config)
+    disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
+    src_protos = source_prototypes(source_net, d1, config)
 
-    disc = None
-    disc_opt = None
-    src_protos = None
-    if not degenerate:
-        tap_names = config.disc_taps or tuple(source_net.spec.taps)
-        disc = _build_discriminator(target_net, tap_names, config)
-        disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
-        src_protos = source_prototypes(source_net, d1, config)
+    x_d2 = normalize_batch(d2.images)  # full-batch D2 every step
+
+    def encoder_objective(l_dt_e, unl_taps, report):
+        logits2, taps2 = target_net.forward(x_d2)
+        l_sup = losses.supervised_ce(logits2, d2.labels)
+        emb_lab = dict(taps2)[config.embed_layer]
+        emb_unl = unl_taps[config.embed_layer]
+        if config.stop_grad_prototypes:
+            emb_for_proto = Tensor(emb_lab.data.copy())
+        else:
+            emb_for_proto = emb_lab
+        protos = losses.prototypes(emb_for_proto, d2.labels, n_target_classes)
+        st_sup = losses.metric_ce(emb_lab, d2.labels, protos)
+        st_src = losses.entropy_transfer(emb_unl, src_protos, config.tau_st)
+        st_unsup = losses.entropy_transfer(emb_unl, protos, config.tau_tt)
+        l_st = st_src + st_sup + st_unsup
+        report.sup = l_sup.item()
+        report.st_src = st_src.item()
+        report.st_sup = st_sup.item()
+        report.st_unsup = st_unsup.item()
+        return losses.total_objective(l_sup, l_dt_e, l_st, config.alpha, config.beta)
 
     rng = np.random.default_rng((config.seed, 31))
-    x_d2 = normalize_batch(d2.images)  # full-batch D2 every step
     t0 = time.time()
     for step in range(config.steps):
-        report = losses.LossReport()
-        if not degenerate:
-            tap_names = config.disc_taps or tuple(source_net.spec.taps)
-            src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)),
-                                 replace=False)
-            unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)),
-                                 replace=False)
-            x_src = normalize_batch(d1.images[src_idx])
-            x_unl = normalize_batch(d3.images[unl_idx])
-
-            # discriminator step: frozen source taps vs detached target taps
-            _, src_taps = source_net.forward(x_src)
-            _, tgt_taps = target_net.forward(x_unl)
-            src_flat = [t.reshape(t.shape[0], -1) for t in _select_taps(src_taps, tap_names)]
-            tgt_flat = [Tensor(t.data.reshape(t.shape[0], -1).copy())
-                        for t in _select_taps(tgt_taps, tap_names)]
-            d_src = disc.forward(src_flat)
-            d_tgt = disc.forward(tgt_flat)
-            loss_d = losses.domain_loss_D(d_src, d_tgt)
-            report.dt_d = loss_d.item()
-            _check_finite(report.dt_d, "discriminator loss")
-            disc_opt.zero_grads()
-            backward(loss_d)
-            disc_opt.step()
-
-            # encoder step: fresh forwards for every term
-            enc_opt.zero_grads()
-            disc_opt.zero_grads()
-            logits2, taps2 = target_net.forward(x_d2)
-            l_sup = losses.supervised_ce(logits2, d2.labels)
-            _, src_taps = source_net.forward(x_src)
-            _, unl_taps = target_net.forward(x_unl)
-            d_src = disc.forward(
-                [t.reshape(t.shape[0], -1) for t in _select_taps(src_taps, tap_names)]
-            )
-            d_tgt = disc.forward(
-                [t.reshape(t.shape[0], -1) for t in _select_taps(unl_taps, tap_names)]
-            )
-            l_dt_e = losses.domain_loss_E(d_src, d_tgt)
-
-            emb_lab = _tap_dict(taps2)[config.embed_layer]
-            emb_unl = _tap_dict(unl_taps)[config.embed_layer]
-            if config.stop_grad_prototypes:
-                emb_for_proto = Tensor(emb_lab.data.copy())
-            else:
-                emb_for_proto = emb_lab
-            protos = losses.prototypes(emb_for_proto, d2.labels, n_target_classes)
-            st_sup = losses.metric_ce(emb_lab, d2.labels, protos)
-            st_src = losses.entropy_transfer(emb_unl, src_protos, config.tau_st)
-            st_unsup = losses.entropy_transfer(emb_unl, protos, config.tau_tt)
-            l_st = st_src + st_sup + st_unsup
-
-            total = losses.total_objective(l_sup, l_dt_e, l_st, config.alpha, config.beta)
-            report.sup = l_sup.item()
-            report.dt_e = l_dt_e.item()
-            report.st_src = st_src.item()
-            report.st_sup = st_sup.item()
-            report.st_unsup = st_unsup.item()
-            report.total = total.item()
-            _check_finite(report.total, "encoder loss")
-            backward(total)
-            enc_opt.step()
-            enc_opt.zero_grads()
-            disc_opt.zero_grads()
-        else:
-            enc_opt.zero_grads()
-            logits2, _ = target_net.forward(x_d2)
-            l_sup = losses.supervised_ce(logits2, d2.labels)
-            report.sup = report.total = l_sup.item()
-            _check_finite(report.total, "fine-tune loss")
-            backward(l_sup)
-            enc_opt.step()
+        src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
+        unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
+        report = adversarial_step(step + 1, source_net, target_net, disc, disc_opt, enc_opt,
+                                  normalize_batch(d1.images[src_idx]),
+                                  normalize_batch(d3.images[unl_idx]),
+                                  tap_names, encoder_objective)
         record.log(step + 1, report)
     record.wall_clock = time.time() - t0
     return target_net, record
@@ -299,10 +289,11 @@ def run_baseline(kind: str, d2: LabeledDataset, config: TrainConfig,
         opt.zero_grads()
         logits, _ = net.forward(x_d2)
         loss = losses.supervised_ce(logits, d2.labels)
-        _check_finite(loss.item(), f"{kind} loss")
+        report = losses.LossReport(sup=loss.item(), total=loss.item())
+        _check_finite(report, step + 1)
         backward(loss)
         opt.step()
-        record.log(step + 1, losses.LossReport(sup=loss.item(), total=loss.item()))
+        record.log(step + 1, report)
     record.wall_clock = time.time() - t0
     return net, record
 
@@ -330,47 +321,18 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
     disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
     record = TrainRecord(config=asdict(config), seed=config.seed)
 
+    def encoder_objective(l_dt_e, unl_taps, report):
+        return losses.total_objective(Tensor(0.0), l_dt_e, Tensor(0.0), config.alpha, 0.0)
+
     rng = np.random.default_rng((config.seed, 37))
     t0 = time.time()
     for step in range(config.steps):
         src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
         unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
-        x_src = normalize_batch(d1.images[src_idx])
-        x_unl = normalize_batch(d3.images[unl_idx])
-
-        _, src_taps = source_net.forward(x_src)
-        _, tgt_taps = target_net.forward(x_unl)
-        src_flat = [t.reshape(t.shape[0], -1) for t in _select_taps(src_taps, tap_names)]
-        tgt_detached = [Tensor(t.data.reshape(t.shape[0], -1).copy())
-                        for t in _select_taps(tgt_taps, tap_names)]
-        d_src = disc.forward(src_flat)
-        d_tgt = disc.forward(tgt_detached)
-        loss_d = losses.domain_loss_D(d_src, d_tgt)
-        report = losses.LossReport(dt_d=loss_d.item())
-        _check_finite(report.dt_d, "discriminator loss")
-        disc_opt.zero_grads()
-        backward(loss_d)
-        disc_opt.step()
-
-        enc_opt.zero_grads()
-        disc_opt.zero_grads()
-        _, src_taps = source_net.forward(x_src)
-        _, tgt_taps = target_net.forward(x_unl)
-        d_src = disc.forward([t.reshape(t.shape[0], -1)
-                              for t in _select_taps(src_taps, tap_names)])
-        d_tgt = disc.forward([t.reshape(t.shape[0], -1)
-                              for t in _select_taps(tgt_taps, tap_names)])
-        l_dt_e = losses.domain_loss_E(d_src, d_tgt)
-        loss_e = losses.total_objective(Tensor(0.0), l_dt_e, Tensor(0.0),
-                                        config.alpha, 0.0)
-        report.dt_e = l_dt_e.item()
-        report.total = loss_e.item()
-        _check_finite(report.total, "encoder loss")
-        if config.alpha > 0:
-            backward(loss_e)
-            enc_opt.step()
-        enc_opt.zero_grads()
-        disc_opt.zero_grads()
+        report = adversarial_step(step + 1, source_net, target_net, disc, disc_opt, enc_opt,
+                                  normalize_batch(d1.images[src_idx]),
+                                  normalize_batch(d3.images[unl_idx]),
+                                  tap_names, encoder_objective)
         record.log(step + 1, report)
     record.wall_clock = time.time() - t0
     return target_net, record

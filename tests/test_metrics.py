@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from xferlearn.data import synth_digits
+from xferlearn import tensor as T
+from xferlearn.data import normalize_batch, synth_digits
 from xferlearn.layers import EmbeddingNetwork, synth_embedding_spec
 from xferlearn.metrics import Aggregate, EvalResult, aggregate, evaluate
 
@@ -68,3 +69,26 @@ class TestEvaluate:
         counts = {c: int((data.labels == c).sum()) for c in res.per_class}
         weighted = sum(res.per_class[c] * counts[c] for c in counts) / len(data)
         assert abs(weighted - res.accuracy) <= 1e-12
+
+    def test_same_accuracy_as_a_recorded_forward_and_no_graph_left(self, monkeypatch):
+        net, data = self._net_and_data()
+        net.eval()
+        logits, _ = net.forward(normalize_batch(data.images))
+        assert logits.node is not None
+        expected = float((np.argmax(logits.data, axis=1) == data.labels).mean())
+
+        recorded = []
+
+        class CountingNode(T.GraphNode):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                recorded.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(T, "GraphNode", CountingNode)
+        assert evaluate(net, data).accuracy == expected
+        assert recorded == []
+        # recording is back on for the next training forward
+        assert net.forward(normalize_batch(data.images[:2]))[0].node is not None
+        assert recorded

@@ -420,6 +420,38 @@ class TestDtypeControl:
         assert (x.grad == 0.0).all()
 
 
+class TestNoGrad:
+    def _ops(self, x, w):
+        return T.relu(T.matmul(x, w)).sum()
+
+    def test_records_nothing_inside_and_resumes_after(self):
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.full((3, 4), 0.5), requires_grad=True)
+        with T.no_grad():
+            out = self._ops(x, w)
+            assert out.node is None and not out.requires_grad
+            assert out.item() == pytest.approx(12.0)
+        after = self._ops(x, w)
+        assert after.node is not None
+        backward(after)
+        np.testing.assert_array_equal(w.grad, np.full((3, 4), 2.0))
+
+    def test_recording_resumes_after_an_exception(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        assert T.exp(w).node is not None
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.exp(w).node is None
+        assert T.exp(w).node is not None
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc options are glibc's")
 class TestMemoryReuse:
     def test_repeated_conv_step_faults_in_no_fresh_pages(self):

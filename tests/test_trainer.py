@@ -4,10 +4,12 @@ baselines, the degenerate equivalence, and determinism."""
 import numpy as np
 import pytest
 
-from xferlearn.data import filter_classes, make_splits, synth_digits
-from xferlearn.layers import synth_embedding_spec
+from xferlearn import losses
+from xferlearn.data import UnlabeledDataset, filter_classes, make_splits, synth_digits
+from xferlearn.layers import EmbeddingNetwork, clone_into_target, synth_embedding_spec
 from xferlearn.metrics import evaluate
-from xferlearn.trainer import (TrainConfig, adapt_joint, adapt_unsupervised,
+from xferlearn.tensor import Tensor
+from xferlearn.trainer import (TrainConfig, TrainDivergence, adapt_joint, adapt_unsupervised,
                                pretrain_source, run_baseline, source_prototypes)
 
 SYNTH_TAPS = ("flat", "fc1")
@@ -179,3 +181,115 @@ class TestAdaptUnsupervised:
         adapted, _ = adapt_unsupervised(net, d1, d3, quick_config(steps=5, alpha=0.0))
         for name in net.params:
             np.testing.assert_array_equal(adapted.params[name].data, net.params[name].data)
+
+
+def _shifted_unlabeled(n_per_class=20):
+    shifted = synth_digits(n_per_class, range(3), seed=5, domain_shift=True)
+    return UnlabeledDataset(images=shifted.images, name="shifted")
+
+
+def _forwards(monkeypatch, source_net, run):
+    """(net role, batch size) of every EmbeddingNetwork.forward made by run()."""
+    calls = []
+    forward = EmbeddingNetwork.forward
+
+    def counted(net, x):
+        calls.append(("source" if net is source_net else "target", x.shape[0]))
+        return forward(net, x)
+
+    monkeypatch.setattr(EmbeddingNetwork, "forward", counted)
+    run()
+    monkeypatch.setattr(EmbeddingNetwork, "forward", forward)
+    return calls
+
+
+def _forwards_per_step(monkeypatch, source_net, procedure):
+    """Forwards of a two-step run minus those of a one-step run: one step's worth,
+    without the set-up's source-prototype forwards."""
+    one = _forwards(monkeypatch, source_net, lambda: procedure(quick_config(steps=1)))
+    two = _forwards(monkeypatch, source_net, lambda: procedure(quick_config(steps=2)))
+    assert two[:len(one)] == one
+    return two[len(one):]
+
+
+class TestAdversarialStep:
+    def test_joint_step_forwards_each_batch_once(self, monkeypatch, source_setup,
+                                                 target_splits):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        step = _forwards_per_step(monkeypatch, net, lambda cfg: adapt_joint(
+            net, d1, d2, d3, cfg, head_classes=2, reinit_head=True))
+        # x_src through the source net; x_unl, then the full D2 batch, through the target
+        assert step == [("source", 64), ("target", 64), ("target", len(d2))]
+
+    def test_unsupervised_step_forwards_each_batch_once(self, monkeypatch, source_setup):
+        net, _, d1 = source_setup
+        d3 = _shifted_unlabeled()
+        step = _forwards_per_step(monkeypatch, net,
+                                  lambda cfg: adapt_unsupervised(net, d1, d3, cfg))
+        assert step == [("source", 64), ("target", 60)]
+
+    def test_joint_step_updates_bn_running_stats_once_per_batch(
+            self, monkeypatch, source_setup, target_splits):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        inputs = []
+        forward = EmbeddingNetwork.forward
+
+        def recording(self, x):
+            if self is not net:
+                inputs.append(x)
+            return forward(self, x)
+
+        monkeypatch.setattr(EmbeddingNetwork, "forward", recording)
+        adapted, _ = adapt_joint(net, d1, d2, d3, quick_config(steps=1),
+                                 head_classes=2, reinit_head=True)
+        monkeypatch.setattr(EmbeddingNetwork, "forward", forward)
+        x_unl, x_d2 = inputs
+
+        # replay on a fresh clone: one momentum update from x_unl, then one from x_d2
+        def replay(*batches):
+            fresh = clone_into_target(net, head_classes=2, head_seed=3, reinit_head=True)
+            fresh.train()
+            for x in batches:
+                fresh.forward(x)
+            return fresh.running_stats
+
+        assert set(adapted.running_stats) == {"bn1", "bn2"}
+        expected, thrice = replay(x_unl, x_d2), replay(x_unl, x_d2, x_unl)
+        for name, (mean, var) in adapted.running_stats.items():
+            np.testing.assert_array_equal(mean, expected[name][0])
+            np.testing.assert_array_equal(var, expected[name][1])
+            assert (mean != thrice[name][0]).any()
+
+    @pytest.mark.parametrize("term", ["entropy_transfer", "domain_loss_D"])
+    def test_divergence_names_the_term_and_the_step(self, monkeypatch, source_setup,
+                                                    target_splits, term):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        calls = []
+        original = getattr(losses, term)
+
+        def diverging(*args, **kwargs):
+            calls.append(1)
+            out = original(*args, **kwargs)
+            # the third step's call (entropy_transfer runs twice per step)
+            per_step = 2 if term == "entropy_transfer" else 1
+            if len(calls) > 2 * per_step:
+                return Tensor(np.nan)
+            return out
+
+        monkeypatch.setattr(losses, term, diverging)
+        field = "st_src" if term == "entropy_transfer" else "dt_d"
+        with pytest.raises(TrainDivergence, match=f"'{field}' became non-finite at step 3"):
+            adapt_joint(net, d1, d2, d3, quick_config(steps=5),
+                        head_classes=2, reinit_head=True)
+
+    def test_fine_tune_divergence_names_the_step(self, monkeypatch, source_setup,
+                                                 target_splits):
+        net, _, _ = source_setup
+        d2, _, _ = target_splits
+        monkeypatch.setattr(losses, "supervised_ce", lambda logits, labels: Tensor(np.inf))
+        with pytest.raises(TrainDivergence, match="'sup' became non-finite at step 1"):
+            run_baseline("fine_tune", d2, quick_config(steps=2), source_net=net,
+                         head_classes=2, reinit_head=True)
