@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .layers import state_array
+from .layers import state_arrays
 from .tensor import Tensor
 
 
@@ -114,8 +114,7 @@ class MultiLayerDiscriminator:
 
     def load_state_dict(self, state: dict) -> None:
         """Load every parameter; a bad state changes nothing."""
-        loaded = {name: state_array(state, name, t.data.shape, t.data.dtype)
-                  for name, t in self.params.items()}
+        loaded = state_arrays(state, {name: t.data for name, t in self.params.items()})
         for name, t in self.params.items():
             t.data = loaded[name]
 

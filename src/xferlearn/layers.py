@@ -73,14 +73,23 @@ def infer_shapes(spec: NetworkSpec) -> dict:
     return out
 
 
-def state_array(state: dict, key: str, shape: tuple, dtype=None) -> np.ndarray:
-    """A fresh copy of state[key], which must exist and have exactly `shape`."""
-    if key not in state:
-        raise BuildError(f"state has no {key!r} (expected shape {tuple(shape)})")
-    arr = np.asarray(state[key])
-    if arr.shape != tuple(shape):
-        raise BuildError(f"state {key!r}: expected shape {tuple(shape)}, got {arr.shape}")
-    return arr.astype(dtype or arr.dtype, copy=True)
+def state_arrays(state: dict, own: dict) -> dict:
+    """Fresh copies of state's arrays in the dtypes of `own` (key -> array).
+
+    `state` must hold exactly the keys of `own`, each with exactly its shape.
+    """
+    extra = sorted(set(state) - set(own))
+    if extra:
+        raise BuildError(f"state has unexpected keys {extra}")
+    out = {}
+    for key, like in own.items():
+        if key not in state:
+            raise BuildError(f"state has no {key!r} (expected shape {like.shape})")
+        arr = np.asarray(state[key])
+        if arr.shape != like.shape:
+            raise BuildError(f"state {key!r}: expected shape {like.shape}, got {arr.shape}")
+        out[key] = arr.astype(like.dtype, copy=True)
+    return out
 
 
 class EmbeddingNetwork:
@@ -175,25 +184,25 @@ class EmbeddingNetwork:
     def __call__(self, x: Tensor):
         return self.forward(x)
 
-    def state_dict(self) -> dict:
-        out = {name: t.data.copy() for name, t in self.params.items()}
+    def _state(self) -> dict:
+        """Every parameter and running statistic by state key, uncopied."""
+        out = {name: t.data for name, t in self.params.items()}
         for name, (mean, var) in self.running_stats.items():
-            out[f"{self.prefix}{name}.running_mean"] = mean.copy()
-            out[f"{self.prefix}{name}.running_var"] = var.copy()
+            out[f"{self.prefix}{name}.running_mean"] = mean
+            out[f"{self.prefix}{name}.running_var"] = var
         return out
+
+    def state_dict(self) -> dict:
+        return {key: a.copy() for key, a in self._state().items()}
 
     def load_state_dict(self, state: dict) -> None:
         """Load every parameter and running statistic; a bad state changes nothing."""
-        params = {name: state_array(state, name, t.data.shape, t.data.dtype)
-                  for name, t in self.params.items()}
-        stats = {name: [state_array(state, f"{self.prefix}{name}.running_{kind}", a.shape)
-                        for kind, a in zip(("mean", "var"), arrays)]
-                 for name, arrays in self.running_stats.items()}
+        loaded = state_arrays(state, self._state())
         for name, t in self.params.items():
-            t.data = params[name]
-        for name, arrays in self.running_stats.items():
-            for a, loaded in zip(arrays, stats[name]):
-                a[...] = loaded
+            t.data = loaded[name]
+        for name, (mean, var) in self.running_stats.items():
+            mean[...] = loaded[f"{self.prefix}{name}.running_mean"]
+            var[...] = loaded[f"{self.prefix}{name}.running_var"]
 
 
 def clone_into_target(source: EmbeddingNetwork, head_classes: int | None = None,

@@ -4,7 +4,8 @@ and the unsupervised-adaptation ablation.
 Each adaptation step (``adversarial_step``) runs one discriminator update
 followed by one encoder/classifier update; both updates read the same
 forward pass of each batch, and there are no inner optimization loops.
-The source encoder stays frozen in eval mode throughout adaptation.
+The source encoder stays frozen in eval mode throughout adaptation, so
+``SourceTaps`` forwards each source image through it at most once per run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .discriminator import DiscriminatorSpec, MultiLayerDiscriminator
 from .layers import EmbeddingNetwork, NetworkSpec, clone_into_target
 from .metrics import evaluate
 from .optim import Adam
-from .tensor import Tensor, backward, no_grad
+from .tensor import Tensor, backward, current_dtype, no_grad
 
 
 class TrainDivergence(RuntimeError):
@@ -88,14 +89,6 @@ def _check_finite(report: losses.LossReport, step: int) -> None:
             raise TrainDivergence(f"loss term {term!r} became non-finite at step {step}")
 
 
-def _embed(net: EmbeddingNetwork, x: Tensor, layer: str) -> Tensor:
-    logits, taps = net.forward(x)
-    d = dict(taps)
-    if layer not in d:
-        raise ValueError(f"embed layer {layer!r} not among taps {list(d)}")
-    return d[layer]
-
-
 def _freeze(net: EmbeddingNetwork) -> None:
     for p in net.parameters():
         p.requires_grad = False
@@ -127,21 +120,51 @@ def pretrain_source(d1: LabeledDataset, net_spec: NetworkSpec, config: TrainConf
     return net, record
 
 
-@no_grad()
-def source_prototypes(source_net: EmbeddingNetwork, d1: LabeledDataset,
-                      config: TrainConfig) -> Tensor:
-    """Per-class source centroids from the frozen encoder, computed once."""
-    source_net.eval()
+class SourceTaps:
+    """Taps of the frozen source net for the images of ``d1``, kept by index.
+
+    A frozen net runs in eval mode, where every layer acts on one image at
+    a time, so an image's taps are fixed for the whole run.  Each image is
+    forwarded at most once; each named tap is one ``(len(d1), width)``
+    array whose rows are written as their images are first looked up.
+    """
+
+    def __init__(self, source_net: EmbeddingNetwork, d1: LabeledDataset, names):
+        for name in names:
+            if name not in source_net.spec.taps:
+                raise ValueError(f"tap {name!r} not among the source net's taps "
+                                 f"{list(source_net.spec.taps)}")
+        source_net.eval()
+        self.net, self.d1 = source_net, d1
+        self.rows = {name: np.empty((len(d1), int(np.prod(source_net.shapes[name]))),
+                                    dtype=current_dtype()) for name in names}
+        self.seen = np.zeros(len(d1), dtype=bool)
+
+    @no_grad()
+    def __call__(self, idx: np.ndarray) -> dict:
+        """name -> Tensor of the taps of ``d1`` images ``idx``; the images not
+        seen before go through the source net in one batch."""
+        new = idx[~self.seen[idx]]
+        if new.size:
+            _, taps = self.net.forward(normalize_batch(self.d1.images[new]))
+            for name, tap in taps:
+                if name in self.rows:
+                    self.rows[name][new] = tap.data.reshape(new.size, -1)
+            self.seen[new] = True
+        return {name: Tensor(rows[idx]) for name, rows in self.rows.items()}
+
+
+def source_prototypes(source: SourceTaps, config: TrainConfig) -> Tensor:
+    """Per-class centroids of the frozen source net's ``embed_layer`` taps."""
+    d1 = source.d1
     rng = np.random.default_rng((config.seed, 23))
     protos = []
     for c in sorted(set(d1.classes)):
         idx = np.flatnonzero(d1.labels == c)
         if idx.size > config.src_proto_per_class:
             idx = rng.choice(idx, size=config.src_proto_per_class, replace=False)
-        feats = []
-        for start in range(0, idx.size, 256):
-            x = normalize_batch(d1.images[idx[start : start + 256]])
-            feats.append(_embed(source_net, x, config.embed_layer).data)
+        feats = [source(idx[start : start + 256])[config.embed_layer].data
+                 for start in range(0, idx.size, 256)]
         protos.append(np.concatenate(feats).mean(axis=0))
     return Tensor(np.stack(protos))
 
@@ -154,27 +177,24 @@ def _build_discriminator(net: EmbeddingNetwork, tap_names, config: TrainConfig
     return MultiLayerDiscriminator(spec, seed=config.seed + 7)
 
 
-def adversarial_step(step: int, source_net: EmbeddingNetwork, target_net: EmbeddingNetwork,
-                     disc: MultiLayerDiscriminator, disc_opt: Adam, enc_opt: Adam,
-                     x_src: Tensor, x_unl: Tensor, tap_names, encoder_objective
-                     ) -> losses.LossReport:
+def adversarial_step(step: int, disc: MultiLayerDiscriminator, disc_opt: Adam,
+                     enc_opt: Adam, src_taps: dict, unl_taps: dict, tap_names,
+                     encoder_objective) -> losses.LossReport:
     """One discriminator update, then one encoder update, on one forward per batch.
 
-    ``x_src`` runs once through the frozen source net and ``x_unl`` once
-    through the target net.  The discriminator learns from detached copies
-    of the target taps, which changes no target weight, so the encoder
-    update reuses the same taps with their graph; the updated
-    discriminator scores both batches again.
+    ``src_taps`` and ``unl_taps`` (name -> Tensor dicts) are the taps of
+    the source batch and of the unlabeled target batch; the step forwards
+    neither net.  The discriminator learns from detached copies of the
+    target taps, which changes no target weight, so the encoder update
+    reuses the same taps with their graph; the updated discriminator
+    scores both batches again.
     ``encoder_objective(l_dt_e, unl_taps, report)`` returns the encoder's
-    total loss from the adversarial term and the target taps of ``x_unl``
-    (a name -> Tensor dict), filling in the report's other terms.  The
-    encoder steps only when that total depends on its weights.
+    total loss from the adversarial term and the target taps, filling in
+    the report's other terms.  The encoder steps only when that total
+    depends on its weights.
     """
-    _, src_taps = source_net.forward(x_src)
-    _, unl_taps = target_net.forward(x_unl)
-    src_taps, unl_taps = dict(src_taps), dict(unl_taps)
-    src_flat = [src_taps[n].reshape(x_src.shape[0], -1) for n in tap_names]
-    unl_flat = [unl_taps[n].reshape(x_unl.shape[0], -1) for n in tap_names]
+    src_flat = [src_taps[n].reshape(src_taps[n].shape[0], -1) for n in tap_names]
+    unl_flat = [unl_taps[n].reshape(unl_taps[n].shape[0], -1) for n in tap_names]
 
     loss_d = losses.domain_loss_D(disc.forward(src_flat),
                                   disc.forward([t.detach() for t in unl_flat]))
@@ -220,9 +240,10 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
 
     enc_opt = Adam(target_net.parameters(), lr=config.lr, clip=config.grad_clip)
     tap_names = config.disc_taps or tuple(source_net.spec.taps)
+    source = SourceTaps(source_net, d1, (*tap_names, config.embed_layer))
     disc = _build_discriminator(target_net, tap_names, config)
     disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
-    src_protos = source_prototypes(source_net, d1, config)
+    src_protos = source_prototypes(source, config)
 
     x_d2 = normalize_batch(d2.images)  # full-batch D2 every step
 
@@ -251,10 +272,10 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
     for step in range(config.steps):
         src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
         unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
-        report = adversarial_step(step + 1, source_net, target_net, disc, disc_opt, enc_opt,
-                                  normalize_batch(d1.images[src_idx]),
-                                  normalize_batch(d3.images[unl_idx]),
-                                  tap_names, encoder_objective)
+        src_taps = source(src_idx)
+        _, unl_taps = target_net.forward(normalize_batch(d3.images[unl_idx]))
+        report = adversarial_step(step + 1, disc, disc_opt, enc_opt, src_taps,
+                                  dict(unl_taps), tap_names, encoder_objective)
         record.log(step + 1, report)
     record.wall_clock = time.time() - t0
     return target_net, record
@@ -316,6 +337,7 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
             t.requires_grad = False
 
     tap_names = config.disc_taps or tuple(source_net.spec.taps)
+    source = SourceTaps(source_net, d1, tap_names)
     disc = _build_discriminator(target_net, tap_names, config)
     enc_opt = Adam(enc_params, lr=config.lr, clip=config.grad_clip)
     disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
@@ -324,15 +346,18 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
     def encoder_objective(l_dt_e, unl_taps, report):
         return losses.total_objective(Tensor(0.0), l_dt_e, Tensor(0.0), config.alpha, 0.0)
 
+    # at alpha == 0 the encoder never steps, so its forward records no graph
+    target_forward = no_grad()(target_net.forward) if config.alpha == 0 else target_net.forward
+
     rng = np.random.default_rng((config.seed, 37))
     t0 = time.time()
     for step in range(config.steps):
         src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
         unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
-        report = adversarial_step(step + 1, source_net, target_net, disc, disc_opt, enc_opt,
-                                  normalize_batch(d1.images[src_idx]),
-                                  normalize_batch(d3.images[unl_idx]),
-                                  tap_names, encoder_objective)
+        src_taps = source(src_idx)
+        _, unl_taps = target_forward(normalize_batch(d3.images[unl_idx]))
+        report = adversarial_step(step + 1, disc, disc_opt, enc_opt, src_taps,
+                                  dict(unl_taps), tap_names, encoder_objective)
         record.log(step + 1, report)
     record.wall_clock = time.time() - t0
     return target_net, record

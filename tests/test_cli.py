@@ -200,6 +200,17 @@ class TestCli:
         assert main(["eval", "--experiment", "synth", "--checkpoint", str(p)]) == 1
         assert "fc1.b" in capsys.readouterr().err
 
+    def test_unknown_disc_tap_is_runtime_error(self, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(pre),
+                     "--pretrain_steps", "2"]) == 0
+        code = main(["uda", *SYNTH_ARGS, "--output_dir", str(tmp_path / "uda"),
+                     "--checkpoint", str(pre / "source.ckpt"), "--seeds", "0",
+                     "--disc_taps", "conv1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'conv1'" in err and "Traceback" not in err
+
     def test_gradcheck_clean_passes(self, capsys):
         assert main(["gradcheck", "--instances", "2", "--seed", "0"]) == 0
         out = capsys.readouterr().out

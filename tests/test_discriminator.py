@@ -178,3 +178,14 @@ class TestStrictLoading:
         del state["head_out.b"]
         with pytest.raises(BuildError, match=r"'head_out\.b'"):
             other.load_state_dict(state)
+
+    def test_extra_key_rejected(self):
+        spec = DiscriminatorSpec(tap_widths=[6, 4, 3], head_widths=[8], decay=0.5)
+        disc = MultiLayerDiscriminator(spec, seed=0)
+        state = MultiLayerDiscriminator(spec, seed=1).state_dict()
+        state["mirror9.w"] = np.zeros((3, 3), dtype=np.float32)
+        before = disc.state_dict()
+        with pytest.raises(BuildError, match=r"unexpected keys \['mirror9\.w'\]"):
+            disc.load_state_dict(state)
+        for name, value in disc.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])

@@ -153,6 +153,16 @@ class TestStrictLoading:
         with pytest.raises(BuildError, match=r"'bn2\.running_var'.*\(16,\)"):
             net.load_state_dict(state)
 
+    def test_extra_key_rejected(self):
+        net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
+        state = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=1).state_dict()
+        state["fc3.w"] = np.zeros((32, 3), dtype=np.float32)
+        before = net.state_dict()
+        with pytest.raises(BuildError, match=r"unexpected keys \['fc3\.w'\]"):
+            net.load_state_dict(state)
+        for key, value in net.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
     def test_scalar_running_stat_not_broadcast(self):
         net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
         state = net.state_dict()

@@ -1,16 +1,21 @@
 """Training procedures on the synthetic fixture: pretraining, adaptation,
 baselines, the degenerate equivalence, and determinism."""
 
+import contextlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from xferlearn import losses
-from xferlearn.data import UnlabeledDataset, filter_classes, make_splits, synth_digits
+from xferlearn import losses, trainer
+from xferlearn.data import (UnlabeledDataset, filter_classes, make_splits, normalize_batch,
+                            synth_digits)
 from xferlearn.layers import EmbeddingNetwork, clone_into_target, synth_embedding_spec
 from xferlearn.metrics import evaluate
 from xferlearn.tensor import Tensor
-from xferlearn.trainer import (TrainConfig, TrainDivergence, adapt_joint, adapt_unsupervised,
-                               pretrain_source, run_baseline, source_prototypes)
+from xferlearn.trainer import (SourceTaps, TrainConfig, TrainDivergence, adapt_joint,
+                               adapt_unsupervised, pretrain_source, run_baseline,
+                               source_prototypes)
 
 SYNTH_TAPS = ("flat", "fc1")
 
@@ -67,16 +72,32 @@ class TestSourcePrototypes:
     def test_shape_and_determinism(self, source_setup):
         net, _, d1 = source_setup
         cfg = quick_config()
-        a = source_prototypes(net, d1, cfg)
-        b = source_prototypes(net, d1, cfg)
+        a = source_prototypes(SourceTaps(net, d1, ("fc1",)), cfg)
+        b = source_prototypes(SourceTaps(net, d1, ("fc1",)), cfg)
         assert a.shape == (3, 32)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_subsample_cap_respected(self, source_setup):
         net, _, d1 = source_setup
-        capped = source_prototypes(net, d1, quick_config(src_proto_per_class=5))
-        full = source_prototypes(net, d1, quick_config())
+        capped = source_prototypes(SourceTaps(net, d1, ("fc1",)),
+                                   quick_config(src_proto_per_class=5))
+        full = source_prototypes(SourceTaps(net, d1, ("fc1",)), quick_config())
         assert (capped.data != full.data).any()
+
+    def test_cached_taps_equal_a_fresh_eval_forward(self, source_setup):
+        net, _, d1 = source_setup
+        source = SourceTaps(net, d1, SYNTH_TAPS)
+        first = np.arange(0, 70)
+        source(first)
+        later = np.random.default_rng(0).choice(len(d1), size=64, replace=False)
+        cached = source(later)  # some rows forwarded above, the others now
+        assert 0 < np.isin(later, first).sum() < later.size
+        net.eval()
+        _, taps = net.forward(normalize_batch(d1.images[later]))
+        for name, tap in taps:
+            if name in SYNTH_TAPS:
+                np.testing.assert_allclose(cached[name].data,
+                                           tap.data.reshape(later.size, -1), rtol=0, atol=1e-6)
 
 
 class TestAdaptJoint:
@@ -219,15 +240,82 @@ class TestAdversarialStep:
         d2, d3, _ = target_splits
         step = _forwards_per_step(monkeypatch, net, lambda cfg: adapt_joint(
             net, d1, d2, d3, cfg, head_classes=2, reinit_head=True))
-        # x_src through the source net; x_unl, then the full D2 batch, through the target
-        assert step == [("source", 64), ("target", 64), ("target", len(d2))]
+        # the prototype pass cached every source image: x_unl, then the full
+        # D2 batch, through the target net and nothing through the source net
+        assert step == [("target", 64), ("target", len(d2))]
 
     def test_unsupervised_step_forwards_each_batch_once(self, monkeypatch, source_setup):
         net, _, d1 = source_setup
         d3 = _shifted_unlabeled()
-        step = _forwards_per_step(monkeypatch, net,
-                                  lambda cfg: adapt_unsupervised(net, d1, d3, cfg))
-        assert step == [("source", 64), ("target", 60)]
+        # step 1 draws, and so caches, every source image
+        step = _forwards_per_step(monkeypatch, net, lambda cfg: adapt_unsupervised(
+            net, d1, d3, replace(cfg, batch_source=len(d1))))
+        assert step == [("target", 60)]
+
+    def test_source_images_are_forwarded_at_most_once_per_run(self, monkeypatch,
+                                                              source_setup):
+        net, _, d1 = source_setup
+        d3 = _shifted_unlabeled()
+        calls = _forwards(monkeypatch, net, lambda: adapt_unsupervised(
+            net, d1, d3, quick_config(steps=6)))
+        source = [n for role, n in calls if role == "source"]
+        # 6 steps draw 384 source images; only the unseen ones are forwarded
+        assert len(source) > 1
+        assert 64 < sum(source) <= len(d1)
+
+    @pytest.mark.parametrize("taps", [("conv1",), ("nope",), ("flat", "nope")])
+    def test_unknown_disc_tap_rejected_before_the_first_step(self, monkeypatch, source_setup,
+                                                            target_splits, taps):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        cfg = quick_config(steps=2, disc_taps=taps)
+        bad = taps[-1]
+        calls = []
+        monkeypatch.setattr(trainer, "adversarial_step", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=rf"'{bad}'.*\['flat', 'fc1', 'fc2'\]"):
+            adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
+        with pytest.raises(ValueError, match=rf"'{bad}'.*\['flat', 'fc1', 'fc2'\]"):
+            adapt_unsupervised(net, d1, _shifted_unlabeled(), cfg)
+        assert calls == []
+
+    def test_unknown_embed_layer_rejected(self, source_setup, target_splits):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        with pytest.raises(ValueError, match=r"'conv2'.*\['flat', 'fc1', 'fc2'\]"):
+            adapt_joint(net, d1, d2, d3, quick_config(steps=1, embed_layer="conv2"),
+                        head_classes=2, reinit_head=True)
+
+    def test_zero_alpha_target_forward_records_no_graph(self, monkeypatch, source_setup):
+        net, _, d1 = source_setup
+        d3 = _shifted_unlabeled()
+        recorded = []
+        forward = EmbeddingNetwork.forward
+
+        def recording(self, x):
+            logits, taps = forward(self, x)
+            if self is not net:
+                outputs = [logits, *dict(taps).values()]
+                recorded.append(any(t.node is not None for t in outputs))
+            return logits, taps
+
+        monkeypatch.setattr(EmbeddingNetwork, "forward", recording)
+        adapt_unsupervised(net, d1, d3, quick_config(steps=2, alpha=0.0))
+        assert recorded == [False, False]
+        adapt_unsupervised(net, d1, d3, quick_config(steps=1, alpha=0.1))
+        assert recorded[-1] is True
+
+    def test_zero_alpha_graph_free_forward_changes_no_result(self, monkeypatch, source_setup):
+        net, _, d1 = source_setup
+        d3 = _shifted_unlabeled()
+        cfg = quick_config(steps=3, alpha=0.0)
+        a, ra = adapt_unsupervised(net, d1, d3, cfg)
+        # the same run with the target forward recording its graph
+        monkeypatch.setattr(trainer, "no_grad", contextlib.contextmanager(lambda: (yield)))
+        b, rb = adapt_unsupervised(net, d1, d3, cfg)
+        assert ra.rows == rb.rows
+        for name, (mean, var) in a.running_stats.items():
+            np.testing.assert_array_equal(mean, b.running_stats[name][0])
+            np.testing.assert_array_equal(var, b.running_stats[name][1])
 
     def test_joint_step_updates_bn_running_stats_once_per_batch(
             self, monkeypatch, source_setup, target_splits):
