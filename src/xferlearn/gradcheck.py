@@ -148,6 +148,17 @@ def _cases(rng, corrupt=False):
 
         return f, rand(2)
 
+    def case_bn_x_eval(r):
+        gamma = Tensor(r.uniform(0.5, 1.5, 2))
+        beta = rand(2)
+        mean, var = r.normal(0, 1, 2), r.uniform(0.5, 2.0, 2)
+        c = rand(4, 2, 3, 3)
+
+        def f(x):
+            return (T.batchnorm2d(x, gamma, beta, mean, var, training=False) * c).sum()
+
+        return f, rand(4, 2, 3, 3)
+
     def case_softmax(r):
         c = rand(3, 4)
         return lambda x: (T.softmax(x, temperature=1.5) * c).sum(), rand(3, 4)
@@ -262,6 +273,7 @@ def _cases(rng, corrupt=False):
     yield "batchnorm2d_x", case_bn_x
     yield "batchnorm2d_gamma", case_bn_gamma
     yield "batchnorm2d_beta", case_bn_beta
+    yield "batchnorm2d_x_eval", case_bn_x_eval
     yield "softmax", case_softmax
     yield "log_softmax", case_logsoftmax
     yield "entropy", case_entropy

@@ -97,7 +97,7 @@ class EmbeddingNetwork:
         self.spec = spec
         self.shapes = infer_shapes(spec)
         self.params: dict[str, Tensor] = {}
-        self.running_stats: dict[str, tuple] = {}  # bn layer -> (mean, var) arrays
+        self.running_stats: dict[str, tuple] = {}  # bn layer -> (mean, var), params' dtype
         self.training = True
         self._init_params(seed, param_prefix)
 
@@ -118,7 +118,8 @@ class EmbeddingNetwork:
                 c = shape[0]
                 self.params[f"{prefix}{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
                 self.params[f"{prefix}{name}.beta"] = Tensor(np.zeros(c), requires_grad=True)
-                self.running_stats[name] = (np.zeros(c), np.ones(c))
+                dtype = T.current_dtype()
+                self.running_stats[name] = (np.zeros(c, dtype), np.ones(c, dtype))
             elif ls.kind == "linear":
                 fan_in = shape[0]
                 bound = 1.0 / np.sqrt(fan_in)

@@ -460,6 +460,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         gmat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
         gw = (gmat @ cols.T).reshape(w.data.shape)
         gb = gmat.sum(axis=1)
+        if not x.requires_grad and x.node is None:  # an input leaf, e.g. the images
+            return None, gw, gb
         gx = _col2im(wmat.T @ gmat, x.data.shape, kh, kw, stride, padding, ho, wo)
         return gx, gw, gb
 
@@ -497,61 +499,56 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     return _make(out_data, "maxpool2d", (x,), bwd)
 
 
-def batchnorm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool, momentum: float = 0.1,
+                eps: float = 1e-5) -> Tensor:
     """Per-channel batch normalization over an N x C x H x W tensor.
 
-    In training mode the running stats arrays are updated in place.
+    Training mode normalizes by the batch statistics (two-pass variance) and
+    updates the running stats arrays in place; eval mode is one per-channel
+    multiply-add by the running statistics.  The input gradient is the closed
+    form of Ioffe & Szegedy (2015).
     """
     n, c, h, w = x.data.shape
-    axes = (0, 2, 3)
+    m = n * h * w
+    x3 = x.data.reshape(n, c, h * w)
     if training:
         if n < 2:
             raise ParameterError("batchnorm2d needs batch size >= 2 in train mode")
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        m = n * h * w
+        mean = x3.mean(axis=(0, 2))
+        xhat = x3 - mean[:, None]  # centred copy, scaled in place into xhat below
+        var = np.einsum("ncp,ncp->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         # running var uses the unbiased estimate, matching common practice
         running_var *= 1.0 - momentum
         running_var += momentum * var * m / max(m - 1, 1)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat *= inv_std[:, None]
+        out_data = xhat * gamma.data[:, None]
+        out_data += beta.data[:, None]
     else:
-        mean = running_mean.astype(x.data.dtype)
-        var = running_var.astype(x.data.dtype)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out_data = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma.data * inv_std
+        out_data = x3 * scale[:, None]
+        out_data += (beta.data - running_mean * scale)[:, None]
 
     def bwd(g):
-        ggamma = (g * xhat).sum(axis=axes)
-        gbeta = g.sum(axis=axes)
-        gxhat = g * gamma.data.reshape(1, c, 1, 1)
-        if training:
-            m = n * h * w
-            gx = (
-                inv_std.reshape(1, c, 1, 1)
-                / m
-                * (
-                    m * gxhat
-                    - gxhat.sum(axis=axes, keepdims=True)
-                    - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True)
-                )
-            )
+        g3 = g.reshape(n, c, h * w)
+        xh = xhat if training else (x3 - running_mean[:, None]) * inv_std[:, None]
+        gbeta = g3.sum(axis=(0, 2))
+        ggamma = np.einsum("ncp,ncp->c", g3, xh)
+        s = (gamma.data * inv_std)[:, None]
+        if training:  # s*g - s*(ggamma/m)*xhat - s*gbeta/m
+            gx = xh * (ggamma / m)[:, None]
+            gx += (gbeta / m)[:, None]
+            np.subtract(g3, gx, out=gx)
+            gx *= s
         else:
-            gx = gxhat * inv_std.reshape(1, c, 1, 1)
-        return gx, ggamma, gbeta
+            gx = g3 * s
+        return gx.reshape(n, c, h, w), ggamma, gbeta
 
-    return _make(out_data, "batchnorm2d", (x, gamma, beta), bwd)
+    return _make(out_data.reshape(n, c, h, w), "batchnorm2d", (x, gamma, beta), bwd)
 
 
 # -- softmax / entropy ---------------------------------------------------

@@ -10,6 +10,7 @@ The source encoder stays frozen in eval mode throughout adaptation, so
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import time
 from dataclasses import dataclass, field, asdict
@@ -206,7 +207,10 @@ def adversarial_step(step: int, disc: MultiLayerDiscriminator, disc_opt: Adam,
 
     enc_opt.zero_grads()
     disc_opt.zero_grads()
-    l_dt_e = losses.domain_loss_E(disc.forward(src_flat), disc.forward(unl_flat))
+    # without a graph behind the target taps nothing backpropagates this scoring
+    graph = any(t.requires_grad for t in unl_flat)
+    with contextlib.nullcontext() if graph else no_grad():
+        l_dt_e = losses.domain_loss_E(disc.forward(src_flat), disc.forward(unl_flat))
     report.dt_e = l_dt_e.item()
     total = encoder_objective(l_dt_e, unl_taps, report)
     report.total = total.item()
@@ -241,6 +245,11 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
     enc_opt = Adam(target_net.parameters(), lr=config.lr, clip=config.grad_clip)
     tap_names = config.disc_taps or tuple(source_net.spec.taps)
     source = SourceTaps(source_net, d1, (*tap_names, config.embed_layer))
+    for name in tap_names:
+        src_w, tgt_w = (int(np.prod(net.shapes[name])) for net in (source_net, target_net))
+        if src_w != tgt_w:
+            raise ValueError(f"tap {name!r} is {src_w} wide in the source net but {tgt_w} "
+                             f"in the target net; leave it out of disc_taps")
     disc = _build_discriminator(target_net, tap_names, config)
     disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
     src_protos = source_prototypes(source, config)

@@ -211,6 +211,19 @@ class TestCli:
         assert code == 1
         assert "'conv1'" in err and "Traceback" not in err
 
+    def test_taps_of_different_widths_are_runtime_error(self, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(pre),
+                     "--pretrain_steps", "2", "--source_classes", "0,1,2"]) == 0
+        code = main(["transfer", *SYNTH_ARGS, "--output_dir", str(tmp_path / "tr"),
+                     "--checkpoint", str(pre / "source.ckpt"),
+                     "--source_classes", "0,1,2", "--target_classes", "3,4",
+                     "--methods", "full", "--k_values", "3", "--seeds", "0",
+                     "--disc_taps", "flat,fc1,fc2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'fc2' is 3 wide" in err and "Traceback" not in err
+
     def test_gradcheck_clean_passes(self, capsys):
         assert main(["gradcheck", "--instances", "2", "--seed", "0"]) == 0
         out = capsys.readouterr().out

@@ -1,12 +1,15 @@
 """Network assembly: shape pass, initialization determinism, taps, cloning."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from xferlearn.layers import (BuildError, EmbeddingNetwork, LayerSpec, NetworkSpec,
                               ablation_embedding_spec, clone_into_target,
                               digit_embedding_spec, infer_shapes, synth_embedding_spec)
-from xferlearn.tensor import Tensor
+from xferlearn.optim import Adam
+from xferlearn.tensor import Tensor, backward, use_float64
 
 # frozen once from the layer table: 4 convs (64ch, 3x3) + 4 bns + fc 64x64 + fc 64x5
 DIGIT_PARAM_COUNT = 116421
@@ -170,3 +173,33 @@ class TestStrictLoading:
         with pytest.raises(BuildError, match=r"'bn1\.running_mean'.*\(16,\).*\(\)"):
             net.load_state_dict(state)
         np.testing.assert_array_equal(net.running_stats["bn1"][0], np.zeros(16))
+
+
+class TestRunningStatsDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_running_stats_stay_in_the_current_dtype(self, dtype):
+        def assert_dtype(net):
+            for mean, var in net.running_stats.values():
+                assert mean.dtype == dtype and var.dtype == dtype
+
+        with use_float64() if dtype == np.float64 else contextlib.nullcontext():
+            net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
+            assert_dtype(net)
+            assert_dtype(clone_into_target(net, head_classes=2, reinit_head=True))
+            # a checkpoint written with float64 statistics is cast on load
+            state = {key: a.astype(np.float64) for key, a in net.state_dict().items()}
+            state["bn1.running_mean"] = np.full(16, 0.25)
+            loaded = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=1)
+            loaded.load_state_dict(state)
+            assert_dtype(loaded)
+            np.testing.assert_array_equal(loaded.running_stats["bn1"][0], 0.25)
+            opt = Adam(loaded.parameters(), lr=1e-2)
+            x = Tensor(np.random.default_rng(0).normal(0, 1, (4, 1, 16, 16)))
+            for _ in range(2):
+                opt.zero_grads()
+                backward(loaded.forward(x)[0].sum())
+                opt.step()
+            assert_dtype(loaded)
+            assert (loaded.running_stats["bn1"][0] != 0.25).all()
+            loaded.eval()
+            assert loaded.forward(x)[0].data.dtype == dtype

@@ -91,6 +91,37 @@ def naive_maxpool_grad(x, g, size):
     return gx
 
 
+def naive_batchnorm(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps=1e-5):
+    """Output, running statistics and the x/gamma/beta gradients of sum(g * bn(x)),
+    channel by channel, with the chain rule written out as in Ioffe & Szegedy (2015)."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    out, gx = np.zeros_like(x), np.zeros_like(x)
+    rm, rv = rm.copy(), rv.copy()
+    ggamma, gbeta = np.zeros(c), np.zeros(c)
+    for ci in range(c):
+        xc, gc = x[:, ci], g[:, ci]
+        if training:
+            mu = xc.sum() / m
+            var = ((xc - mu) ** 2).sum() / m
+            rm[ci] = (1 - momentum) * rm[ci] + momentum * mu
+            rv[ci] = (1 - momentum) * rv[ci] + momentum * var * m / max(m - 1, 1)
+        else:
+            mu, var = rm[ci], rv[ci]
+        std = math.sqrt(var + eps)
+        xhat = (xc - mu) / std
+        out[:, ci] = gamma[ci] * xhat + beta[ci]
+        ggamma[ci], gbeta[ci] = (gc * xhat).sum(), gc.sum()
+        dxhat = gc * gamma[ci]
+        if training:
+            dvar = (dxhat * (xc - mu)).sum() * -0.5 * (var + eps) ** -1.5
+            dmu = -dxhat.sum() / std + dvar * (-2.0 * (xc - mu)).sum() / m
+            gx[:, ci] = dxhat / std + dvar * 2.0 * (xc - mu) / m + dmu / m
+        else:
+            gx[:, ci] = dxhat / std
+    return out, rm, rv, gx, ggamma, gbeta
+
+
 @st.composite
 def conv_geometries(draw):
     """(n, c, f, h, w, kernel, stride, padding) with an integral output and H != W."""
@@ -154,6 +185,27 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="non-integral"):
             T.conv2d(Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros((1, 1, 2, 2))),
                      Tensor(np.zeros(1)), stride=2)
+
+
+    def test_input_gradient_only_where_needed(self):
+        rng = np.random.default_rng(12)
+        x, kernel, bias = (rng.normal(0, 1, s) for s in ((2, 3, 5, 4), (2, 3, 3, 3), (2,)))
+        g = rng.normal(0, 1, (2, 2, 5, 4))
+        want_gx, want_gw, want_gb = naive_conv2d_grads(x, kernel, g, 1, 1)
+        with use_float64():
+            kt, bt = Tensor(kernel, requires_grad=True), Tensor(bias, requires_grad=True)
+            # a leaf that needs no gradient, like a batch of images, gets None
+            gx, gw, gb = T.conv2d(Tensor(x), kt, bt, padding=1).node.backward_fn(g)
+            assert gx is None
+            np.testing.assert_allclose(gw, want_gw, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(gb, want_gb, rtol=1e-10, atol=1e-10)
+            leaf = Tensor(x, requires_grad=True)
+            gx, _, _ = T.conv2d(leaf, kt, bt, padding=1).node.backward_fn(g)
+            np.testing.assert_allclose(gx, want_gx, rtol=1e-10, atol=1e-10)
+            # an input computed from a leaf that needs one gets its gradient too
+            inner = T.mul(leaf, Tensor(2.0))
+            backward((T.conv2d(inner, kt, bt, padding=1) * Tensor(g)).sum())
+        np.testing.assert_allclose(leaf.grad, 2.0 * want_gx, rtol=1e-10, atol=1e-10)
 
 
 class TestConvOracleProperties:
@@ -266,6 +318,26 @@ class TestBatchnorm:
         with pytest.raises(ParameterError):
             T.batchnorm2d(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.ones(2)),
                           Tensor(np.zeros(2)), np.zeros(2), np.ones(2), training=True)
+
+
+class TestBatchnormOracleProperties:
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_formulas(self, n, c, h, w, training, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(rng.normal(0, 2), rng.uniform(0.5, 3), (n, c, h, w))
+        gamma, beta = rng.uniform(-2, 2, c), rng.normal(0, 1, c)
+        rm, rv = rng.normal(0, 1, c), rng.uniform(0.2, 3, c)
+        g = rng.normal(0, 1, (n, c, h, w))
+        want = naive_batchnorm(x, gamma, beta, rm, rv, training, g)
+        with use_float64():
+            xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+            got_rm, got_rv = rm.copy(), rv.copy()
+            out = T.batchnorm2d(xt, gt, bt, got_rm, got_rv, training=training)
+            backward((out * Tensor(g)).sum())
+        for got, expected in zip((out.data, got_rm, got_rv, xt.grad, gt.grad, bt.grad), want):
+            np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-9)
 
 
 class TestActivations:

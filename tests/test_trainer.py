@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xferlearn import losses, trainer
+from xferlearn import losses, tensor, trainer
 from xferlearn.data import (UnlabeledDataset, filter_classes, make_splits, normalize_batch,
                             synth_digits)
 from xferlearn.layers import EmbeddingNetwork, clone_into_target, synth_embedding_spec
@@ -316,6 +316,54 @@ class TestAdversarialStep:
         for name, (mean, var) in a.running_stats.items():
             np.testing.assert_array_equal(mean, b.running_stats[name][0])
             np.testing.assert_array_equal(var, b.running_stats[name][1])
+
+    def test_zero_alpha_step_records_only_the_discriminator_graph(self, monkeypatch,
+                                                                  source_setup):
+        net, _, d1 = source_setup
+        d3 = _shifted_unlabeled()
+        graph_node, no_grad_calls = tensor.GraphNode, []
+
+        def nodes_and_rows(steps):
+            nodes = []
+
+            class Counted(graph_node):
+                def __init__(self, *args):
+                    nodes.append(args[0])
+                    super().__init__(*args)
+
+            monkeypatch.setattr(tensor, "GraphNode", Counted)
+            no_grad_calls.clear()
+            _, record = adapt_unsupervised(net, d1, d3, quick_config(steps=steps, alpha=0.0))
+            return len(nodes), record.rows
+
+        one, _ = nodes_and_rows(1)
+        two, rows = nodes_and_rows(2)
+        assert two - one == one == 33  # the discriminator update's graph alone
+        # the same run with the encoder-side scoring recorded: the target
+        # forward's no_grad is made once at set-up, every later one scores
+        def scoring_recorded(real=trainer.no_grad):
+            no_grad_calls.append(1)
+            return real() if len(no_grad_calls) == 1 else contextlib.nullcontext()
+
+        monkeypatch.setattr(trainer, "no_grad", scoring_recorded)
+        one, _ = nodes_and_rows(1)
+        two, recorded_rows = nodes_and_rows(2)
+        assert two - one == one == 66
+        assert recorded_rows == rows
+
+    def test_joint_rejects_taps_of_different_widths_before_set_up(self, monkeypatch,
+                                                                 source_setup, target_splits):
+        net, _, d1 = source_setup  # 3 source classes; the target head gets 2
+        d2, d3, _ = target_splits
+        monkeypatch.setattr(trainer, "_build_discriminator", lambda *a: pytest.fail("built"))
+        for taps in ((), ("flat", "fc2")):
+            def run():
+                with pytest.raises(ValueError, match=r"tap 'fc2' is 3 wide in the source "
+                                                     r"net but 2 in the target net"):
+                    adapt_joint(net, d1, d2, d3, quick_config(steps=1, disc_taps=taps),
+                                head_classes=2, reinit_head=True)
+
+            assert _forwards(monkeypatch, net, run) == []
 
     def test_joint_step_updates_bn_running_stats_once_per_batch(
             self, monkeypatch, source_setup, target_splits):
