@@ -1,6 +1,6 @@
 """Binary checkpoint format.
 
-Layout: magic "XFERCKPT", u32 version, u32 tensor count; per tensor a
+Layout: magic "XFERCKPT", u32 version, u32 tensor count, u32 step; per tensor a
 u16 name length + UTF-8 name, u8 rank, u32 per dim, then raw
 little-endian float32 data; finally a u32-length-prefixed UTF-8 config
 snapshot.
@@ -74,8 +74,12 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = arr.copy()
         (clen,) = struct.unpack_from("<I", buf, pos)
         pos += 4
+        if pos + clen > len(buf):
+            raise CheckpointError(f"{path}: truncated config snapshot")
         config_text = buf[pos : pos + clen].decode("utf-8")
         pos += clen
+    except CheckpointError:
+        raise
     except (struct.error, ValueError) as e:
         raise CheckpointError(f"{path}: truncated checkpoint ({e})") from e
     if pos != len(buf):

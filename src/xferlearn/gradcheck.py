@@ -98,6 +98,13 @@ def _cases(rng, corrupt=False):
         c = rand(2, 2, 3, 3)
         return lambda w: (T.conv2d(x, w, b, stride=2, padding=1) * c).sum(), rand(2, 3, 3, 3)
 
+    def case_conv_w_shifted(r):
+        # stride 1 with C > 1: the weight gradient of the shifted-GEMM backward
+        x = rand(2, 3, 5, 4)
+        b = rand(2)
+        c = rand(2, 2, 5, 4)
+        return lambda w: (T.conv2d(x, w, b, stride=1, padding=1) * c).sum(), rand(2, 3, 3, 3)
+
     def case_conv_stride2(r):
         w = rand(2, 3, 3, 3)
         b = rand(2)
@@ -267,6 +274,7 @@ def _cases(rng, corrupt=False):
     yield "index_select", case_index_select
     yield "conv2d", case_conv
     yield "conv2d_weight", case_conv_w
+    yield "conv2d_weight_stride1", case_conv_w_shifted
     yield "conv2d_stride2", case_conv_stride2
     yield "maxpool2d", case_maxpool
     yield "maxpool2d_size3", case_maxpool3

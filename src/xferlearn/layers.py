@@ -233,10 +233,16 @@ def clone_into_target(source: EmbeddingNetwork, head_classes: int | None = None,
 
 
 # -- architecture presets -------------------------------------------------
+#
+# Each block pools before its ReLU.  Max commutes with ReLU in value and in
+# gradient (both send g to a window's first maximum only when it is above 0),
+# so this equals the usual relu-then-pool bit for bit while the ReLU runs on
+# a quarter of the elements.  Neither layer has parameters or is a tap, so
+# checkpoints and tap names are unaffected.
 
 
 def digit_embedding_spec(n_classes: int = 5, taps=("pool4_flat", "fc1", "fc2")) -> NetworkSpec:
-    """Four conv-batchnorm-relu-pool blocks on 1x32x32, then 64->64->K head.
+    """Four conv-batchnorm-pool-relu blocks on 1x32x32, then 64->64->K head.
 
     A final 2x2 pool collapses the remaining 2x2 map so the flattened
     feature width is 64, matching the 64x64 fc1 kernel.
@@ -246,8 +252,8 @@ def digit_embedding_spec(n_classes: int = 5, taps=("pool4_flat", "fc1", "fc2")) 
         layers += [
             (f"conv{i}", LayerSpec("conv", out_channels=64, kernel=3, stride=1, padding=1)),
             (f"bn{i}", LayerSpec("batchnorm")),
-            (f"relu{i}", LayerSpec("relu")),
             (f"pool{i}", LayerSpec("maxpool", kernel=2, stride=2)),
+            (f"relu{i}", LayerSpec("relu")),
         ]
     layers += [
         ("pool_out", LayerSpec("maxpool", kernel=2, stride=2)),
@@ -260,18 +266,18 @@ def digit_embedding_spec(n_classes: int = 5, taps=("pool4_flat", "fc1", "fc2")) 
 
 
 def ablation_embedding_spec(n_classes: int = 10, taps=("flat", "fc1", "fc2")) -> NetworkSpec:
-    """LeNet-style net on 1x28x28: two conv-relu-pool blocks, 800->500->K head.
+    """LeNet-style net on 1x28x28: two conv-pool-relu blocks, 800->500->K head.
 
     conv2 has 50 channels so the flattened width is 800 (= 50 * 4 * 4),
     matching the 800x500 fc1 kernel.
     """
     layers = [
         ("conv1", LayerSpec("conv", out_channels=20, kernel=5, stride=1, padding=0)),
-        ("relu1", LayerSpec("relu")),
         ("pool1", LayerSpec("maxpool", kernel=2, stride=2)),
+        ("relu1", LayerSpec("relu")),
         ("conv2", LayerSpec("conv", out_channels=50, kernel=5, stride=1, padding=0)),
-        ("relu2", LayerSpec("relu")),
         ("pool2", LayerSpec("maxpool", kernel=2, stride=2)),
+        ("relu2", LayerSpec("relu")),
         ("flat", LayerSpec("flatten")),
         ("fc1", LayerSpec("linear", out_channels=500)),
         ("fc1_relu", LayerSpec("relu")),
@@ -286,12 +292,12 @@ def synth_embedding_spec(n_classes: int, image_size: int = 16,
     layers = [
         ("conv1", LayerSpec("conv", out_channels=16, kernel=3, stride=1, padding=1)),
         ("bn1", LayerSpec("batchnorm")),
-        ("relu1", LayerSpec("relu")),
         ("pool1", LayerSpec("maxpool", kernel=2, stride=2)),
+        ("relu1", LayerSpec("relu")),
         ("conv2", LayerSpec("conv", out_channels=16, kernel=3, stride=1, padding=1)),
         ("bn2", LayerSpec("batchnorm")),
-        ("relu2", LayerSpec("relu")),
         ("pool2", LayerSpec("maxpool", kernel=2, stride=2)),
+        ("relu2", LayerSpec("relu")),
         ("flat", LayerSpec("flatten")),
         ("fc1", LayerSpec("linear", out_channels=32)),
         ("fc1_relu", LayerSpec("relu")),

@@ -169,9 +169,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, Tensor(-1.0))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         return reshape(self, shape)
 
@@ -180,9 +177,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _lift(x) -> Tensor:
@@ -400,26 +394,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- convolution / pooling ----------------------------------------------
+# Conv-block tensors have NCHW shapes but channel-major (C, N, H, W) memory:
+# conv2d returns a transposed view of its GEMM result, and batchnorm2d,
+# maxpool2d and relu keep their input's memory order, so nothing transposes.
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """Unfold x (N, C, H, W) into cols (C*kh*kw, N*Ho*Wo), one column per output pixel.
+def _planes(x: np.ndarray, padding: int) -> np.ndarray:
+    """x (N, C, H, W), in any memory order, as zero-padded channel-major planes (C, N, Hp, Wp)."""
+    n, c, h, w = x.shape
+    planes = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    planes[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    return planes
+
+
+def _unpad(planes: np.ndarray, padding: int) -> np.ndarray:
+    """Inverse of _planes: the unpadded part as a channel-major (N, C, H, W) array."""
+    if padding:
+        planes = np.ascontiguousarray(planes[:, :, padding:-padding, padding:-padding])
+    return planes.transpose(1, 0, 2, 3)
+
+
+def _im2col(planes: np.ndarray, kh: int, kw: int, stride: int):
+    """Unfold planes (C, N, Hp, Wp) into cols (C*kh*kw, N*Ho*Wo), one column per output pixel.
 
     With this layout the convolution and both of its gradients are single 2-D
     GEMMs (Chellapilla et al., 2006).
     """
-    n, c, h, w = x.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
-    xt = x.transpose(1, 0, 2, 3)
+    c, n, hp, wp = planes.shape
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=planes.dtype)
     for i in range(kh):
         i_end = i + stride * ho
         for j in range(kw):
             j_end = j + stride * wo
-            cols[:, i, j] = xt[:, :, i:i_end:stride, j:j_end:stride]
+            cols[:, i, j] = planes[:, :, i:i_end:stride, j:j_end:stride]
     return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
 
 
@@ -427,20 +436,52 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding, ho, wo):
     """Adjoint of _im2col: scatter-add (C*kh*kw, N*Ho*Wo) columns back into x_shape."""
     n, c, h, w = x_shape
     cols = cols.reshape(c, kh, kw, n, ho, wo)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    ot = out.transpose(1, 0, 2, 3)
+    out = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     for i in range(kh):
         i_end = i + stride * ho
         for j in range(kw):
             j_end = j + stride * wo
-            ot[:, :, i:i_end:stride, j:j_end:stride] += cols[:, i, j]
-    if padding:
-        out = out[:, :, padding:-padding, padding:-padding]
-    return out
+            out[:, :, i:i_end:stride, j:j_end:stride] += cols[:, i, j]
+    return _unpad(out, padding)
+
+
+def _shifted_grads(planes: np.ndarray, w: np.ndarray, g: np.ndarray, need_gx: bool):
+    """Weight gradient and padded input gradient of a stride-1 convolution.
+
+    On the flattened padded grid (C, L), L = N*Hp*Wp, output pixel (n, oi, oj)
+    sits at column n*Hp*Wp + oi*Wp + oj, and kernel offset (i, j) reads the
+    column i*Wp + j further on.  With g zero-filled onto the same grid, each
+    offset is one GEMM over contiguous column slices, so neither im2col
+    columns nor a col2im scatter are needed (cf. Cho & Brand, 2017).
+    """
+    c, n, hp, wp = planes.shape
+    f, _, kh, kw = w.shape
+    length = n * hp * wp
+    span = length - (kh - 1) * wp - (kw - 1)  # the last output pixel's column + 1
+    grid = np.zeros((f, n, hp, wp), dtype=g.dtype)
+    grid[:, :, :g.shape[2], :g.shape[3]] = g.transpose(1, 0, 2, 3)
+    grid = grid.reshape(f, length)[:, :span]
+    flat = planes.reshape(c, length)
+    gw = np.empty((kh, kw, f, c), dtype=g.dtype)
+    wt = w.transpose(2, 3, 1, 0).copy()  # (kh, kw, C, F)
+    gxp = np.zeros((c, length), dtype=g.dtype) if need_gx else None
+    term = np.empty((c, span), dtype=g.dtype) if need_gx else None
+    for i in range(kh):
+        for j in range(kw):
+            off = i * wp + j
+            np.matmul(grid, flat[:, off:off + span].T, out=gw[i, j])
+            if need_gx:
+                gxp[:, off:off + span] += np.matmul(wt[i, j], grid, out=term)
+    gw = gw.transpose(2, 3, 0, 1).copy()
+    return gw, None if gxp is None else gxp.reshape(c, n, hp, wp)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlate x (N, C, H, W) with w (F, C, kh, kw) and add the bias.
+
+    The forward is one im2col GEMM.  The backward keeps only the padded input
+    planes at stride 1 with C > 1 (_shifted_grads), else the im2col columns.
+    """
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
     if c != cw:
@@ -450,22 +491,30 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"conv2d non-integral output for input {x.data.shape}, "
             f"kernel {w.data.shape}, stride {stride}, padding {padding}"
         )
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+    planes = _planes(x.data, padding)
+    cols, ho, wo = _im2col(planes, kh, kw, stride)
     wmat = w.data.reshape(f, -1)
-    prod = (wmat @ cols).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
-    out_data = np.empty((n, f, ho, wo), dtype=np.result_type(prod, bias.data))
-    np.add(prod, bias.data.reshape(1, f, 1, 1), out=out_data)
+    prod = wmat @ cols
+    prod += bias.data[:, None]
+    shifted = stride == 1 and c > 1
+    if shifted:
+        cols = None  # the backward needs only the planes
+    else:
+        planes = None
 
     def bwd(g):
         gmat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        gw = (gmat @ cols.T).reshape(w.data.shape)
         gb = gmat.sum(axis=1)
-        if not x.requires_grad and x.node is None:  # an input leaf, e.g. the images
+        need_gx = x.requires_grad or x.node is not None  # not an input leaf like the images
+        if shifted:
+            gw, gxp = _shifted_grads(planes, w.data, g, need_gx)
+            return None if gxp is None else _unpad(gxp, padding), gw, gb
+        gw = (gmat @ cols.T).reshape(w.data.shape)
+        if not need_gx:
             return None, gw, gb
-        gx = _col2im(wmat.T @ gmat, x.data.shape, kh, kw, stride, padding, ho, wo)
-        return gx, gw, gb
+        return _col2im(wmat.T @ gmat, x.data.shape, kh, kw, stride, padding, ho, wo), gw, gb
 
-    return _make(out_data, "conv2d", (x, w, bias), bwd)
+    return _make(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3), "conv2d", (x, w, bias), bwd)
 
 
 def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
@@ -482,13 +531,13 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     ho, wo = h // stride, w // stride
     windows = x.data.reshape(n, c, ho, size, wo, size)
     offsets = [(i, j) for i in range(size) for j in range(size)]  # row-major window order
-    out_data = windows[:, :, :, 0, :, 0].copy()
+    out_data = windows[:, :, :, 0, :, 0].copy(order="K")  # in x's memory order
     for i, j in offsets[1:]:
         np.maximum(out_data, windows[:, :, :, i, :, j], out=out_data)
 
     def bwd(g):
-        gx = np.empty((n, c, ho, size, wo, size), dtype=g.dtype)
-        free = np.ones(out_data.shape, dtype=bool)  # windows whose maximum is unclaimed
+        gx = np.empty_like(windows, dtype=g.dtype)  # in x's memory order
+        free = np.ones_like(out_data, dtype=bool)  # windows whose maximum is unclaimed
         for i, j in offsets:
             first = np.equal(windows[:, :, :, i, :, j], out_data)
             first &= free

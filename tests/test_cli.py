@@ -102,6 +102,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
+    def test_truncated_config_snapshot_named(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, {"a": np.ones(2, dtype=np.float32)}, config_text="alpha=0.1\n")
+        p.write_bytes(p.read_bytes()[:-4])
+        with pytest.raises(CheckpointError, match="truncated config snapshot$"):
+            load_checkpoint(p)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "t.ckpt"
         save_checkpoint(p, {"a": np.ones(2, dtype=np.float32)})
@@ -199,6 +206,15 @@ class TestCli:
         save_checkpoint(p, state)
         assert main(["eval", "--experiment", "synth", "--checkpoint", str(p)]) == 1
         assert "fc1.b" in capsys.readouterr().err
+
+    def test_eval_truncated_config_snapshot_is_runtime_error(self, tmp_path, capsys):
+        state = EmbeddingNetwork(synth_embedding_spec(n_classes=5), seed=0).state_dict()
+        p = tmp_path / "cut.ckpt"
+        save_checkpoint(p, state, config_text="experiment = synth\n")
+        p.write_bytes(p.read_bytes()[:-4])
+        assert main(["eval", "--experiment", "synth", "--checkpoint", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "truncated config snapshot" in err and "Traceback" not in err
 
     def test_unknown_disc_tap_is_runtime_error(self, tmp_path, capsys):
         pre = tmp_path / "pre"

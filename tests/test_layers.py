@@ -8,6 +8,7 @@ import pytest
 from xferlearn.layers import (BuildError, EmbeddingNetwork, LayerSpec, NetworkSpec,
                               ablation_embedding_spec, clone_into_target,
                               digit_embedding_spec, infer_shapes, synth_embedding_spec)
+from xferlearn import tensor as T
 from xferlearn.optim import Adam
 from xferlearn.tensor import Tensor, backward, use_float64
 
@@ -173,6 +174,59 @@ class TestStrictLoading:
         with pytest.raises(BuildError, match=r"'bn1\.running_mean'.*\(16,\).*\(\)"):
             net.load_state_dict(state)
         np.testing.assert_array_equal(net.running_stats["bn1"][0], np.zeros(16))
+
+
+def _channel_major(a):
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def _relu_then_pool(spec):
+    """The same spec with each block's ReLU moved back in front of its pool."""
+    layers = list(spec.layers)
+    for i, ((name, ls), (next_name, next_ls)) in enumerate(zip(layers, layers[1:])):
+        if ls.kind == "maxpool" and next_ls.kind == "relu":
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return NetworkSpec(spec.input_shape, layers, list(spec.taps))
+
+
+class TestPoolBeforeRelu:
+    @pytest.mark.parametrize("spec", [digit_embedding_spec(), ablation_embedding_spec(),
+                                      synth_embedding_spec(n_classes=3)])
+    def test_presets_pool_before_relu(self, spec):
+        names = [name for name, _ in spec.layers]
+        relus = [name for name in names if name.startswith("relu")]
+        assert relus and all(names[names.index(r) - 1] == f"pool{r[4:]}" for r in relus)
+
+    @pytest.mark.parametrize("size", [32, 16, 8, 4])  # the digit net's four blocks
+    def test_relu_of_pool_is_pool_of_relu_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        # half-steps in [-1.5, 1.5]: exact zeros, ties and all-negative windows abound
+        x = (rng.integers(-3, 4, (4, 64, size, size)) * 0.5).astype(np.float32)
+        windows = x.reshape(4, 64, size // 2, 2, size // 2, 2)
+        windows[0, 0, 0, :, 0, :] = 0.0
+        windows[0, 0, 0, :, 1, :] = [[-0.5, -1.0], [-0.5, -1.5]]
+        windows[0, 1, 0, :, 0, :] = [[1.0, 1.5], [1.5, 0.0]]
+        g = rng.normal(0, 1, (4, 64, size // 2, size // 2)).astype(np.float32)
+        results = []
+        for first, second in ((T.maxpool2d, T.relu), (T.relu, T.maxpool2d)):
+            xt = Tensor(_channel_major(x), requires_grad=True)
+            out = second(first(xt))
+            backward((out * Tensor(g)).sum())
+            results.append((out.data.tobytes(), xt.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_digit_net_matches_relu_then_pool_bit_for_bit(self):
+        x = Tensor(np.random.default_rng(3).normal(0, 1, (4, 1, 32, 32)))
+        outs = []
+        for spec in (digit_embedding_spec(), _relu_then_pool(digit_embedding_spec())):
+            net = EmbeddingNetwork(spec, seed=5)
+            logits, taps = net.forward(x)
+            backward(T.log_softmax(logits).sum())
+            outs.append([logits.data.tobytes()] + [t.data.tobytes() for _, t in taps]
+                        + [p.grad.tobytes() for p in net.parameters()])
+        assert [n for n, _ in _relu_then_pool(digit_embedding_spec()).layers][2:4] == [
+            "relu1", "pool1"]
+        assert outs[0] == outs[1]
 
 
 class TestRunningStatsDtype:

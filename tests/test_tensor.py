@@ -122,6 +122,18 @@ def naive_batchnorm(x, gamma, beta, rm, rv, training, g, momentum=0.1, eps=1e-5)
     return out, rm, rv, gx, ggamma, gbeta
 
 
+def channel_major(a):
+    """The same NCHW array with channel-major (C, N, H, W) memory, as the conv body keeps it."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def is_channel_major(a):
+    return a.transpose(1, 0, 2, 3).flags.c_contiguous
+
+
+LAYOUTS = (np.ascontiguousarray, channel_major)
+
+
 @st.composite
 def conv_geometries(draw):
     """(n, c, f, h, w, kernel, stride, padding) with an integral output and H != W."""
@@ -216,15 +228,17 @@ class TestConvOracleProperties:
         rng = np.random.default_rng(seed)
         x, kernel = rng.normal(0, 1, (n, c, h, w)), rng.normal(0, 1, (f, c, k, k))
         bias = rng.normal(0, 1, f)
-        with use_float64():
-            xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
-            out = T.conv2d(xt, kt, bt, stride=s, padding=p)
-            g = rng.normal(0, 1, out.shape)
-            backward((out * Tensor(g)).sum())
-        np.testing.assert_allclose(out.data, naive_conv2d(x, kernel, bias, s, p),
-                                   rtol=1e-10, atol=1e-10)
-        for got, want in zip((xt.grad, kt.grad, bt.grad), naive_conv2d_grads(x, kernel, g, s, p)):
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+        want_out = naive_conv2d(x, kernel, bias, s, p)
+        g = rng.normal(0, 1, want_out.shape)
+        want_grads = naive_conv2d_grads(x, kernel, g, s, p)
+        for layout in LAYOUTS:  # stride 1 with c > 1 takes the shifted-GEMM backward
+            with use_float64():
+                xt, kt, bt = (Tensor(a, requires_grad=True) for a in (layout(x), kernel, bias))
+                out = T.conv2d(xt, kt, bt, stride=s, padding=p)
+                backward((out * Tensor(layout(g))).sum())
+            np.testing.assert_allclose(out.data, want_out, rtol=1e-10, atol=1e-10)
+            for got, want in zip((xt.grad, kt.grad, bt.grad), want_grads):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     @given(conv_geometries(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -232,7 +246,7 @@ class TestConvOracleProperties:
         n, c, _, h, w, k, s, p = geom
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 1, (n, c, h, w))
-        cols, ho, wo = T._im2col(x, k, k, s, p)
+        cols, ho, wo = T._im2col(T._planes(x, p), k, k, s)
         y = rng.normal(0, 1, cols.shape)
         back = T._col2im(y, x.shape, k, k, s, p, ho, wo)
         assert back.shape == x.shape
@@ -248,12 +262,13 @@ class TestMaxpoolOracleProperties:
         # few distinct levels: windows mix ties with unique maxima
         x = rng.integers(0, levels, (n, c, ho * size, wo * size)).astype(np.float64)
         g = rng.normal(0, 1, (n, c, ho, wo))
-        with use_float64():
-            xt = Tensor(x, requires_grad=True)
-            out = T.maxpool2d(xt, size=size, stride=size)
-            backward((out * Tensor(g)).sum())
-        np.testing.assert_array_equal(out.data, naive_maxpool(x, size))
-        np.testing.assert_array_equal(xt.grad, naive_maxpool_grad(x, g, size))
+        for layout in LAYOUTS:
+            with use_float64():
+                xt = Tensor(layout(x), requires_grad=True)
+                out = T.maxpool2d(xt, size=size, stride=size)
+                backward((out * Tensor(layout(g))).sum())
+            np.testing.assert_array_equal(out.data, naive_maxpool(x, size))
+            np.testing.assert_array_equal(xt.grad, naive_maxpool_grad(x, g, size))
 
 
 class TestMaxpool:
@@ -331,13 +346,57 @@ class TestBatchnormOracleProperties:
         rm, rv = rng.normal(0, 1, c), rng.uniform(0.2, 3, c)
         g = rng.normal(0, 1, (n, c, h, w))
         want = naive_batchnorm(x, gamma, beta, rm, rv, training, g)
-        with use_float64():
-            xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
-            got_rm, got_rv = rm.copy(), rv.copy()
-            out = T.batchnorm2d(xt, gt, bt, got_rm, got_rv, training=training)
-            backward((out * Tensor(g)).sum())
-        for got, expected in zip((out.data, got_rm, got_rv, xt.grad, gt.grad, bt.grad), want):
-            np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-9)
+        for layout in LAYOUTS:
+            with use_float64():
+                xt, gt, bt = (Tensor(a, requires_grad=True) for a in (layout(x), gamma, beta))
+                got_rm, got_rv = rm.copy(), rv.copy()
+                out = T.batchnorm2d(xt, gt, bt, got_rm, got_rv, training=training)
+                backward((out * Tensor(layout(g))).sum())
+            for got, expected in zip((out.data, got_rm, got_rv, xt.grad, gt.grad, bt.grad), want):
+                np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-9)
+
+
+def _bn(training):
+    c = 3
+    return lambda x: T.batchnorm2d(x, Tensor(np.full(c, 1.5)), Tensor(np.full(c, 0.5)),
+                                   np.zeros(c, np.float32), np.ones(c, np.float32),
+                                   training=training)
+
+
+def _conv(c, stride, padding):
+    rng = np.random.default_rng(c)
+    w, b = Tensor(rng.normal(0, 1, (4, c, 3, 3))), Tensor(rng.normal(0, 1, 4))
+    return lambda x: T.conv2d(x, w, b, stride=stride, padding=padding)
+
+
+class TestChannelMajorLayout:
+    """On channel-major input, every op of a conv block returns channel-major
+    outputs and input gradients, so no layer transposes or copies it back."""
+
+    @pytest.mark.parametrize("op, c, h, w", [
+        (_conv(3, 1, 1), 3, 6, 4),  # shifted-GEMM backward
+        (_conv(3, 1, 0), 3, 6, 4),
+        (_conv(1, 1, 1), 1, 6, 4),  # im2col columns and _col2im
+        (_conv(3, 2, 1), 3, 7, 5),
+        (T.maxpool2d, 3, 6, 4),
+        (_bn(True), 3, 6, 4),
+        (_bn(False), 3, 6, 4),
+        (T.relu, 3, 6, 4),
+    ], ids=["conv_shifted", "conv_shifted_unpadded", "conv_one_channel", "conv_stride2",
+            "maxpool", "batchnorm_train", "batchnorm_eval", "relu"])
+    def test_output_and_input_gradient_stay_channel_major(self, op, c, h, w):
+        rng = np.random.default_rng(0)
+        x = Tensor(channel_major(rng.normal(0, 1, (2, c, h, w)).astype(np.float32)),
+                   requires_grad=True)
+        out = op(x)
+        gx = out.node.backward_fn(channel_major(rng.normal(0, 1, out.shape).astype(np.float32)))[0]
+        assert x.data.dtype == out.data.dtype == gx.dtype == np.float32
+        assert is_channel_major(out.data)
+        assert gx.shape == x.shape and is_channel_major(gx)
+
+    def test_conv_output_is_channel_major_for_contiguous_images(self):
+        x = Tensor(np.random.default_rng(1).normal(0, 1, (2, 1, 6, 4)))
+        assert is_channel_major(_conv(1, 1, 1)(x).data)
 
 
 class TestActivations:
