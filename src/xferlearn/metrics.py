@@ -40,19 +40,21 @@ def evaluate(net, dataset: LabeledDataset, batch_size: int = 256, seed: int = 0)
     correct = 0
     cls_correct: dict[int, int] = {}
     cls_total: dict[int, int] = {}
-    for start in range(0, len(dataset), batch_size):
-        imgs = dataset.images[start : start + batch_size]
-        labels = dataset.labels[start : start + batch_size]
-        logits, _ = net.forward(normalize_batch(imgs))
-        preds = np.argmax(logits.data, axis=1)
-        hits = preds == labels
-        correct += int(hits.sum())
-        for c in np.unique(labels):
-            m = labels == c
-            cls_correct[int(c)] = cls_correct.get(int(c), 0) + int(hits[m].sum())
-            cls_total[int(c)] = cls_total.get(int(c), 0) + int(m.sum())
-    if was_training:
-        net.train()
+    try:
+        for start in range(0, len(dataset), batch_size):
+            imgs = dataset.images[start : start + batch_size]
+            labels = dataset.labels[start : start + batch_size]
+            logits, _ = net.forward(normalize_batch(imgs))
+            preds = np.argmax(logits.data, axis=1)
+            hits = preds == labels
+            correct += int(hits.sum())
+            for c in np.unique(labels):
+                m = labels == c
+                cls_correct[int(c)] = cls_correct.get(int(c), 0) + int(hits[m].sum())
+                cls_total[int(c)] = cls_total.get(int(c), 0) + int(m.sum())
+    finally:
+        if was_training:
+            net.train()
     per_class = {c: cls_correct[c] / cls_total[c] for c in cls_total}
     return EvalResult(accuracy=correct / len(dataset), n_examples=len(dataset),
                       per_class=per_class, seed=seed)

@@ -1,9 +1,13 @@
 """Dense n-d arrays with reverse-mode automatic differentiation.
 
 The graph is recorded dynamically: every op that touches a tensor with
-``requires_grad=True`` appends a node holding the backward closure, except
-inside ``no_grad()``.  Nodes are ordered by creation, so the backward pass
-is a simple reverse sweep.
+``requires_grad=True`` gives its output a node holding the backward closure,
+except inside ``no_grad()``.  A node links to its inputs' nodes, not to their
+tensors, and each closure keeps only what its backward reads, so an
+activation is freed as soon as the caller and the next op are done with it.
+``backward`` sorts the nodes behind the loss depth-first, runs them in
+reverse topological order, and drops each node's inputs and closure once it
+has run.
 Storage is float32 by default; ``use_float64()`` switches the whole module
 to double precision for gradient checking.  Importing the module sets
 glibc's malloc thresholds so that freed arrays are reused (see
@@ -58,22 +62,16 @@ def current_dtype():
     return _DTYPE
 
 
-def set_dtype(dtype) -> None:
-    global _DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    _DTYPE = dtype
-
-
 @contextlib.contextmanager
 def use_float64():
     """Temporarily run every new tensor and op in double precision."""
+    global _DTYPE
     prev = _DTYPE
-    set_dtype(np.float64)
+    _DTYPE = np.float64
     try:
         yield
     finally:
-        set_dtype(prev)
+        _DTYPE = prev
 
 
 @contextlib.contextmanager
@@ -81,7 +79,7 @@ def no_grad():
     """Record no graph inside the block: every op returns a plain tensor.
 
     Forwards whose gradients are never taken (evaluation, frozen encoders)
-    then free each layer's saved inputs as soon as the next layer runs.
+    then save nothing for a backward; maxpool2d computes no pick codes.
     Use it as ``with no_grad():`` or as the decorator ``@no_grad()``.
     """
     global _RECORDING
@@ -102,11 +100,15 @@ class ParameterError(ValueError):
 
 
 class GraphNode:
-    """One recorded op: output tensor, input tensors, backward closure."""
+    """One recorded op: its inputs and its backward closure.
+
+    ``inputs`` holds each input's node, or the input itself when it is a leaf.
+    ``backward`` empties ``inputs`` and ``backward_fn`` once the node has run.
+    """
 
     __slots__ = ("op", "inputs", "backward_fn")
 
-    def __init__(self, op: str, inputs: Sequence["Tensor"], backward_fn: Callable):
+    def __init__(self, op: str, inputs: Sequence["GraphNode | Tensor"], backward_fn: Callable):
         self.op = op
         self.inputs = tuple(inputs)
         # backward_fn(grad_out) -> tuple of grads aligned with inputs (None allowed)
@@ -183,11 +185,16 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on these inputs records a graph node."""
+    return _RECORDING and any(t.requires_grad or t.node is not None for t in inputs)
+
+
 def _make(data, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _RECORDING and any(t.requires_grad or t.node is not None for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
-        out.node = GraphNode(op, inputs, backward_fn)
+        out.node = GraphNode(op, [t if t.node is None else t.node for t in inputs], backward_fn)
     return out
 
 
@@ -208,15 +215,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    a_shape, b_shape = a.data.shape, b.data.shape
+
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(a.data + b.data, "add", (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    a_shape, b_shape = a.data.shape, b.data.shape
+
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _make(a.data - b.data, "sub", (a, b), bwd)
 
@@ -501,27 +512,56 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         cols = None  # the backward needs only the planes
     else:
         planes = None
+    x_shape = x.data.shape
+    need_gx = x.requires_grad or x.node is not None  # not an input leaf like the images
 
     def bwd(g):
         gmat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
         gb = gmat.sum(axis=1)
-        need_gx = x.requires_grad or x.node is not None  # not an input leaf like the images
         if shifted:
             gw, gxp = _shifted_grads(planes, w.data, g, need_gx)
             return None if gxp is None else _unpad(gxp, padding), gw, gb
         gw = (gmat @ cols.T).reshape(w.data.shape)
         if not need_gx:
             return None, gw, gb
-        return _col2im(wmat.T @ gmat, x.data.shape, kh, kw, stride, padding, ho, wo), gw, gb
+        return _col2im(wmat.T @ gmat, x_shape, kh, kw, stride, padding, ho, wo), gw, gb
 
     return _make(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3), "conv2d", (x, w, bias), bwd)
+
+
+def _fold_max(parts: Sequence[np.ndarray], codes: bool):
+    """np.maximum folded over same-shape arrays in order, in their memory order.
+
+    With codes, also a uint8 array holding, element by element, the index of
+    the first part that reaches the maximum: the last part that changed the
+    fold, since a part equal to the fold so far leaves it equal.  Else None.
+    """
+    if len(parts) == 1:
+        out = parts[0].copy(order="K")
+        return out, np.zeros_like(out, dtype=np.uint8) if codes else None
+    out, code = parts[0], None
+    for k, part in enumerate(parts[1:], 1):
+        new = np.maximum(out, part)
+        if codes:
+            changed = np.not_equal(new, out)
+            if code is None:
+                code = changed.view(np.uint8)
+            else:
+                np.copyto(code, k, where=changed)
+        out = new
+    return out, code
 
 
 def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     """Non-overlapping max pooling.  A window holding NaN outputs NaN.
 
+    The output folds np.maximum over the columns of each window row, then
+    over the rows, which gives the bytes of a row-major fold of the window.
     The gradient goes to the first maximum of each window in row-major
-    order; a window whose maximum is NaN passes no gradient.
+    order; a window whose maximum is NaN passes no gradient.  Only when a
+    graph is recorded does the forward keep pick codes for the backward: per
+    window row the column of its first maximum, per window the row, and the
+    windows that hold NaN if there are any.  It never keeps x.
     """
     if size != stride:
         raise ShapeError("maxpool2d supports size == stride only")
@@ -530,20 +570,24 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
         raise ShapeError(f"maxpool2d dims {h}x{w} not divisible by stride {stride}")
     ho, wo = h // stride, w // stride
     windows = x.data.reshape(n, c, ho, size, wo, size)
-    offsets = [(i, j) for i in range(size) for j in range(size)]  # row-major window order
-    out_data = windows[:, :, :, 0, :, 0].copy(order="K")  # in x's memory order
-    for i, j in offsets[1:]:
-        np.maximum(out_data, windows[:, :, :, i, :, j], out=out_data)
+    codes = _records((x,))
+    row_max, cols = _fold_max([windows[..., j] for j in range(size)], codes)
+    out_data, rows = _fold_max([row_max[:, :, :, i] for i in range(size)], codes)
+    keep = ~np.isnan(out_data) if codes and np.isnan(out_data).any() else None
+    layout = np.argsort(x.data.strides, kind="stable")[::-1]  # x's axes, outermost first
 
     def bwd(g):
-        gx = np.empty_like(windows, dtype=g.dtype)  # in x's memory order
-        free = np.ones_like(out_data, dtype=bool)  # windows whose maximum is unclaimed
-        for i, j in offsets:
-            first = np.equal(windows[:, :, :, i, :, j], out_data)
-            first &= free
-            free ^= first
-            np.multiply(g, first, out=gx[:, :, :, i, :, j])
-        return (gx.reshape(n, c, h, w),)
+        g_rows = np.empty_like(cols, dtype=g.dtype)  # g on each window's first-maximum row
+        for i in range(size):
+            pick = np.equal(rows, i)
+            if keep is not None:
+                pick &= keep
+            np.multiply(g, pick, out=g_rows[:, :, :, i])
+        gx = np.empty(np.take((n, c, h, w), layout), dtype=g.dtype).transpose(np.argsort(layout))
+        gx_windows = gx.reshape(n, c, ho, size, wo, size)  # a view: it splits h and w
+        for j in range(size):
+            np.multiply(g_rows, np.equal(cols, j), out=gx_windows[..., j])
+        return (gx,)
 
     return _make(out_data, "maxpool2d", (x,), bwd)
 
@@ -576,15 +620,17 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         xhat *= inv_std[:, None]
         out_data = xhat * gamma.data[:, None]
         out_data += beta.data[:, None]
+        saved = xhat
     else:
         inv_std = 1.0 / np.sqrt(running_var + eps)
         scale = gamma.data * inv_std
         out_data = x3 * scale[:, None]
         out_data += (beta.data - running_mean * scale)[:, None]
+        saved = x3  # the backward keeps xhat in training and x3 in eval mode, never both
 
     def bwd(g):
         g3 = g.reshape(n, c, h * w)
-        xh = xhat if training else (x3 - running_mean[:, None]) * inv_std[:, None]
+        xh = saved if training else (saved - running_mean[:, None]) * inv_std[:, None]
         gbeta = g3.sum(axis=(0, 2))
         ggamma = np.einsum("ncp,ncp->c", g3, xh)
         s = (gamma.data * inv_std)[:, None]
@@ -658,50 +704,53 @@ def entropy(p: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate dloss/dleaf into .grad of every requires_grad leaf.
 
-    The recorded graph is released afterwards so each forward pass starts
-    fresh.  Repeated backward calls on re-recorded graphs accumulate.
+    Each node behind the loss runs once, in reverse topological order, and
+    then drops its inputs and its closure, so what it saved is freed as the
+    sweep goes and each forward pass starts fresh.  A node that has run
+    passes no gradient on.  Repeated backward calls on re-recorded graphs
+    accumulate.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    # topological order by DFS; creation order guarantees acyclicity
-    order: list[Tensor] = []
+    if loss.node is None:
+        if loss.requires_grad:
+            if loss.grad is None:
+                loss.grad = np.zeros_like(loss.data)
+            loss.grad += np.ones_like(loss.data)
+        return
+    # topological order by DFS; recording in creation order guarantees acyclicity
+    order: list[GraphNode] = []
     seen: set[int] = set()
-    stack = [(loss, False)]
+    stack = [(loss.node, False)]
     while stack:
-        t, processed = stack.pop()
+        node, processed = stack.pop()
         if processed:
-            order.append(t)
+            order.append(node)
             continue
-        if id(t) in seen or t.node is None:
+        if id(node) in seen:
             continue
-        seen.add(id(t))
-        stack.append((t, True))
-        for inp in t.node.inputs:
-            stack.append((inp, False))
+        seen.add(id(node))
+        stack.append((node, True))
+        for inp in node.inputs:
+            if isinstance(inp, GraphNode):
+                stack.append((inp, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(order):
-        g = grads.pop(id(t), None)
-        if g is None:
-            continue
-        input_grads = t.node.backward_fn(g)
-        for inp, ig in zip(t.node.inputs, input_grads):
-            if ig is None:
-                continue
-            if inp.node is not None:
-                acc = grads.get(id(inp))
-                grads[id(inp)] = ig if acc is None else acc + ig
-            if inp.requires_grad and inp.node is None:
-                if inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
-                inp.grad += ig
-        t.node = None  # free the graph as we go
-    # leaves that double as outputs (loss directly a leaf) need no handling:
-    # a leaf has node None and is skipped above
-    if loss.requires_grad and loss.node is None and id(loss) not in seen:
-        if loss.grad is None:
-            loss.grad = np.zeros_like(loss.data)
-        loss.grad += np.ones_like(loss.data)
+    grads: dict[int, np.ndarray] = {id(loss.node): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is not None and node.backward_fn is not None:
+            for inp, ig in zip(node.inputs, node.backward_fn(g)):
+                if ig is None:
+                    continue
+                if isinstance(inp, GraphNode):
+                    acc = grads.get(id(inp))
+                    grads[id(inp)] = ig if acc is None else acc + ig
+                elif inp.requires_grad:
+                    if inp.grad is None:
+                        inp.grad = np.zeros_like(inp.data)
+                    inp.grad += ig
+        node.inputs = ()
+        node.backward_fn = None
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:

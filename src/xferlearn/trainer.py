@@ -207,10 +207,13 @@ def adversarial_step(step: int, disc: MultiLayerDiscriminator, disc_opt: Adam,
 
     enc_opt.zero_grads()
     disc_opt.zero_grads()
-    # without a graph behind the target taps nothing backpropagates this scoring
+    # the encoder's gradient comes from the target taps alone: the source
+    # scores, and any scores without a graph behind the target taps, need none
+    with no_grad():
+        d_src = disc.forward(src_flat)
     graph = any(t.requires_grad for t in unl_flat)
     with contextlib.nullcontext() if graph else no_grad():
-        l_dt_e = losses.domain_loss_E(disc.forward(src_flat), disc.forward(unl_flat))
+        l_dt_e = losses.domain_loss_E(d_src, disc.forward(unl_flat))
     report.dt_e = l_dt_e.item()
     total = encoder_objective(l_dt_e, unl_taps, report)
     report.total = total.item()

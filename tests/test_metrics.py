@@ -63,6 +63,18 @@ class TestEvaluate:
         evaluate(net, data)
         assert not net.training
 
+    def test_restores_training_mode_when_the_forward_raises(self, monkeypatch):
+        net, data = self._net_and_data()
+        net.train()
+
+        def failing(x):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(net, "forward", failing)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            evaluate(net, data)
+        assert net.training
+
     def test_per_class_weighted_mean_equals_accuracy(self):
         net, data = self._net_and_data()
         res = evaluate(net, data)

@@ -3,6 +3,7 @@
 import math
 import platform
 import resource
+import weakref
 
 import numpy as np
 import pytest
@@ -76,8 +77,27 @@ def naive_maxpool(x, size=2):
     return out
 
 
+def naive_maxpool_fold(x, size):
+    """np.maximum folded over each window in row-major order, one element at a
+    time: the output bytes, signed zeros and NaN included, under np.maximum's
+    own tie rule."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h // size, w // size), dtype=x.dtype)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(h // size):
+                for j in range(w // size):
+                    win = x[ni, ci, i * size:(i + 1) * size, j * size:(j + 1) * size].reshape(-1)
+                    acc = win[0]
+                    for v in win[1:]:
+                        acc = np.maximum(acc, v)
+                    out[ni, ci, i, j] = acc
+    return out
+
+
 def naive_maxpool_grad(x, g, size):
-    """Route each window's gradient to its first maximum in row-major order."""
+    """Route each window's gradient to its first maximum in row-major order;
+    a window holding NaN passes none."""
     gx = np.zeros_like(x)
     n, c, h, w = x.shape
     for ni in range(n):
@@ -85,6 +105,8 @@ def naive_maxpool_grad(x, g, size):
             for i in range(h // size):
                 for j in range(w // size):
                     win = x[ni, ci, i * size:(i + 1) * size, j * size:(j + 1) * size]
+                    if np.isnan(win).any():
+                        continue
                     first = next(t for t, v in enumerate(win.reshape(-1)) if v == win.max())
                     ki, kj = divmod(first, size)
                     gx[ni, ci, i * size + ki, j * size + kj] = g[ni, ci, i, j]
@@ -270,6 +292,22 @@ class TestMaxpoolOracleProperties:
             np.testing.assert_array_equal(out.data, naive_maxpool(x, size))
             np.testing.assert_array_equal(xt.grad, naive_maxpool_grad(x, g, size))
 
+    @given(st.sampled_from([2, 3]), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_output_bytes_with_signed_zeros_ties_and_nan(self, size, n, c, ho, wo, seed):
+        rng = np.random.default_rng(seed)
+        levels = np.array([-0.0, 0.0, -1.0, 1.0, np.nan], dtype=np.float32)
+        x = rng.choice(levels, (n, c, ho * size, wo * size), p=[0.3, 0.3, 0.15, 0.15, 0.1])
+        g = rng.normal(0, 1, (n, c, ho, wo)).astype(np.float32)
+        for layout in LAYOUTS:
+            xt = Tensor(layout(x), requires_grad=True)
+            out = T.maxpool2d(xt, size=size, stride=size)
+            backward((out * Tensor(layout(g))).sum())
+            np.testing.assert_array_equal(out.data.view(np.uint32),
+                                          naive_maxpool_fold(x, size).view(np.uint32))
+            np.testing.assert_array_equal(xt.grad, naive_maxpool_grad(x, g, size))
+
 
 class TestMaxpool:
     def test_single_window(self):
@@ -301,6 +339,23 @@ class TestMaxpool:
         out = T.maxpool2d(Tensor(x)).data
         assert np.isnan(out[0, 0, 0, 0])
         np.testing.assert_array_equal(out.reshape(-1)[1:], [7, 13, 15])
+
+    def test_saves_pick_codes_only_when_recording(self, monkeypatch):
+        folds = []
+        fold_max = T._fold_max
+
+        def spy(parts, codes):
+            folds.append(codes)
+            return fold_max(parts, codes)
+
+        monkeypatch.setattr(T, "_fold_max", spy)
+        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
+        with T.no_grad():
+            T.maxpool2d(x)
+        T.maxpool2d(Tensor(x.data))  # a leaf that needs no gradient
+        assert folds == [False] * 4
+        T.maxpool2d(x)
+        assert folds[4:] == [True, True]
 
 
 class TestBatchnorm:
@@ -520,6 +575,65 @@ class TestBackward:
 
             err = grad_check(loss_of, w_conv)
         assert err <= 1e-4
+
+
+def _owner(a):
+    """The array that owns a's memory."""
+    return a if a.base is None else a.base
+
+
+class TestGraphMemory:
+    """The graph keeps what each backward reads, not the activations."""
+
+    def _blocks(self, x, blocks, kept):
+        """Two conv-BN-pool-ReLU blocks; every activation but the last goes to kept."""
+        h = x
+        for w, b, gamma, beta in blocks:
+            for op in (lambda h: T.conv2d(h, w, b, padding=1),
+                       lambda h: T.batchnorm2d(h, gamma, beta, np.zeros(4, np.float32),
+                                               np.ones(4, np.float32), training=True),
+                       T.maxpool2d, T.relu):
+                if h is not x:
+                    kept.append(h)
+                h = op(h)
+        return h
+
+    def _inputs(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(channel_major(rng.normal(0, 1, (4, 3, 8, 8)).astype(np.float32)),
+                   requires_grad=True)
+        blocks = [(Tensor(rng.normal(0, 1, (4, c, 3, 3)), requires_grad=True),
+                   Tensor(rng.normal(0, 1, 4), requires_grad=True),
+                   Tensor(rng.normal(1, 0.1, 4), requires_grad=True),
+                   Tensor(rng.normal(0, 0.1, 4), requires_grad=True)) for c in (3, 4)]
+        return x, blocks, Tensor(rng.normal(0, 1, (4, 4, 2, 2)))
+
+    def test_activations_die_with_the_next_op_and_gradients_are_unchanged(self):
+        grads = []
+        for keep in (False, True):
+            x, blocks, g = self._inputs()
+            kept = []
+            out = self._blocks(x, blocks, kept)
+            # the conv, BN and pool outputs of both blocks and the first ReLU output
+            refs = [weakref.ref(_owner(t.data)) for t in kept]
+            assert len(refs) == 7
+            if not keep:
+                kept.clear()
+                assert [r() for r in refs] == [None] * 7
+            backward((out * g).sum())
+            grads.append([x.grad] + [p.grad for block in blocks for p in block])
+        for freed, held in zip(*grads):
+            np.testing.assert_array_equal(freed.view(np.uint32), held.view(np.uint32))
+
+    def test_swept_nodes_hold_no_inputs_and_no_backward(self):
+        x, blocks, g = self._inputs()
+        kept = []
+        out = self._blocks(x, blocks, kept)
+        loss = (out * g).sum()
+        nodes = [t.node for t in kept + [out, loss]]
+        assert all(node.inputs and node.backward_fn for node in nodes)
+        backward(loss)
+        assert all(node.inputs == () and node.backward_fn is None for node in nodes)
 
 
 class TestGradCheck:

@@ -10,6 +10,7 @@ import pytest
 from xferlearn import losses, tensor, trainer
 from xferlearn.data import (UnlabeledDataset, filter_classes, make_splits, normalize_batch,
                             synth_digits)
+from xferlearn.discriminator import MultiLayerDiscriminator
 from xferlearn.layers import EmbeddingNetwork, clone_into_target, synth_embedding_spec
 from xferlearn.metrics import evaluate
 from xferlearn.tensor import Tensor
@@ -243,6 +244,32 @@ class TestAdversarialStep:
         # the prototype pass cached every source image: x_unl, then the full
         # D2 batch, through the target net and nothing through the source net
         assert step == [("target", 64), ("target", len(d2))]
+
+    def test_encoder_half_scores_the_source_batch_without_a_graph(
+            self, monkeypatch, source_setup, target_splits):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        cfg = quick_config(steps=3)
+        scored = []
+        forward = MultiLayerDiscriminator.forward
+
+        def recording(self, taps):
+            out = forward(self, taps)
+            scored.append(out.node is not None)
+            return out
+
+        monkeypatch.setattr(MultiLayerDiscriminator, "forward", recording)
+        a, ra = adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
+        # per step: D scores the source and the detached target batch, then
+        # the encoder half scores the source batch and the target batch
+        assert scored == [True, True, False, True] * 3
+        # the same run with the encoder half's source scoring recorded
+        monkeypatch.setattr(trainer, "no_grad", contextlib.contextmanager(lambda: (yield)))
+        b, rb = adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
+        assert scored[12:] == [True] * 12
+        assert ra.rows == rb.rows
+        for name, p in a.params.items():
+            np.testing.assert_array_equal(p.data, b.params[name].data)
 
     def test_unsupervised_step_forwards_each_batch_once(self, monkeypatch, source_setup):
         net, _, d1 = source_setup
