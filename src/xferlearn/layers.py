@@ -140,11 +140,17 @@ class EmbeddingNetwork:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def forward(self, x: Tensor):
-        """Return (logits, taps) where taps is [(name, Tensor)] per spec.taps."""
+    def forward(self, x: Tensor, until: str | None = None):
+        """Return (logits, taps) where taps is [(name, Tensor)] per spec.taps.
+
+        With ``until``, stop after that layer: its output takes the place of
+        the logits, and only the taps up to it are returned.
+        """
         expected = tuple(self.spec.input_shape)
         if tuple(x.shape[1:]) != expected:
             raise BuildError(f"input shape {x.shape[1:]} != expected {expected}")
+        if until is not None and until not in self.shapes:
+            raise BuildError(f"no layer {until!r} to stop at")
         taps = []
         h = x
         for name, ls in self.spec.layers:
@@ -180,6 +186,8 @@ class EmbeddingNetwork:
                 ]
             if name in self.spec.taps:
                 taps.append((name, h))
+            if name == until:
+                break
         return h, taps
 
     def __call__(self, x: Tensor):

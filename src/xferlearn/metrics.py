@@ -26,8 +26,13 @@ class Aggregate:
     n_seeds: int
 
 
+# images per eval-mode forward: a block's conv activations stay a few MiB
+EVAL_BLOCK = 32
+
+
 @no_grad()
-def evaluate(net, dataset: LabeledDataset, batch_size: int = 256, seed: int = 0) -> EvalResult:
+def evaluate(net, dataset: LabeledDataset, batch_size: int = EVAL_BLOCK,
+             seed: int = 0) -> EvalResult:
     """Argmax accuracy of net over a labeled dataset (eval mode, first-index ties).
 
     The forwards record no graph, so each layer's activations are freed

@@ -26,6 +26,9 @@ import numpy as np
 
 _DTYPE = np.float32
 _RECORDING = True  # False inside no_grad()
+# im2col bytes per image block of a stride-1 conv forward: a block's columns
+# stay near the caches, where numpy's copies run about twice as fast
+_COLUMN_BUDGET = 8 << 20
 
 
 def _reuse_freed_memory() -> None:
@@ -278,7 +281,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # gradient at exactly 0 is 0
+    mask = a.data > 0 if _records((a,)) else None  # gradient at exactly 0 is 0
 
     def bwd(g):
         return (g * mask,)
@@ -487,11 +490,50 @@ def _shifted_grads(planes: np.ndarray, w: np.ndarray, g: np.ndarray, need_gx: bo
     return gw, None if gxp is None else gxp.reshape(c, n, hp, wp)
 
 
+def _block_forward(planes: np.ndarray, wmat: np.ndarray, bias: np.ndarray, kh: int, kw: int):
+    """Stride-1 convolution of padded planes (C, N, Hp, Wp): (F, N, Ho, Wo), bias added.
+
+    Images go in blocks whose columns fit _COLUMN_BUDGET.  On the block's
+    flattened padded grid, kernel offset (i, j) of every output pixel is one
+    contiguous slice, i*Wp + j further on, so the block's columns are kh*kw
+    slice copies and one GEMM; the columns of padding positions are computed
+    and dropped.  Each output pixel is still the dot product of its weight
+    row with its im2col column, so the bytes equal one whole-batch im2col
+    GEMM's wherever the BLAS runs the same kernel for both.
+    """
+    c, n, hp, wp = planes.shape
+    f, k = wmat.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    grid = hp * wp
+    tail = (kh - 1) * wp + (kw - 1)  # grid columns after the block's last output pixel
+    block = max(1, min(n, _COLUMN_BUDGET // (k * grid * planes.itemsize)))
+    flat = planes.reshape(c, n * grid)
+    cols = np.empty((c, kh, kw, block * grid - tail), dtype=planes.dtype)
+    cols2d = cols.reshape(k, -1)
+    dtype = np.result_type(planes, wmat)
+    prod = np.empty((f, block, hp, wp), dtype=dtype)
+    prod2d = prod.reshape(f, -1)
+    out = np.empty((f, n, ho, wo), dtype=dtype)
+    bias = bias[:, None, None, None]
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        span = b * grid - tail
+        for i in range(kh):
+            for j in range(kw):
+                off = start * grid + i * wp + j
+                cols[:, i, j, :span] = flat[:, off:off + span]
+        np.matmul(wmat, cols2d[:, :span], out=prod2d[:, :span])
+        np.add(prod[:, :b, :ho, :wo], bias, out=out[:, start:start + b])
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate x (N, C, H, W) with w (F, C, kh, kw) and add the bias.
 
-    The forward is one im2col GEMM.  The backward keeps only the padded input
-    planes at stride 1 with C > 1 (_shifted_grads), else the im2col columns.
+    At stride 1 with C > 1 the forward builds its columns per image block
+    from the padded planes (_block_forward) and the backward keeps only those
+    planes (_shifted_grads).  Otherwise both are one im2col GEMM, and the
+    backward keeps the columns.
     """
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
@@ -503,15 +545,18 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"kernel {w.data.shape}, stride {stride}, padding {padding}"
         )
     planes = _planes(x.data, padding)
-    cols, ho, wo = _im2col(planes, kh, kw, stride)
     wmat = w.data.reshape(f, -1)
-    prod = wmat @ cols
-    prod += bias.data[:, None]
     shifted = stride == 1 and c > 1
     if shifted:
         cols = None  # the backward needs only the planes
+        out = _block_forward(planes, wmat, bias.data, kh, kw)
+        ho, wo = out.shape[2:]
     else:
+        cols, ho, wo = _im2col(planes, kh, kw, stride)
         planes = None
+        out = wmat @ cols
+        out += bias.data[:, None]
+        out = out.reshape(f, n, ho, wo)
     x_shape = x.data.shape
     need_gx = x.requires_grad or x.node is not None  # not an input leaf like the images
 
@@ -526,7 +571,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             return None, gw, gb
         return _col2im(wmat.T @ gmat, x_shape, kh, kw, stride, padding, ho, wo), gw, gb
 
-    return _make(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3), "conv2d", (x, w, bias), bwd)
+    return _make(out.transpose(1, 0, 2, 3), "conv2d", (x, w, bias), bwd)
 
 
 def _fold_max(parts: Sequence[np.ndarray], codes: bool):

@@ -21,7 +21,7 @@ from . import losses
 from .data import LabeledDataset, UnlabeledDataset, normalize_batch
 from .discriminator import DiscriminatorSpec, MultiLayerDiscriminator
 from .layers import EmbeddingNetwork, NetworkSpec, clone_into_target
-from .metrics import evaluate
+from .metrics import EVAL_BLOCK, evaluate
 from .optim import Adam
 from .tensor import Tensor, backward, current_dtype, no_grad
 
@@ -126,8 +126,9 @@ class SourceTaps:
 
     A frozen net runs in eval mode, where every layer acts on one image at
     a time, so an image's taps are fixed for the whole run.  Each image is
-    forwarded at most once; each named tap is one ``(len(d1), width)``
-    array whose rows are written as their images are first looked up.
+    forwarded at most once, in blocks of ``EVAL_BLOCK`` images as
+    ``evaluate`` does; each named tap is one ``(len(d1), width)`` array
+    whose rows are written as their images are first looked up.
     """
 
     def __init__(self, source_net: EmbeddingNetwork, d1: LabeledDataset, names):
@@ -144,14 +145,15 @@ class SourceTaps:
     @no_grad()
     def __call__(self, idx: np.ndarray) -> dict:
         """name -> Tensor of the taps of ``d1`` images ``idx``; the images not
-        seen before go through the source net in one batch."""
+        seen before go through the source net."""
         new = idx[~self.seen[idx]]
-        if new.size:
-            _, taps = self.net.forward(normalize_batch(self.d1.images[new]))
+        for start in range(0, new.size, EVAL_BLOCK):
+            block = new[start:start + EVAL_BLOCK]
+            _, taps = self.net.forward(normalize_batch(self.d1.images[block]))
             for name, tap in taps:
                 if name in self.rows:
-                    self.rows[name][new] = tap.data.reshape(new.size, -1)
-            self.seen[new] = True
+                    self.rows[name][block] = tap.data.reshape(block.size, -1)
+        self.seen[new] = True
         return {name: Tensor(rows[idx]) for name, rows in self.rows.items()}
 
 
@@ -164,10 +166,13 @@ def source_prototypes(source: SourceTaps, config: TrainConfig) -> Tensor:
         idx = np.flatnonzero(d1.labels == c)
         if idx.size > config.src_proto_per_class:
             idx = rng.choice(idx, size=config.src_proto_per_class, replace=False)
-        feats = [source(idx[start : start + 256])[config.embed_layer].data
-                 for start in range(0, idx.size, 256)]
-        protos.append(np.concatenate(feats).mean(axis=0))
+        protos.append(source(idx)[config.embed_layer].data.mean(axis=0))
     return Tensor(np.stack(protos))
+
+
+def _deepest(net: EmbeddingNetwork, names) -> str:
+    """The layer among ``names`` that comes last in ``net``."""
+    return max(names, key=list(net.shapes).index)
 
 
 def _build_discriminator(net: EmbeddingNetwork, tap_names, config: TrainConfig
@@ -256,6 +261,8 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
     disc = _build_discriminator(target_net, tap_names, config)
     disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
     src_protos = source_prototypes(source, config)
+    # the step reads only the unlabeled batch's taps, so its forward stops here
+    last_tap = _deepest(target_net, (*tap_names, config.embed_layer))
 
     x_d2 = normalize_batch(d2.images)  # full-batch D2 every step
 
@@ -285,7 +292,7 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
         src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
         unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
         src_taps = source(src_idx)
-        _, unl_taps = target_net.forward(normalize_batch(d3.images[unl_idx]))
+        _, unl_taps = target_net.forward(normalize_batch(d3.images[unl_idx]), until=last_tap)
         report = adversarial_step(step + 1, disc, disc_opt, enc_opt, src_taps,
                                   dict(unl_taps), tap_names, encoder_objective)
         record.log(step + 1, report)
@@ -360,6 +367,7 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
 
     # at alpha == 0 the encoder never steps, so its forward records no graph
     target_forward = no_grad()(target_net.forward) if config.alpha == 0 else target_net.forward
+    last_tap = _deepest(target_net, tap_names)
 
     rng = np.random.default_rng((config.seed, 37))
     t0 = time.time()
@@ -367,7 +375,7 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
         src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
         unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
         src_taps = source(src_idx)
-        _, unl_taps = target_forward(normalize_batch(d3.images[unl_idx]))
+        _, unl_taps = target_forward(normalize_batch(d3.images[unl_idx]), until=last_tap)
         report = adversarial_step(step + 1, disc, disc_opt, enc_opt, src_taps,
                                   dict(unl_taps), tap_names, encoder_objective)
         record.log(step + 1, report)

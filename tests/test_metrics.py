@@ -5,7 +5,7 @@ import pytest
 
 from xferlearn import tensor as T
 from xferlearn.data import normalize_batch, synth_digits
-from xferlearn.layers import EmbeddingNetwork, synth_embedding_spec
+from xferlearn.layers import EmbeddingNetwork, digit_embedding_spec, synth_embedding_spec
 from xferlearn.metrics import Aggregate, EvalResult, aggregate, evaluate
 
 
@@ -53,6 +53,33 @@ class TestEvaluate:
         a = evaluate(net, data, batch_size=5)
         b = evaluate(net, data, batch_size=256)
         assert a.accuracy == b.accuracy
+
+    def test_digit_net_logits_do_not_depend_on_the_block(self, monkeypatch):
+        data = synth_digits(51, range(5), image_size=32, seed=999, domain_shift=True)
+        net = EmbeddingNetwork(digit_embedding_spec(n_classes=5), seed=0)
+        forward = net.forward
+        logits = {}
+        for batch_size in (1, 7, 32, 64, 256):
+            blocks = []
+
+            def recording(x):
+                out, taps = forward(x)
+                blocks.append(out.data)
+                return out, taps
+
+            monkeypatch.setattr(net, "forward", recording)
+            evaluate(net, data, batch_size=batch_size)
+            logits[batch_size] = np.concatenate(blocks)
+        assert logits[256].shape == (255, 5)
+        # 255 = 7 x 32 + 31: whole multiples of 32 rows leave the BLAS the same
+        # tail, so every row's bytes are those of the one-batch evaluation
+        for batch_size in (32, 64):
+            np.testing.assert_array_equal(logits[batch_size].view(np.uint32),
+                                          logits[256].view(np.uint32))
+        # one-row and 7-row products take other BLAS kernels, which sum in
+        # another order; they agree to float32 rounding
+        for batch_size in (1, 7):
+            np.testing.assert_allclose(logits[batch_size], logits[256], rtol=1e-5, atol=1e-6)
 
     def test_restores_training_mode(self):
         net, data = self._net_and_data()

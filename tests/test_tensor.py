@@ -3,6 +3,7 @@
 import math
 import platform
 import resource
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -240,6 +241,49 @@ class TestConv2d:
             inner = T.mul(leaf, Tensor(2.0))
             backward((T.conv2d(inner, kt, bt, padding=1) * Tensor(g)).sum())
         np.testing.assert_allclose(leaf.grad, 2.0 * want_gx, rtol=1e-10, atol=1e-10)
+
+
+class TestBlockForward:
+    """The stride-1, C > 1 forward builds its im2col columns one image block at a time."""
+
+    @staticmethod
+    def _im2col_gemm(x, w, b):
+        f = w.shape[0]
+        cols, ho, wo = T._im2col(T._planes(x, 1), 3, 3, 1)
+        out = w.reshape(f, -1) @ cols
+        out += b[:, None]
+        return out.reshape(f, x.shape[0], ho, wo).transpose(1, 0, 2, 3)
+
+    @pytest.mark.parametrize("size", [16, 8])
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["c_order", "channel_major"])
+    def test_bytes_equal_one_im2col_gemm_around_the_block_size(self, size, layout):
+        rng = np.random.default_rng(size)
+        w = rng.standard_normal((64, 64, 3, 3), dtype=np.float32) * 0.05
+        b = rng.standard_normal(64, dtype=np.float32)
+        block = T._COLUMN_BUDGET // (64 * 9 * (size + 2) ** 2 * 4)
+        assert block > 2
+        for n in (1, block - 1, block, block + 1):
+            x = layout(rng.standard_normal((n, 64, size, size), dtype=np.float32))
+            out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+            want = self._im2col_gemm(x, w, b)
+            assert out.strides == want.strides
+            np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
+
+    def test_transient_memory_stays_within_the_column_budget(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(channel_major(rng.standard_normal((128, 64, 16, 16), dtype=np.float32)))
+        w = Tensor(rng.standard_normal((64, 64, 3, 3), dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(64), requires_grad=True)
+        planes = 64 * 128 * 18 * 18 * 4  # saved for the backward
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, b, padding=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole batch's columns would be 75 MiB; a block's GEMM result is
+        # F / (C*kh*kw) = 1/9 of its columns
+        assert peak - planes - out.data.nbytes <= T._COLUMN_BUDGET * (1 + 1 / 9) + (64 << 10)
 
 
 class TestConvOracleProperties:
@@ -688,6 +732,22 @@ class TestNoGrad:
                 raise RuntimeError("inside")
         assert T.exp(w).node is not None
 
+    def test_relu_keeps_no_mask_and_the_same_bytes(self):
+        x = np.random.default_rng(0).standard_normal((16, 64, 16, 16), dtype=np.float32)
+        x[0, 0, 0, :3] = (0.0, -0.0, np.nan)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                out = T.relu(Tensor(x))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert out.node is None
+        assert peak < out.data.nbytes + out.data.nbytes // 8  # a bool mask is a quarter of it
+        recorded = T.relu(Tensor(x, requires_grad=True))
+        for got in (out.data, recorded.data):
+            np.testing.assert_array_equal(got.view(np.uint32), np.maximum(x, 0).view(np.uint32))
+
     def test_nested_blocks_restore_the_outer_state(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
@@ -700,7 +760,8 @@ class TestNoGrad:
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc options are glibc's")
 class TestMemoryReuse:
     def test_repeated_conv_step_faults_in_no_fresh_pages(self):
-        # the im2col columns here are 36 MiB, above glibc's default mmap ceiling
+        # the padded planes and gradients here are 4-5 MiB each, above glibc's
+        # default mmap threshold
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 64, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((64, 64, 3, 3)), requires_grad=True)

@@ -101,6 +101,25 @@ class TestSourcePrototypes:
                                            tap.data.reshape(later.size, -1), rtol=0, atol=1e-6)
 
 
+    def test_cached_rows_are_the_bytes_of_one_eval_forward(self, source_setup):
+        net, _, d1 = source_setup
+        source = SourceTaps(net, d1, SYNTH_TAPS)
+        first = np.arange(0, 70)  # blocks of 32, 32 and 6 images
+        source(first)
+        later = np.random.default_rng(0).choice(len(d1), size=64, replace=False)
+        cached = source(later)
+        new = int((~np.isin(later, first)).sum())
+        # a one-image block takes other BLAS kernels, which sum in another order
+        assert 1 < new % trainer.EVAL_BLOCK and new < later.size
+        net.eval()
+        with tensor.no_grad():
+            _, taps = net.forward(normalize_batch(d1.images[later]))
+        for name in SYNTH_TAPS:
+            want = dict(taps)[name].data.reshape(later.size, -1)
+            np.testing.assert_array_equal(cached[name].data.view(np.uint32),
+                                          want.view(np.uint32))
+
+
 class TestAdaptJoint:
     def test_improves_over_initialization(self, source_setup, target_splits):
         net, _, d1 = source_setup
@@ -215,9 +234,9 @@ def _forwards(monkeypatch, source_net, run):
     calls = []
     forward = EmbeddingNetwork.forward
 
-    def counted(net, x):
+    def counted(net, x, **kwargs):
         calls.append(("source" if net is source_net else "target", x.shape[0]))
-        return forward(net, x)
+        return forward(net, x, **kwargs)
 
     monkeypatch.setattr(EmbeddingNetwork, "forward", counted)
     run()
@@ -271,6 +290,41 @@ class TestAdversarialStep:
         for name, p in a.params.items():
             np.testing.assert_array_equal(p.data, b.params[name].data)
 
+    def test_joint_step_records_only_nodes_that_its_backwards_sweep(
+            self, monkeypatch, source_setup, target_splits):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        recorded, swept = [], []
+
+        class CountingNode(tensor.GraphNode):
+            __slots__ = ()
+
+            def __init__(self, op, inputs, backward_fn):
+                def counted(g):
+                    swept.append(op)
+                    return backward_fn(g)
+
+                recorded.append(op)
+                super().__init__(op, inputs, counted)
+
+        def run():
+            return adapt_joint(net, d1, d2, d3, quick_config(steps=2), head_classes=2,
+                               reinit_head=True)
+
+        monkeypatch.setattr(tensor, "GraphNode", CountingNode)
+        a, ra = run()
+        monkeypatch.undo()
+        assert recorded and sorted(swept) == sorted(recorded)
+        # the unlabeled batch stops at fc1, the deepest tap the step reads;
+        # running the whole net instead changes no loss and no weight
+        forward = EmbeddingNetwork.forward
+        monkeypatch.setattr(EmbeddingNetwork, "forward",
+                            lambda self, x, until=None: forward(self, x))
+        b, rb = run()
+        assert ra.rows == rb.rows
+        for name, p in a.params.items():
+            np.testing.assert_array_equal(p.data, b.params[name].data)
+
     def test_unsupervised_step_forwards_each_batch_once(self, monkeypatch, source_setup):
         net, _, d1 = source_setup
         d3 = _shifted_unlabeled()
@@ -318,8 +372,8 @@ class TestAdversarialStep:
         recorded = []
         forward = EmbeddingNetwork.forward
 
-        def recording(self, x):
-            logits, taps = forward(self, x)
+        def recording(self, x, **kwargs):
+            logits, taps = forward(self, x, **kwargs)
             if self is not net:
                 outputs = [logits, *dict(taps).values()]
                 recorded.append(any(t.node is not None for t in outputs))
@@ -399,10 +453,10 @@ class TestAdversarialStep:
         inputs = []
         forward = EmbeddingNetwork.forward
 
-        def recording(self, x):
+        def recording(self, x, **kwargs):
             if self is not net:
                 inputs.append(x)
-            return forward(self, x)
+            return forward(self, x, **kwargs)
 
         monkeypatch.setattr(EmbeddingNetwork, "forward", recording)
         adapted, _ = adapt_joint(net, d1, d2, d3, quick_config(steps=1),
