@@ -1,4 +1,4 @@
-"""Dataset ingestion, split protocol, batching, and the synthetic fixture.
+"""Dataset ingestion, split protocol, normalization, and the synthetic fixture.
 
 Real digit data comes in as big-endian IDX files (magic 2051 for images,
 2049 for labels).  SVHN is consumed only as pre-converted grayscale IDX;
@@ -9,7 +9,7 @@ round-half-up, written with write_idx.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,15 +59,6 @@ class UnlabeledDataset:
 
     def __len__(self):
         return len(self.images)
-
-
-@dataclass
-class SplitBundle:
-    d1: LabeledDataset  # labeled source
-    d2: LabeledDataset  # k-shot labeled target
-    d3: UnlabeledDataset  # unlabeled target remainder
-    k: int = 0
-    seed: int = 0
 
 
 # -- IDX I/O ---------------------------------------------------------------
@@ -165,26 +156,13 @@ def make_splits(pool: LabeledDataset, k: int, seed: int) -> tuple:
     return d2, d3
 
 
-# -- batching / normalization ------------------------------------------------
+# -- normalization ------------------------------------------------------------
 
 
 def normalize_batch(images: np.ndarray) -> Tensor:
     """uint8 N x 1 x H x W -> float tensor in [-1, 1]."""
     x = images.astype(current_dtype()) / 255.0
     return Tensor((x - 0.5) / 0.5)
-
-
-def batch_iterator(n: int, batch_size: int, seed: int = 0, epoch: int = 0,
-                   shuffle: bool = True):
-    """Yield index arrays covering 0..n-1 once; final partial batch kept."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if shuffle:
-        order = np.random.default_rng((seed, epoch)).permutation(n)
-    else:
-        order = np.arange(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
 
 
 def resize_bilinear(images: np.ndarray, size: int) -> np.ndarray:

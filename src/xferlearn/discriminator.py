@@ -3,7 +3,7 @@
 The discriminator consumes several encoder tap activations at once.  Each
 mirrored stage fuses a decayed copy of the previous stage's output with
 the next tap (element-wise sum by default, concatenation as an ablation),
-applies the activation, and projects to the next tap's width.  A trailing
+applies a ReLU, and projects to the next tap's width.  A trailing
 fully connected head maps the deepest fused state to one real/fake logit
 per example.
 """
@@ -29,7 +29,6 @@ class DiscriminatorSpec:
     head_widths: list = field(default_factory=lambda: [500, 500, 500])
     decay: float = 0.1
     fusion: str = "sum"  # sum | concat
-    activation: str = "relu"  # relu | leaky_relu
 
     def __post_init__(self):
         if not 0.0 <= self.decay <= 1.0:
@@ -68,11 +67,6 @@ class MultiLayerDiscriminator:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def _act(self, x: Tensor) -> Tensor:
-        if self.spec.activation == "leaky_relu":
-            return T.leaky_relu(x, 0.2)
-        return T.relu(x)
-
     def _linear(self, name: str, x: Tensor) -> Tensor:
         return T.matmul(x, self.params[f"{name}.w"]) + self.params[f"{name}.b"]
 
@@ -99,11 +93,11 @@ class MultiLayerDiscriminator:
         for l, tap in enumerate(taps):
             fused = tap if state is None else self._fuse(gamma * state, tap)
             if l < len(taps) - 1:
-                state = self._linear(f"mirror{l + 1}", self._act(fused))
+                state = self._linear(f"mirror{l + 1}", T.relu(fused))
             else:
-                h = self._act(fused)
+                h = T.relu(fused)
         for i in range(1, len(self.spec.head_widths) + 1):
-            h = self._act(self._linear(f"head{i}", h))
+            h = T.relu(self._linear(f"head{i}", h))
         return self._linear("head_out", h)
 
     def __call__(self, taps):
@@ -118,25 +112,3 @@ class MultiLayerDiscriminator:
         for name, t in self.params.items():
             t.data = loaded[name]
 
-
-def disc_prob(logit: Tensor) -> Tensor:
-    """Sigmoid probability of the source class for a score logit."""
-    return T.sigmoid(logit)
-
-
-def digit_discriminator_spec(decay: float = 0.1, fusion: str = "sum",
-                             n_taps: int = 3) -> DiscriminatorSpec:
-    """Discriminator matching the 32x32 digit embedding net.
-
-    With all three taps the stages are 64->64, 64->5 and a 5->500->500->500->1
-    head; with two taps (disjoint label spaces) the head consumes width 64.
-    """
-    widths = {3: [64, 64, 5], 2: [64, 64]}[n_taps]
-    return DiscriminatorSpec(tap_widths=widths, head_widths=[500, 500, 500],
-                             decay=decay, fusion=fusion)
-
-
-def ablation_discriminator_spec(decay: float = 0.1, fusion: str = "sum") -> DiscriminatorSpec:
-    """Discriminator matching the 28x28 net: 800->500, 500->10, 10->500->500->1."""
-    return DiscriminatorSpec(tap_widths=[800, 500, 10], head_widths=[500, 500],
-                             decay=decay, fusion=fusion)

@@ -323,7 +323,3 @@ def run_suite(instances: int = 10, seed: int = 0, corrupt: bool = False):
                 worst = max(worst, grad_check(f, x))
             results.append((name, worst))
     return results
-
-
-def max_error(results) -> float:
-    return max(err for _, err in results)

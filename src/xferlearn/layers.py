@@ -8,7 +8,7 @@ exposed to the domain discriminator alongside the final logits.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,9 +35,6 @@ class NetworkSpec:
     input_shape: tuple  # (C, H, W) or (features,)
     layers: list  # [(name, LayerSpec)]
     taps: list = field(default_factory=list)  # layer names exposed as taps
-
-    def with_taps(self, taps) -> "NetworkSpec":
-        return replace(self, taps=list(taps))
 
 
 def infer_shapes(spec: NetworkSpec) -> dict:

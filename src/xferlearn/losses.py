@@ -118,15 +118,19 @@ def semantic_total(
     tau_st: float = 2.0,
     tau_tt: float = 1.0,
     n_classes: int | None = None,
+    detach_prototypes: bool = False,
 ):
     """Combined semantic loss and its three components.
 
     Returns (total, st_src, st_sup, st_unsup); missing unlabeled batch
-    drops the two entropy terms that need it.
+    drops the two entropy terms that need it.  With ``detach_prototypes``
+    the target prototypes are means of a detached copy of ``tgt_labeled``,
+    so no gradient reaches it through them.
     """
     if n_classes is None:
         n_classes = int(np.asarray(tgt_labels).max()) + 1
-    protos = prototypes(tgt_labeled, tgt_labels, n_classes)
+    support = tgt_labeled.detach() if detach_prototypes else tgt_labeled
+    protos = prototypes(support, tgt_labels, n_classes)
     st_sup = metric_ce(tgt_labeled, tgt_labels, protos)
     if tgt_unlabeled is not None and tgt_unlabeled.shape[0] > 0:
         st_src = entropy_transfer(tgt_unlabeled, src_support, tau_st)

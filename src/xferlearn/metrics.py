@@ -16,7 +16,6 @@ class EvalResult:
     accuracy: float
     n_examples: int
     per_class: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 @dataclass
@@ -31,8 +30,7 @@ EVAL_BLOCK = 32
 
 
 @no_grad()
-def evaluate(net, dataset: LabeledDataset, batch_size: int = EVAL_BLOCK,
-             seed: int = 0) -> EvalResult:
+def evaluate(net, dataset: LabeledDataset, batch_size: int = EVAL_BLOCK) -> EvalResult:
     """Argmax accuracy of net over a labeled dataset (eval mode, first-index ties).
 
     The forwards record no graph, so each layer's activations are freed
@@ -62,7 +60,7 @@ def evaluate(net, dataset: LabeledDataset, batch_size: int = EVAL_BLOCK,
             net.train()
     per_class = {c: cls_correct[c] / cls_total[c] for c in cls_total}
     return EvalResult(accuracy=correct / len(dataset), n_examples=len(dataset),
-                      per_class=per_class, seed=seed)
+                      per_class=per_class)
 
 
 def aggregate(accuracies) -> Aggregate:

@@ -11,7 +11,8 @@ has run.
 Storage is float32 by default; ``use_float64()`` switches the whole module
 to double precision for gradient checking.  Importing the module sets
 glibc's malloc thresholds so that freed arrays are reused (see
-``_reuse_freed_memory``).
+``_reuse_freed_memory``); the large arrays of the conv-block ops and of
+their backwards come from memory maps of their own instead (see ``_Arena``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import mmap
 import sys
+import threading
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +63,100 @@ def _reuse_freed_memory() -> None:
 
 
 _reuse_freed_memory()
+
+# arrays of at least this many bytes that the conv-block ops and their
+# backwards make come from _ARENAS
+_ARENA_MIN_BYTES = 256 << 10
+_ARENA_BYTES = 256 << 20  # address space per arena; only the pages used count as memory
+
+
+class _Arena:
+    """An anonymous memory map apart from glibc's heap, cut best fit into page-aligned blocks.
+
+    A training step makes and frees the same activations, saved tensors and
+    gradients.  In glibc's heap (see ``_reuse_freed_memory``) they leave
+    holes between steps that whatever else the process allocates may split;
+    a later step that no longer fits then extends the heap, and a fine-tune
+    run's peak memory grew by one 6 MiB activation at a step that differed
+    from run to run.  An arena holds only these arrays, and each step cuts
+    it the same way, so a run's memory stops growing after its first steps.
+    A block is an array over its range of the map.  Every view of it holds
+    it (numpy points a view's base at the array that holds the memory), and
+    a weakref callback frees the range once the block is gone.  The map
+    asks for transparent huge pages before any page is touched.  numpy asks
+    for them on each of its own arrays of 4 MiB or more, so a heap range
+    could be marked while some of its pages were in use; the kernel then
+    collapsed it in the background, at a time that varied from run to run,
+    adding the untouched rest of the range to the memory in use.
+    """
+
+    def __init__(self, nbytes: int):
+        self.map = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            self.map.madvise(mmap.MADV_HUGEPAGE)
+        self.live: dict[int, tuple] = {}  # offset -> (bytes, weakref) of each block in use
+        self.top = 0  # end of the highest block ever taken: the pages touched lie below
+
+    def take(self, nbytes: int) -> np.ndarray | None:
+        """A block of ``nbytes`` (a multiple of the page size) in the smallest
+        gap between blocks that holds it, the lowest of equal gaps, else after
+        the last block; None if that does not fit either."""
+        best, end = None, 0  # (gap, offset)
+        live = self.live
+        for off in sorted(live):
+            if off - end >= nbytes and (best is None or off - end < best[0]):
+                best = (off - end, end)
+            end = off + live.get(off, (0,))[0]  # a block may die meanwhile
+        if best is None:
+            if len(self.map) - end < nbytes:
+                return None
+            best = (0, end)
+        off = best[1]
+        block = np.frombuffer(self.map, dtype=np.uint8, count=nbytes, offset=off)
+        live[off] = (nbytes, weakref.ref(block, lambda _, off=off: live.pop(off)))
+        self.top = max(self.top, off + nbytes)
+        return block
+
+
+_ARENAS: list[_Arena] = []
+_ARENA_LOCK = threading.Lock()  # finding a gap and taking it must not interleave
+
+
+def _empty(shape, dtype, order=None) -> np.ndarray:
+    """np.empty(shape, dtype) with its axes in memory in ``order``, outermost
+    first (default: C order); from _ARENAS if it is large."""
+    dtype = np.dtype(dtype)
+    outer = shape if order is None else [shape[a] for a in order]
+    nbytes = math.prod(outer) * dtype.itemsize
+    if nbytes < _ARENA_MIN_BYTES:
+        out = np.empty(outer, dtype)
+    else:
+        size = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        with _ARENA_LOCK:
+            for arena in _ARENAS:
+                block = arena.take(size)
+                if block is not None:
+                    break
+            else:
+                _ARENAS.append(_Arena(max(size, _ARENA_BYTES)))
+                block = _ARENAS[-1].take(size)
+        out = block[:nbytes].view(dtype).reshape(outer)
+    return out if order is None else out.transpose(sorted(range(len(order)),
+                                                          key=order.__getitem__))
+
+
+def _zeros(shape, dtype) -> np.ndarray:
+    out = _empty(shape, dtype)
+    out.fill(0)
+    return out
+
+
+def _like(a: np.ndarray, dtype=None) -> np.ndarray:
+    """np.empty_like(a, dtype): a's shape, its axes in memory by falling stride."""
+    dtype = a.dtype if dtype is None else np.dtype(dtype)
+    if a.size * dtype.itemsize < _ARENA_MIN_BYTES:
+        return np.empty_like(a, dtype)
+    return _empty(a.shape, dtype, sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
 
 
 def current_dtype():
@@ -281,12 +379,13 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0 if _records((a,)) else None  # gradient at exactly 0 is 0
+    # gradient at exactly 0 is 0
+    mask = np.greater(a.data, 0, out=_like(a.data, np.bool_)) if _records((a,)) else None
 
     def bwd(g):
-        return (g * mask,)
+        return (np.multiply(g, mask, out=_like(g)),)
 
-    return _make(np.maximum(a.data, 0), "relu", (a,), bwd)
+    return _make(np.maximum(a.data, 0, out=_like(a.data)), "relu", (a,), bwd)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -416,7 +515,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _planes(x: np.ndarray, padding: int) -> np.ndarray:
     """x (N, C, H, W), in any memory order, as zero-padded channel-major planes (C, N, Hp, Wp)."""
     n, c, h, w = x.shape
-    planes = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    planes = _zeros((c, n, h + 2 * padding, w + 2 * padding), x.dtype)
     planes[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
     return planes
 
@@ -424,7 +523,9 @@ def _planes(x: np.ndarray, padding: int) -> np.ndarray:
 def _unpad(planes: np.ndarray, padding: int) -> np.ndarray:
     """Inverse of _planes: the unpadded part as a channel-major (N, C, H, W) array."""
     if padding:
-        planes = np.ascontiguousarray(planes[:, :, padding:-padding, padding:-padding])
+        inner = planes[:, :, padding:-padding, padding:-padding]
+        planes = _empty(inner.shape, inner.dtype)
+        np.copyto(planes, inner)
     return planes.transpose(1, 0, 2, 3)
 
 
@@ -437,7 +538,7 @@ def _im2col(planes: np.ndarray, kh: int, kw: int, stride: int):
     c, n, hp, wp = planes.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    cols = np.empty((c, kh, kw, n, ho, wo), dtype=planes.dtype)
+    cols = _empty((c, kh, kw, n, ho, wo), planes.dtype)
     for i in range(kh):
         i_end = i + stride * ho
         for j in range(kw):
@@ -472,14 +573,14 @@ def _shifted_grads(planes: np.ndarray, w: np.ndarray, g: np.ndarray, need_gx: bo
     f, _, kh, kw = w.shape
     length = n * hp * wp
     span = length - (kh - 1) * wp - (kw - 1)  # the last output pixel's column + 1
-    grid = np.zeros((f, n, hp, wp), dtype=g.dtype)
+    grid = _zeros((f, n, hp, wp), g.dtype)
     grid[:, :, :g.shape[2], :g.shape[3]] = g.transpose(1, 0, 2, 3)
     grid = grid.reshape(f, length)[:, :span]
     flat = planes.reshape(c, length)
     gw = np.empty((kh, kw, f, c), dtype=g.dtype)
     wt = w.transpose(2, 3, 1, 0).copy()  # (kh, kw, C, F)
-    gxp = np.zeros((c, length), dtype=g.dtype) if need_gx else None
-    term = np.empty((c, span), dtype=g.dtype) if need_gx else None
+    gxp = _zeros((c, length), g.dtype) if need_gx else None
+    term = _empty((c, span), g.dtype) if need_gx else None
     for i in range(kh):
         for j in range(kw):
             off = i * wp + j
@@ -508,12 +609,12 @@ def _block_forward(planes: np.ndarray, wmat: np.ndarray, bias: np.ndarray, kh: i
     tail = (kh - 1) * wp + (kw - 1)  # grid columns after the block's last output pixel
     block = max(1, min(n, _COLUMN_BUDGET // (k * grid * planes.itemsize)))
     flat = planes.reshape(c, n * grid)
-    cols = np.empty((c, kh, kw, block * grid - tail), dtype=planes.dtype)
+    cols = _empty((c, kh, kw, block * grid - tail), planes.dtype)
     cols2d = cols.reshape(k, -1)
     dtype = np.result_type(planes, wmat)
-    prod = np.empty((f, block, hp, wp), dtype=dtype)
+    prod = _empty((f, block, hp, wp), dtype)
     prod2d = prod.reshape(f, -1)
-    out = np.empty((f, n, ho, wo), dtype=dtype)
+    out = _empty((f, n, ho, wo), dtype)
     bias = bias[:, None, None, None]
     for start in range(0, n, block):
         b = min(block, n - start)
@@ -554,7 +655,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     else:
         cols, ho, wo = _im2col(planes, kh, kw, stride)
         planes = None
-        out = wmat @ cols
+        out = np.matmul(wmat, cols, out=_empty((f, cols.shape[1]), np.result_type(wmat, cols)))
         out += bias.data[:, None]
         out = out.reshape(f, n, ho, wo)
     x_shape = x.data.shape
@@ -586,9 +687,9 @@ def _fold_max(parts: Sequence[np.ndarray], codes: bool):
         return out, np.zeros_like(out, dtype=np.uint8) if codes else None
     out, code = parts[0], None
     for k, part in enumerate(parts[1:], 1):
-        new = np.maximum(out, part)
+        new = np.maximum(out, part, out=_like(part))
         if codes:
-            changed = np.not_equal(new, out)
+            changed = np.not_equal(new, out, out=_like(new, np.bool_))
             if code is None:
                 code = changed.view(np.uint8)
             else:
@@ -618,20 +719,25 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     codes = _records((x,))
     row_max, cols = _fold_max([windows[..., j] for j in range(size)], codes)
     out_data, rows = _fold_max([row_max[:, :, :, i] for i in range(size)], codes)
-    keep = ~np.isnan(out_data) if codes and np.isnan(out_data).any() else None
+    keep = None
+    if codes:
+        nan = np.isnan(out_data, out=_like(out_data, np.bool_))
+        if nan.any():
+            keep = np.logical_not(nan, out=nan)
     layout = np.argsort(x.data.strides, kind="stable")[::-1]  # x's axes, outermost first
 
     def bwd(g):
-        g_rows = np.empty_like(cols, dtype=g.dtype)  # g on each window's first-maximum row
+        g_rows = _like(cols, g.dtype)  # g on each window's first-maximum row
         for i in range(size):
-            pick = np.equal(rows, i)
+            pick = np.equal(rows, i, out=_like(rows, np.bool_))
             if keep is not None:
                 pick &= keep
             np.multiply(g, pick, out=g_rows[:, :, :, i])
-        gx = np.empty(np.take((n, c, h, w), layout), dtype=g.dtype).transpose(np.argsort(layout))
+        gx = _empty((n, c, h, w), g.dtype, layout)
         gx_windows = gx.reshape(n, c, ho, size, wo, size)  # a view: it splits h and w
         for j in range(size):
-            np.multiply(g_rows, np.equal(cols, j), out=gx_windows[..., j])
+            pick = np.equal(cols, j, out=_like(cols, np.bool_))
+            np.multiply(g_rows, pick, out=gx_windows[..., j])
         return (gx,)
 
     return _make(out_data, "maxpool2d", (x,), bwd)
@@ -654,7 +760,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         if n < 2:
             raise ParameterError("batchnorm2d needs batch size >= 2 in train mode")
         mean = x3.mean(axis=(0, 2))
-        xhat = x3 - mean[:, None]  # centred copy, scaled in place into xhat below
+        # centred copy, scaled in place into xhat below
+        xhat = np.subtract(x3, mean[:, None], out=_like(x3))
         var = np.einsum("ncp,ncp->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
@@ -663,7 +770,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         running_var += momentum * var * m / max(m - 1, 1)
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat *= inv_std[:, None]
-        out_data = xhat * gamma.data[:, None]
+        out_data = np.multiply(xhat, gamma.data[:, None],
+                               out=_like(xhat, np.result_type(xhat, gamma.data)))
         out_data += beta.data[:, None]
         saved = xhat
     else:
@@ -680,7 +788,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         ggamma = np.einsum("ncp,ncp->c", g3, xh)
         s = (gamma.data * inv_std)[:, None]
         if training:  # s*g - s*(ggamma/m)*xhat - s*gbeta/m
-            gx = xh * (ggamma / m)[:, None]
+            gx = np.multiply(xh, (ggamma / m)[:, None], out=_like(xh, np.result_type(xh, ggamma)))
             gx += (gbeta / m)[:, None]
             np.subtract(g3, gx, out=gx)
             gx *= s

@@ -1,10 +1,13 @@
 """Training procedures: source pretraining, joint adaptation, baselines,
 and the unsupervised-adaptation ablation.
 
-Each adaptation step (``adversarial_step``) runs one discriminator update
-followed by one encoder/classifier update; both updates read the same
-forward pass of each batch, and there are no inner optimization loops.
-The source encoder stays frozen in eval mode throughout adaptation, so
+Every procedure sets up, then hands one step function to ``_fit``, the
+only step loop: supervised training (pretraining and both baselines) runs
+``_supervised_step``, and both adaptation procedures run ``_adapt``,
+whose step (``adversarial_step``) runs one discriminator update followed
+by one encoder/classifier update; both updates read the same forward pass
+of each batch, and there are no inner optimization loops.  The source
+encoder stays frozen in eval mode throughout adaptation, so
 ``SourceTaps`` forwards each source image through it at most once per run.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,8 +68,6 @@ class TrainConfig:
 @dataclass
 class TrainRecord:
     rows: list = field(default_factory=list)  # metrics CSV rows
-    config: dict = field(default_factory=dict)
-    seed: int = 0
     wall_clock: float = 0.0
 
     def log(self, step: int, report: losses.LossReport, eval_acc=None) -> None:
@@ -90,35 +91,58 @@ def _check_finite(report: losses.LossReport, step: int) -> None:
             raise TrainDivergence(f"loss term {term!r} became non-finite at step {step}")
 
 
-def _freeze(net: EmbeddingNetwork) -> None:
-    for p in net.parameters():
-        p.requires_grad = False
-    net.eval()
+def _fit(steps: int, train_step) -> TrainRecord:
+    """Call ``train_step`` on steps 1..``steps`` and log the
+    ``(report, eval_acc)`` each call returns; the clock starts after all set-up."""
+    record = TrainRecord()
+    t0 = time.time()
+    for step in range(1, steps + 1):
+        report, eval_acc = train_step(step)
+        record.log(step, report, eval_acc)
+    record.wall_clock = time.time() - t0
+    return record
+
+
+def _supervised_step(net: EmbeddingNetwork, opt: Adam, x: Tensor, labels,
+                     step: int) -> losses.LossReport:
+    """One cross-entropy update of ``net`` on the batch ``x``."""
+    opt.zero_grads()
+    logits, _ = net.forward(x)
+    loss = losses.supervised_ce(logits, labels)
+    report = losses.LossReport(sup=loss.item(), total=loss.item())
+    _check_finite(report, step)
+    backward(loss)
+    opt.step()
+    return report
 
 
 def pretrain_source(d1: LabeledDataset, net_spec: NetworkSpec, config: TrainConfig):
     """Supervised pretraining on the labeled source set."""
     net = EmbeddingNetwork(net_spec, seed=config.seed)
     opt = Adam(net.parameters(), lr=config.lr, clip=config.grad_clip)
-    record = TrainRecord(config=asdict(config), seed=config.seed)
     rng = np.random.default_rng((config.seed, 17))
-    t0 = time.time()
-    for step in range(config.pretrain_steps):
+
+    def train_step(step):
         idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
-        x = normalize_batch(d1.images[idx])
-        logits, _ = net.forward(x)
-        loss = losses.supervised_ce(logits, d1.labels[idx])
-        report = losses.LossReport(sup=loss.item(), total=loss.item())
-        _check_finite(report, step + 1)
-        opt.zero_grads()
-        backward(loss)
-        opt.step()
-        if config.eval_every and (step + 1) % config.eval_every == 0:
-            record.log(step + 1, report, evaluate(net, d1).accuracy)
-        else:
-            record.log(step + 1, report)
-    record.wall_clock = time.time() - t0
-    return net, record
+        report = _supervised_step(net, opt, normalize_batch(d1.images[idx]), d1.labels[idx],
+                                  step)
+        if config.eval_every and step % config.eval_every == 0:
+            return report, evaluate(net, d1).accuracy
+        return report, None
+
+    return net, _fit(config.pretrain_steps, train_step)
+
+
+def _target(source_net: EmbeddingNetwork, config: TrainConfig, head_classes: int | None = None,
+            reinit_head: bool = False) -> EmbeddingNetwork:
+    """Freeze ``source_net`` in eval mode; return its clone in training mode."""
+    for p in source_net.parameters():
+        p.requires_grad = False
+    source_net.eval()
+    target_net = clone_into_target(source_net, head_classes=head_classes,
+                                   head_seed=config.seed + 3, reinit_head=reinit_head)
+    target_net.train()
+    return target_net
 
 
 class SourceTaps:
@@ -147,12 +171,19 @@ class SourceTaps:
         """name -> Tensor of the taps of ``d1`` images ``idx``; the images not
         seen before go through the source net."""
         new = idx[~self.seen[idx]]
-        for start in range(0, new.size, EVAL_BLOCK):
-            block = new[start:start + EVAL_BLOCK]
-            _, taps = self.net.forward(normalize_batch(self.d1.images[block]))
+        bounds = [*range(0, new.size, EVAL_BLOCK), new.size]
+        # a one-image forward takes other BLAS kernels, which sum in another
+        # order, so a one-image tail joins the block before it and a lone
+        # miss goes through as a pair of itself
+        if len(bounds) > 2 and new.size % EVAL_BLOCK == 1:
+            del bounds[-2]
+        for start, stop in zip(bounds, bounds[1:]):
+            block = new[start:stop]
+            images = self.d1.images[block if block.size > 1 else np.repeat(block, 2)]
+            _, taps = self.net.forward(normalize_batch(images))
             for name, tap in taps:
                 if name in self.rows:
-                    self.rows[name][block] = tap.data.reshape(block.size, -1)
+                    self.rows[name][block] = tap.data.reshape(len(images), -1)[:block.size]
         self.seen[new] = True
         return {name: Tensor(rows[idx]) for name, rows in self.rows.items()}
 
@@ -168,11 +199,6 @@ def source_prototypes(source: SourceTaps, config: TrainConfig) -> Tensor:
             idx = rng.choice(idx, size=config.src_proto_per_class, replace=False)
         protos.append(source(idx)[config.embed_layer].data.mean(axis=0))
     return Tensor(np.stack(protos))
-
-
-def _deepest(net: EmbeddingNetwork, names) -> str:
-    """The layer among ``names`` that comes last in ``net``."""
-    return max(names, key=list(net.shapes).index)
 
 
 def _build_discriminator(net: EmbeddingNetwork, tap_names, config: TrainConfig
@@ -231,6 +257,37 @@ def adversarial_step(step: int, disc: MultiLayerDiscriminator, disc_opt: Adam,
     return report
 
 
+def _adapt(target_net: EmbeddingNetwork, source: SourceTaps, d3: UnlabeledDataset,
+           config: TrainConfig, rng_tag: int, tap_names, target_forward,
+           encoder_objective) -> TrainRecord:
+    """The adversarial loop of both adaptation procedures.
+
+    Each step draws a source and an unlabeled batch under ``rng_tag``, reads
+    the source batch's taps from ``source``, forwards the unlabeled batch
+    with ``target_forward`` and runs ``adversarial_step``; the encoder
+    optimizer updates the target weights that require a gradient.
+    """
+    disc = _build_discriminator(target_net, tap_names, config)
+    enc_opt = Adam([p for p in target_net.parameters() if p.requires_grad],
+                   lr=config.lr, clip=config.grad_clip)
+    disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
+    # the step reads only the taps that ``source`` keeps, so the forward stops
+    # at the deepest of them
+    last_tap = max(source.rows, key=list(target_net.shapes).index)
+    d1 = source.d1
+    rng = np.random.default_rng((config.seed, rng_tag))
+
+    def train_step(step):
+        src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
+        unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
+        src_taps = source(src_idx)
+        _, unl_taps = target_forward(normalize_batch(d3.images[unl_idx]), until=last_tap)
+        return adversarial_step(step, disc, disc_opt, enc_opt, src_taps, dict(unl_taps),
+                                tap_names, encoder_objective), None
+
+    return _fit(config.steps, train_step)
+
+
 def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDataset,
                 d3: UnlabeledDataset, config: TrainConfig, head_classes: int | None = None,
                 reinit_head: bool = False):
@@ -243,14 +300,8 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
     if config.alpha == 0 and config.beta == 0:
         return run_baseline("fine_tune", d2, config, source_net=source_net,
                             head_classes=head_classes, reinit_head=reinit_head)
-    _freeze(source_net)
     n_target_classes = head_classes or len(set(d2.classes))
-    target_net = clone_into_target(source_net, head_classes=n_target_classes,
-                                   head_seed=config.seed + 3, reinit_head=reinit_head)
-    target_net.train()
-    record = TrainRecord(config=asdict(config), seed=config.seed)
-
-    enc_opt = Adam(target_net.parameters(), lr=config.lr, clip=config.grad_clip)
+    target_net = _target(source_net, config, n_target_classes, reinit_head)
     tap_names = config.disc_taps or tuple(source_net.spec.taps)
     source = SourceTaps(source_net, d1, (*tap_names, config.embed_layer))
     for name in tap_names:
@@ -258,46 +309,22 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
         if src_w != tgt_w:
             raise ValueError(f"tap {name!r} is {src_w} wide in the source net but {tgt_w} "
                              f"in the target net; leave it out of disc_taps")
-    disc = _build_discriminator(target_net, tap_names, config)
-    disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
     src_protos = source_prototypes(source, config)
-    # the step reads only the unlabeled batch's taps, so its forward stops here
-    last_tap = _deepest(target_net, (*tap_names, config.embed_layer))
-
     x_d2 = normalize_batch(d2.images)  # full-batch D2 every step
 
     def encoder_objective(l_dt_e, unl_taps, report):
         logits2, taps2 = target_net.forward(x_d2)
         l_sup = losses.supervised_ce(logits2, d2.labels)
-        emb_lab = dict(taps2)[config.embed_layer]
-        emb_unl = unl_taps[config.embed_layer]
-        if config.stop_grad_prototypes:
-            emb_for_proto = Tensor(emb_lab.data.copy())
-        else:
-            emb_for_proto = emb_lab
-        protos = losses.prototypes(emb_for_proto, d2.labels, n_target_classes)
-        st_sup = losses.metric_ce(emb_lab, d2.labels, protos)
-        st_src = losses.entropy_transfer(emb_unl, src_protos, config.tau_st)
-        st_unsup = losses.entropy_transfer(emb_unl, protos, config.tau_tt)
-        l_st = st_src + st_sup + st_unsup
-        report.sup = l_sup.item()
-        report.st_src = st_src.item()
-        report.st_sup = st_sup.item()
-        report.st_unsup = st_unsup.item()
+        l_st, st_src, st_sup, st_unsup = losses.semantic_total(
+            src_protos, dict(taps2)[config.embed_layer], d2.labels,
+            unl_taps[config.embed_layer], config.tau_st, config.tau_tt, n_target_classes,
+            detach_prototypes=config.stop_grad_prototypes)
+        report.sup, report.st_src, report.st_sup, report.st_unsup = (
+            t.item() for t in (l_sup, st_src, st_sup, st_unsup))
         return losses.total_objective(l_sup, l_dt_e, l_st, config.alpha, config.beta)
 
-    rng = np.random.default_rng((config.seed, 31))
-    t0 = time.time()
-    for step in range(config.steps):
-        src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
-        unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
-        src_taps = source(src_idx)
-        _, unl_taps = target_net.forward(normalize_batch(d3.images[unl_idx]), until=last_tap)
-        report = adversarial_step(step + 1, disc, disc_opt, enc_opt, src_taps,
-                                  dict(unl_taps), tap_names, encoder_objective)
-        record.log(step + 1, report)
-    record.wall_clock = time.time() - t0
-    return target_net, record
+    return target_net, _adapt(target_net, source, d3, config, 31, tap_names,
+                              target_net.forward, encoder_objective)
 
 
 def run_baseline(kind: str, d2: LabeledDataset, config: TrainConfig,
@@ -315,27 +342,13 @@ def run_baseline(kind: str, d2: LabeledDataset, config: TrainConfig,
     elif kind == "fine_tune":
         if source_net is None:
             raise ValueError("fine_tune needs a source checkpoint")
-        _freeze(source_net)
-        net = clone_into_target(source_net, head_classes=n_classes,
-                                head_seed=config.seed + 3, reinit_head=reinit_head)
+        net = _target(source_net, config, n_classes, reinit_head)
     else:
         raise ValueError(f"unknown baseline {kind!r}")
-    net.train()
     opt = Adam(net.parameters(), lr=config.lr, clip=config.grad_clip)
-    record = TrainRecord(config=asdict(config), seed=config.seed)
     x_d2 = normalize_batch(d2.images)
-    t0 = time.time()
-    for step in range(config.steps):
-        opt.zero_grads()
-        logits, _ = net.forward(x_d2)
-        loss = losses.supervised_ce(logits, d2.labels)
-        report = losses.LossReport(sup=loss.item(), total=loss.item())
-        _check_finite(report, step + 1)
-        backward(loss)
-        opt.step()
-        record.log(step + 1, report)
-    record.wall_clock = time.time() - t0
-    return net, record
+    return net, _fit(config.steps,
+                     lambda step: (_supervised_step(net, opt, x_d2, d2.labels, step), None))
 
 
 def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
@@ -345,39 +358,18 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
     The classifier head is copied from the source network and frozen; only
     the target encoder body and the discriminator train.
     """
-    _freeze(source_net)
-    target_net = clone_into_target(source_net, head_seed=config.seed + 3)
-    target_net.train()
+    target_net = _target(source_net, config)
     head_name = target_net.spec.layers[-1][0]
-    enc_params = [t for n, t in target_net.params.items()
-                  if not n.startswith(f"{target_net.prefix}{head_name}.")]
     for n, t in target_net.params.items():
         if n.startswith(f"{target_net.prefix}{head_name}."):
             t.requires_grad = False
-
     tap_names = config.disc_taps or tuple(source_net.spec.taps)
     source = SourceTaps(source_net, d1, tap_names)
-    disc = _build_discriminator(target_net, tap_names, config)
-    enc_opt = Adam(enc_params, lr=config.lr, clip=config.grad_clip)
-    disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
-    record = TrainRecord(config=asdict(config), seed=config.seed)
 
     def encoder_objective(l_dt_e, unl_taps, report):
         return losses.total_objective(Tensor(0.0), l_dt_e, Tensor(0.0), config.alpha, 0.0)
 
     # at alpha == 0 the encoder never steps, so its forward records no graph
     target_forward = no_grad()(target_net.forward) if config.alpha == 0 else target_net.forward
-    last_tap = _deepest(target_net, tap_names)
-
-    rng = np.random.default_rng((config.seed, 37))
-    t0 = time.time()
-    for step in range(config.steps):
-        src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
-        unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
-        src_taps = source(src_idx)
-        _, unl_taps = target_forward(normalize_batch(d3.images[unl_idx]), until=last_tap)
-        report = adversarial_step(step + 1, disc, disc_opt, enc_opt, src_taps,
-                                  dict(unl_taps), tap_names, encoder_objective)
-        record.log(step + 1, report)
-    record.wall_clock = time.time() - t0
-    return target_net, record
+    return target_net, _adapt(target_net, source, d3, config, 37, tap_names,
+                              target_forward, encoder_objective)

@@ -1,14 +1,13 @@
-"""IDX I/O, class filtering, split protocol, batching, synthetic fixture."""
+"""IDX I/O, class filtering, split protocol, normalization, synthetic fixture."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from xferlearn.data import (IdxParseError, LabeledDataset, SplitError,
-                            batch_iterator, filter_classes, load_idx, make_splits,
-                            normalize_batch, resize_bilinear, rgb_to_grayscale,
-                            synth_digits, write_idx)
+from xferlearn.data import (IdxParseError, LabeledDataset, SplitError, filter_classes,
+                            load_idx, make_splits, normalize_batch, resize_bilinear,
+                            rgb_to_grayscale, synth_digits, write_idx)
 
 
 def small_dataset(n=30, classes=(0, 1, 2), size=8, seed=0):
@@ -138,22 +137,6 @@ class TestBatching:
         assert x[0, 0, 0, 0] == -1.0
         assert x[0, 0, 0, 1] == 1.0
 
-    def test_iterator_covers_all_indices_once(self):
-        seen = np.concatenate(list(batch_iterator(17, 5, seed=0, epoch=0)))
-        assert sorted(seen.tolist()) == list(range(17))
-        sizes = [len(b) for b in batch_iterator(17, 5)]
-        assert sizes == [5, 5, 5, 2]
-
-    def test_iterator_epoch_changes_order(self):
-        a = np.concatenate(list(batch_iterator(32, 8, seed=0, epoch=0)))
-        b = np.concatenate(list(batch_iterator(32, 8, seed=0, epoch=1)))
-        c = np.concatenate(list(batch_iterator(32, 8, seed=0, epoch=0)))
-        assert (a != b).any()
-        np.testing.assert_array_equal(a, c)
-
-    def test_no_shuffle_is_sequential(self):
-        order = np.concatenate(list(batch_iterator(10, 4, shuffle=False)))
-        np.testing.assert_array_equal(order, np.arange(10))
 
 
 class TestResize:

@@ -5,17 +5,19 @@ import pytest
 
 from xferlearn import tensor as T
 from xferlearn.discriminator import (DiscriminatorError, DiscriminatorSpec,
-                                     MultiLayerDiscriminator, ablation_discriminator_spec,
-                                     digit_discriminator_spec, disc_prob)
-from xferlearn.layers import BuildError
+                                     MultiLayerDiscriminator)
+from xferlearn.layers import (BuildError, EmbeddingNetwork, ablation_embedding_spec,
+                              digit_embedding_spec)
 from xferlearn.tensor import Tensor, backward
+from xferlearn.trainer import TrainConfig, _build_discriminator
 
 
 def unrolled_reference(disc, taps_data):
     """Straight-line numpy evaluation of the layered recurrence."""
     spec = disc.spec
-    act = (lambda v: np.maximum(v, 0)) if spec.activation == "relu" else (
-        lambda v: np.where(v > 0, v, 0.2 * v))
+
+    def act(v):
+        return np.maximum(v, 0)
 
     def lin(name, v):
         return v @ disc.params[f"{name}.w"].data + disc.params[f"{name}.b"].data
@@ -110,10 +112,22 @@ class TestRecurrence:
             disc.forward([Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 7)))])
 
 
+def paper_discriminator(spec, taps, head_widths):
+    """The discriminator the trainer builds on ``taps`` of a net of ``spec``."""
+    net = EmbeddingNetwork(spec)
+    return _build_discriminator(net, taps, TrainConfig(head_widths=head_widths))
+
+
+def digit_discriminator(taps=("pool4_flat", "fc1", "fc2")):
+    return paper_discriminator(digit_embedding_spec(n_classes=5), taps, (500, 500, 500))
+
+
 class TestPresets:
+    """The paper's widths: 64->64->5->500^3->1 on the 32x32 digit net and
+    800->500->10->500^2->1 on the 28x28 ablation net."""
+
     def test_digit_discriminator_structure(self):
-        spec = digit_discriminator_spec()
-        disc = MultiLayerDiscriminator(spec)
+        disc = digit_discriminator()
         assert disc.params["mirror1.w"].data.shape == (64, 64)
         assert disc.params["mirror2.w"].data.shape == (64, 5)
         assert disc.params["head1.w"].data.shape == (5, 500)
@@ -122,12 +136,13 @@ class TestPresets:
         assert disc.params["head_out.w"].data.shape == (500, 1)
 
     def test_digit_two_tap_variant(self):
-        disc = MultiLayerDiscriminator(digit_discriminator_spec(n_taps=2))
+        disc = digit_discriminator(("pool4_flat", "fc1"))
         assert disc.params["mirror1.w"].data.shape == (64, 64)
         assert disc.params["head1.w"].data.shape == (64, 500)
 
     def test_ablation_discriminator_structure(self):
-        disc = MultiLayerDiscriminator(ablation_discriminator_spec())
+        disc = paper_discriminator(ablation_embedding_spec(n_classes=10),
+                                   ("flat", "fc1", "fc2"), (500, 500))
         assert disc.params["mirror1.w"].data.shape == (800, 500)
         assert disc.params["mirror2.w"].data.shape == (500, 10)
         assert disc.params["head1.w"].data.shape == (10, 500)
@@ -135,7 +150,7 @@ class TestPresets:
         assert disc.params["head_out.w"].data.shape == (500, 1)
 
     def test_scalar_output_per_example(self):
-        disc = MultiLayerDiscriminator(digit_discriminator_spec())
+        disc = digit_discriminator()
         rng = np.random.default_rng(6)
         out = disc.forward(make_taps(rng, [64, 64, 5], n=9))
         assert out.shape == (9, 1)
@@ -146,11 +161,13 @@ class TestPresets:
 
 
 class TestProb:
+    """The sigmoid probability of the source class for a score logit."""
+
     def test_zero_logit_is_half(self):
-        assert abs(disc_prob(Tensor([0.0])).item() - 0.5) <= 1e-9
+        assert abs(T.sigmoid(Tensor([0.0])).item() - 0.5) <= 1e-9
 
     def test_large_logit_saturates_without_overflow(self):
-        p = disc_prob(Tensor([50.0])).item()
+        p = T.sigmoid(Tensor([50.0])).item()
         assert p >= 1 - 1e-20
         # the stable path for log(1 - p) stays finite
         stable = T.log_sigmoid(Tensor([-50.0])).item()
@@ -159,7 +176,7 @@ class TestProb:
     def test_matches_float64_reference(self):
         from xferlearn.tensor import use_float64
         with use_float64():
-            p = disc_prob(Tensor([-3.0])).item()
+            p = T.sigmoid(Tensor([-3.0])).item()
         assert abs(p - 1.0 / (1.0 + np.exp(3.0))) <= 1e-9
 
 

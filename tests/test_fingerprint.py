@@ -21,7 +21,10 @@ def test_two_runs_print_identical_fingerprints():
     first = _fingerprint(*args)
     lines = first.splitlines()
     # per workload: two loss rows, the state digest and the accuracy
-    assert len(lines) == 8
-    assert [line.split()[0] for line in lines] == ["finetune_k5"] * 4 + ["joint_k5"] * 4
+    assert len(lines) == 16
+    assert [line.split()[0] for line in lines] == [
+        w for w in ("finetune_k5", "joint_k5", "pretrain", "uda") for _ in range(4)]
     assert "loss_dt_d=0x" in lines[4] and "state_sha256=" in lines[6]
+    # the final accuracy of each run, and pretraining's evaluation at step 2
+    assert [i for i, line in enumerate(lines) if "eval_acc=" in line] == [3, 7, 9, 11, 15]
     assert _fingerprint(*args) == first

@@ -8,7 +8,7 @@ import pytest
 from xferlearn.losses import (domain_loss_D, domain_loss_E, entropy_transfer,
                               metric_ce, normalize_rows, prototypes, semantic_total,
                               similarity, supervised_ce, total_objective)
-from xferlearn.tensor import ParameterError, Tensor, use_float64
+from xferlearn.tensor import ParameterError, Tensor, backward, use_float64
 
 
 def oracle_ce(logits, labels):
@@ -219,6 +219,22 @@ class TestSemanticTotal:
             total, a, b, c = semantic_total(src, lab, labels, None, n_classes=4)
         assert a.item() == 0.0 and c.item() == 0.0
         assert abs(total.item() - b.item()) <= 1e-12
+
+    def test_detached_prototypes_pass_st_unsup_no_gradient_to_the_labeled_batch(self):
+        rng = np.random.default_rng(12)
+        src, lab, labels, unl = self._setup(rng)
+        lab.requires_grad = unl.requires_grad = True
+        with use_float64():
+            plain = semantic_total(src, lab, labels, unl, n_classes=4)
+            detached = semantic_total(src, lab, labels, unl, n_classes=4,
+                                      detach_prototypes=True)
+            assert [t.item() for t in detached] == [t.item() for t in plain]
+            backward(detached[3])
+            assert lab.grad is None or not lab.grad.any()
+            assert np.abs(unl.grad).sum() > 0
+            # undetached, st_unsup reaches the labeled batch through the prototypes
+            backward(plain[3])
+            assert np.abs(lab.grad).sum() > 0
 
 
 class TestTotalObjective:

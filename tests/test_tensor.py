@@ -3,6 +3,8 @@
 import math
 import platform
 import resource
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -269,18 +271,23 @@ class TestBlockForward:
             assert out.strides == want.strides
             np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
 
-    def test_transient_memory_stays_within_the_column_budget(self):
+    def test_transient_memory_stays_within_the_column_budget(self, monkeypatch):
         rng = np.random.default_rng(0)
         x = Tensor(channel_major(rng.standard_normal((128, 64, 16, 16), dtype=np.float32)))
         w = Tensor(rng.standard_normal((64, 64, 3, 3), dtype=np.float32), requires_grad=True)
         b = Tensor(np.zeros(64), requires_grad=True)
         planes = 64 * 128 * 18 * 18 * 4  # saved for the backward
+        # conv2d takes its large arrays from arenas, which tracemalloc does
+        # not see; the pages they touch are counted here
+        arenas = []
+        monkeypatch.setattr(T, "_ARENAS", arenas)
         tracemalloc.start()
         try:
             out = T.conv2d(x, w, b, padding=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        peak += sum(arena.top for arena in arenas)
         # the whole batch's columns would be 75 MiB; a block's GEMM result is
         # F / (C*kh*kw) = 1/9 of its columns
         assert peak - planes - out.data.nbytes <= T._COLUMN_BUDGET * (1 + 1 / 9) + (64 << 10)
@@ -732,9 +739,11 @@ class TestNoGrad:
                 raise RuntimeError("inside")
         assert T.exp(w).node is not None
 
-    def test_relu_keeps_no_mask_and_the_same_bytes(self):
+    def test_relu_keeps_no_mask_and_the_same_bytes(self, monkeypatch):
         x = np.random.default_rng(0).standard_normal((16, 64, 16, 16), dtype=np.float32)
         x[0, 0, 0, :3] = (0.0, -0.0, np.nan)
+        arenas = []  # the output and a mask are arena blocks, which tracemalloc does not see
+        monkeypatch.setattr(T, "_ARENAS", arenas)
         with T.no_grad():
             tracemalloc.start()
             try:
@@ -742,6 +751,7 @@ class TestNoGrad:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+        peak += sum(arena.top for arena in arenas)
         assert out.node is None
         assert peak < out.data.nbytes + out.data.nbytes // 8  # a bool mask is a quarter of it
         recorded = T.relu(Tensor(x, requires_grad=True))
@@ -760,8 +770,8 @@ class TestNoGrad:
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc options are glibc's")
 class TestMemoryReuse:
     def test_repeated_conv_step_faults_in_no_fresh_pages(self):
-        # the padded planes and gradients here are 4-5 MiB each, above glibc's
-        # default mmap threshold
+        # the padded planes and gradients here are 4-5 MiB each: arena
+        # blocks, and above glibc's default mmap threshold
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 64, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((64, 64, 3, 3)), requires_grad=True)
@@ -776,3 +786,115 @@ class TestMemoryReuse:
         for _ in range(3):
             step()
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+def _conv_block_step(x, params):
+    """Conv, BN, pool and ReLU, then the backward of a fixed projection; the gradients."""
+    w, b, gamma, beta = params
+    h = T.conv2d(x, w, b, padding=1)
+    h = T.batchnorm2d(h, gamma, beta, np.zeros(64, np.float32), np.ones(64, np.float32),
+                      training=True)
+    h = T.relu(T.maxpool2d(h))
+    proj = Tensor(np.linspace(-1.0, 1.0, h.data.size, dtype=np.float32).reshape(h.shape))
+    for p in (x, *params):
+        p.grad = None
+    backward((h * proj).sum())
+    return [p.grad.copy() for p in (x, *params)]
+
+
+def _conv_block_inputs(n=16):
+    rng = np.random.default_rng(0)
+    x = Tensor(channel_major(rng.standard_normal((n, 64, 16, 16), dtype=np.float32)),
+               requires_grad=True)  # 1 MiB: every conv-block array is a scratch block
+    params = [Tensor(rng.standard_normal((64, 64, 3, 3)) * 0.05, requires_grad=True),
+              Tensor(rng.standard_normal(64) * 0.1, requires_grad=True),
+              Tensor(rng.normal(1.0, 0.1, 64), requires_grad=True),
+              Tensor(rng.standard_normal(64) * 0.1, requires_grad=True)]
+    return x, params
+
+
+class TestArena:
+    """The conv-block ops take their large arrays from arenas that hold nothing else."""
+
+    def test_a_range_is_taken_again_only_once_every_view_of_its_block_is_gone(self):
+        arena = T._Arena(8 << 20)
+        block = arena.take(2 << 20)
+        view = block.view(np.float32).reshape(512, 1024)[::2].T
+        del block
+        assert arena.take(2 << 20).ctypes.data != view.ctypes.data  # dropped at once
+        assert set(arena.live) == {0}
+        del view
+        assert not arena.live
+        # the best fit: the smallest gap that holds the block, the lowest of equals
+        held = [arena.take(1 << 20) for _ in range(4)]
+        del held[2], held[0]
+        assert arena.take(1 << 20).ctypes.data == np.frombuffer(arena.map, np.uint8).ctypes.data
+        assert arena.top == 4 << 20  # no block has gone past the first four
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3), (3, 1, 0, 2)])
+    def test_an_array_has_the_shape_and_memory_order_asked_for(self, order):
+        shape = (8, 64, 32, 32)
+        got = T._empty(shape, np.float32, order)
+        want = np.empty(np.take(shape, order), np.float32).transpose(np.argsort(order))
+        assert got.shape == want.shape and got.strides == want.strides
+        assert any(got.base.base.obj is arena.map for arena in T._ARENAS)
+        assert _owner(T._empty((4, 4), np.float32)).flags.owndata  # numpy's own memory
+        windows = channel_major(np.ones((8, 64, 32, 32), np.float32)).reshape(8, 64, 16, 2, 16, 2)
+        for a in (got, windows[..., 1], windows[:, :, :, 0]):
+            assert T._like(a, np.bool_).strides == np.empty_like(a, np.bool_).strides
+
+    def test_the_bytes_do_not_depend_on_where_the_arrays_live(self, monkeypatch):
+        arena = _conv_block_step(*_conv_block_inputs())
+        monkeypatch.setattr(T, "_ARENA_MIN_BYTES", 1 << 62)  # every array from numpy
+        heap = _conv_block_step(*_conv_block_inputs())
+        for got, want in zip(arena, heap):
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_threads_never_share_a_block(self, monkeypatch):
+        monkeypatch.setattr(T, "_ARENAS", [])
+        errors = []
+
+        def work(k):
+            for _ in range(200):
+                mine = T._empty((1 << 16,), np.float32)  # 256 KiB: an arena block
+                mine.fill(k)
+                T._empty((1 << 16,), np.float32).fill(-k)
+                if not (mine == k).all():
+                    errors.append(k)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(1, 5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+
+    def test_each_step_cuts_the_arena_the_same_way_whatever_else_is_allocated(
+            self, monkeypatch):
+        arenas = []
+        monkeypatch.setattr(T, "_ARENAS", arenas)
+        take = T._Arena.take
+        steps = []
+
+        def spy(arena, nbytes):
+            block = take(arena, nbytes)
+            steps[-1].append((block.ctypes.data, nbytes))
+            return block
+
+        monkeypatch.setattr(T._Arena, "take", spy)
+        x, params = _conv_block_inputs()
+        rng = np.random.default_rng(1)
+        junk = []
+        for _ in range(4):
+            steps.append([])
+            _conv_block_step(x, params)
+            # heap memory taken and freed between steps, as other code does
+            junk = [np.ones(int(k), np.uint8) for k in rng.integers(1 << 10, 8 << 20, 6)]
+        assert len(steps[0]) > 10 and all(step == steps[0] for step in steps)
+        assert len(arenas) == 1 and not arenas[0].live
+        del junk

@@ -11,7 +11,8 @@ from xferlearn import losses, tensor, trainer
 from xferlearn.data import (UnlabeledDataset, filter_classes, make_splits, normalize_batch,
                             synth_digits)
 from xferlearn.discriminator import MultiLayerDiscriminator
-from xferlearn.layers import EmbeddingNetwork, clone_into_target, synth_embedding_spec
+from xferlearn.layers import (EmbeddingNetwork, clone_into_target, digit_embedding_spec,
+                              synth_embedding_spec)
 from xferlearn.metrics import evaluate
 from xferlearn.tensor import Tensor
 from xferlearn.trainer import (SourceTaps, TrainConfig, TrainDivergence, adapt_joint,
@@ -119,6 +120,25 @@ class TestSourcePrototypes:
             np.testing.assert_array_equal(cached[name].data.view(np.uint32),
                                           want.view(np.uint32))
 
+    def test_lookups_with_one_image_tails_give_the_bytes_of_one_eval_forward(self):
+        # a one-image forward of the digit net differs from the same image
+        # forwarded with others in the last bits; the 64->5 head (fc2)
+        # depends on the row count in any forward, so only the conv body's
+        # and fc1's taps are compared
+        net = EmbeddingNetwork(digit_embedding_spec(n_classes=5), seed=0)
+        d1 = synth_digits(20, range(5), image_size=32, seed=0)
+        idx = np.random.default_rng(0).permutation(len(d1))[:99]
+        source = SourceTaps(net, d1, ("pool4_flat", "fc1"))
+        for start, stop in ((0, 1), (1, 34), (34, 99)):  # 1, 33 and 65 misses
+            source(idx[start:stop])
+        cached = source(idx)
+        with tensor.no_grad():
+            _, taps = net.forward(normalize_batch(d1.images[idx]))
+        for name in ("pool4_flat", "fc1"):
+            want = dict(taps)[name].data.reshape(idx.size, -1)
+            np.testing.assert_array_equal(cached[name].data.view(np.uint32),
+                                          want.view(np.uint32))
+
 
 class TestAdaptJoint:
     def test_improves_over_initialization(self, source_setup, target_splits):
@@ -163,6 +183,16 @@ class TestAdaptJoint:
         for key in ("loss_sup", "loss_dt_d", "loss_dt_e", "loss_st_src",
                     "loss_st_sup", "loss_st_unsup"):
             assert row[key] > 0.0
+
+    def test_stop_grad_prototypes_changes_the_update_not_the_first_losses(
+            self, source_setup, target_splits):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        (a, ra), (b, rb) = [
+            adapt_joint(net, d1, d2, d3, quick_config(steps=2, stop_grad_prototypes=stop),
+                        head_classes=2, reinit_head=True) for stop in (False, True)]
+        assert ra.rows[0] == rb.rows[0]
+        assert any((p.data != b.params[name].data).any() for name, p in a.params.items())
 
     def test_degenerate_weights_match_fine_tune_exactly(self, source_setup, target_splits):
         net, _, d1 = source_setup
@@ -510,3 +540,57 @@ class TestAdversarialStep:
         with pytest.raises(TrainDivergence, match="'sup' became non-finite at step 1"):
             run_baseline("fine_tune", d2, quick_config(steps=2), source_net=net,
                          head_classes=2, reinit_head=True)
+
+
+class TestStepLoopSeam:
+    """The benchmark times a procedure through ``trainer.time`` and
+    ``TrainRecord.log``: the first ``time()`` call starts the step loop after
+    all set-up, and each ``log`` call ends a step."""
+
+    PROCEDURES = {
+        "pretrain_source": ([], lambda net, d1, d2, d3, cfg: pretrain_source(
+            d1, synth_embedding_spec(n_classes=3), replace(cfg, pretrain_steps=cfg.steps,
+                                                           eval_every=2))),
+        "target_only": ([], lambda net, d1, d2, d3, cfg: run_baseline(
+            "target_only", d2, cfg, net_spec=synth_embedding_spec(n_classes=2))),
+        "fine_tune": (["clone"], lambda net, d1, d2, d3, cfg: run_baseline(
+            "fine_tune", d2, cfg, source_net=net, head_classes=2, reinit_head=True)),
+        "adapt_joint": (["clone", "prototypes"], lambda net, d1, d2, d3, cfg: adapt_joint(
+            net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)),
+        "adapt_unsupervised": (["clone"], lambda net, d1, d2, d3, cfg: adapt_unsupervised(
+            net, d1, _shifted_unlabeled(), cfg)),
+    }
+
+    @pytest.mark.parametrize("procedure", list(PROCEDURES))
+    def test_clock_starts_after_set_up_and_log_ends_each_step(
+            self, monkeypatch, source_setup, target_splits, procedure):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        set_up, run = self.PROCEDURES[procedure]
+        events = []
+
+        class Clock:
+            @staticmethod
+            def time():
+                events.append("time")
+                return 0.0
+
+        def recorded(event, fn):
+            def wrapper(*args, **kwargs):
+                events.append(event)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        log = trainer.TrainRecord.log
+        monkeypatch.setattr(trainer, "time", Clock)
+        monkeypatch.setattr(trainer, "clone_into_target",
+                            recorded("clone", trainer.clone_into_target))
+        monkeypatch.setattr(trainer, "source_prototypes",
+                            recorded("prototypes", trainer.source_prototypes))
+        monkeypatch.setattr(trainer.TrainRecord, "log", lambda record, step, *rest: (
+            events.append(("log", step)), log(record, step, *rest)))
+        run(net, d1, d2, d3, quick_config(steps=3))
+        assert events.count("time") == 2
+        start = events.index("time")
+        assert events[:start] == set_up
+        assert events[start + 1:] == [("log", 1), ("log", 2), ("log", 3), "time"]
