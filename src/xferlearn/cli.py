@@ -228,10 +228,16 @@ def cmd_transfer(cfg: Config) -> int:
 
 
 def cmd_uda(cfg: Config) -> int:
-    out = _prepare_outdir(cfg)
     ckpt_path = _require(cfg.checkpoint, "source checkpoint")
     d1 = _load_source(cfg)
     pool = _load_target_pool(cfg)
+    # adapt_unsupervised scores the target with the source head: one label space
+    foreign = sorted(set(cfg.target_classes or pool.classes)
+                     - set(cfg.source_classes or d1.classes))
+    if foreign:
+        raise UsageError(f"uda needs the target classes among the source classes; "
+                         f"{foreign} are not")
+    out = _prepare_outdir(cfg)
     test = _load_test(cfg)
     n_classes = len(set(d1.classes))
     rows = []

@@ -34,6 +34,11 @@ class Config(TrainConfig):
     target_classes: tuple = ()
     source_subsample: int = 0  # cap on source training images, 0 = all
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed")
+
 
 _TUPLE_INT = {"seeds", "k_values", "source_classes", "target_classes", "disc_taps",
               "head_widths", "methods"}

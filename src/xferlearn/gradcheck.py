@@ -166,6 +166,29 @@ def _cases(rng, corrupt=False):
 
         return f, rand(4, 2, 3, 3)
 
+    def _pool_input(r):
+        # distinct values 0.1 apart: no central difference moves a window's extreme
+        return Tensor(r.permutation(96).reshape(2, 2, 4, 6) * 0.1)
+
+    def _signed_gamma(r):
+        # channel 1 maps falling: its windows pool their min
+        return Tensor(r.uniform(0.5, 1.5, 2) * np.array([1.0, -1.0]))
+
+    def case_bn_pool_x(r):
+        gamma, beta, c = _signed_gamma(r), rand(2), rand(2, 2, 2, 3)
+        return lambda x: (T.batchnorm2d(x, gamma, beta, np.zeros(2), np.ones(2), training=True,
+                                        pool=2) * c).sum(), _pool_input(r)
+
+    def case_bn_pool_gamma(r):
+        x, beta, c = _pool_input(r), rand(2), rand(2, 2, 2, 3)
+        return lambda g: (T.batchnorm2d(x, g, beta, np.zeros(2), np.ones(2), training=True,
+                                        pool=2) * c).sum(), _signed_gamma(r)
+
+    def case_bn_pool_beta(r):
+        x, gamma, c = _pool_input(r), _signed_gamma(r), rand(2, 2, 2, 3)
+        return lambda b: (T.batchnorm2d(x, gamma, b, np.zeros(2), np.ones(2), training=True,
+                                        pool=2) * c).sum(), rand(2)
+
     def case_softmax(r):
         c = rand(3, 4)
         return lambda x: (T.softmax(x, temperature=1.5) * c).sum(), rand(3, 4)
@@ -282,6 +305,9 @@ def _cases(rng, corrupt=False):
     yield "batchnorm2d_gamma", case_bn_gamma
     yield "batchnorm2d_beta", case_bn_beta
     yield "batchnorm2d_x_eval", case_bn_x_eval
+    yield "batchnorm2d_pool_x", case_bn_pool_x
+    yield "batchnorm2d_pool_gamma", case_bn_pool_gamma
+    yield "batchnorm2d_pool_beta", case_bn_pool_beta
     yield "softmax", case_softmax
     yield "log_softmax", case_logsoftmax
     yield "entropy", case_entropy

@@ -150,7 +150,9 @@ class EmbeddingNetwork:
             raise BuildError(f"no layer {until!r} to stop at")
         taps = []
         h = x
-        for name, ls in self.spec.layers:
+        layers = self.spec.layers
+        pooled = False  # the last batchnorm applied the maxpool after it
+        for i, (name, ls) in enumerate(layers):
             if ls.kind == "conv":
                 h = T.conv2d(
                     h,
@@ -160,9 +162,18 @@ class EmbeddingNetwork:
                     padding=ls.padding,
                 )
             elif ls.kind == "maxpool":
-                h = T.maxpool2d(h, size=ls.kernel, stride=ls.stride)
+                if not pooled:
+                    h = T.maxpool2d(h, size=ls.kernel, stride=ls.stride)
+                pooled = False
             elif ls.kind == "batchnorm":
                 mean, var = self.running_stats[name]
+                fuse = {}
+                if self._fuses_pool(i, until):
+                    pooled = True
+                    fuse["pool"] = layers[i + 1][1].kernel
+                    # a conv output that nothing else reads may be centred in place
+                    fuse["overwrite_x"] = (i > 0 and layers[i - 1][1].kind == "conv"
+                                           and not self._exposed(layers[i - 1][0], until))
                 h = T.batchnorm2d(
                     h,
                     self.params[f"{self.prefix}{name}.gamma"],
@@ -170,6 +181,7 @@ class EmbeddingNetwork:
                     mean,
                     var,
                     training=self.training,
+                    **fuse,
                 )
             elif ls.kind == "relu":
                 h = T.relu(h)
@@ -186,6 +198,20 @@ class EmbeddingNetwork:
             if name == until:
                 break
         return h, taps
+
+    def _exposed(self, name: str, until: str | None) -> bool:
+        """Whether a forward to ``until`` hands out layer ``name``'s output."""
+        return name in self.spec.taps or name == until
+
+    def _fuses_pool(self, i: int, until: str | None) -> bool:
+        """Whether batchnorm layer i applies the max pool that follows it
+        (T.batchnorm2d's ``pool``): BN's own output is then never made, so it
+        must be neither a tap nor the ``until`` target."""
+        layers = self.spec.layers
+        if i + 1 == len(layers) or self._exposed(layers[i][0], until):
+            return False
+        nxt = layers[i + 1][1]
+        return nxt.kind == "maxpool" and nxt.kernel == nxt.stride
 
     def __call__(self, x: Tensor):
         return self.forward(x)

@@ -698,70 +698,129 @@ def _fold_max(parts: Sequence[np.ndarray], codes: bool):
     return out, code
 
 
+def _pool(a: np.ndarray, size: int, codes: bool):
+    """Max of each non-overlapping size x size window of a (N, C, H, W).
+
+    Folds np.maximum over the columns of each window row, then over the
+    rows, which gives the bytes of a row-major fold of the window.  With
+    codes, also the picks that _unpool reads: per window row the column of
+    its first maximum, per window the row, and the windows that hold no NaN
+    if some do.  Else the picks are None.
+    """
+    n, c, h, w = a.shape
+    windows = a.reshape(n, c, h // size, size, w // size, size)
+    row_max, cols = _fold_max([windows[..., j] for j in range(size)], codes)
+    out, rows = _fold_max([row_max[:, :, :, i] for i in range(size)], codes)
+    if not codes:
+        return out, None
+    keep = None
+    nan = np.isnan(out, out=_like(out, np.bool_))
+    if nan.any():
+        keep = np.logical_not(nan, out=nan)
+    return out, (cols, rows, keep)
+
+
+def _unpool(g: np.ndarray, picks, shape, layout, size: int) -> np.ndarray:
+    """g (N, C, Ho, Wo) scattered onto each window's pick in a fresh zero
+    (N, C, H, W) array with its axes in memory in ``layout``.  Each window
+    position is one multiply of g by a pick mask of g's size."""
+    cols, rows, keep = picks
+    n, c, h, w = shape
+    gx = _empty(shape, g.dtype, layout)
+    gx_windows = gx.reshape(n, c, h // size, size, w // size, size)  # a view: it splits h and w
+    row, pick = _like(rows, np.bool_), _like(rows, np.bool_)
+    for i in range(size):
+        np.equal(rows, i, out=row)
+        if keep is not None:
+            row &= keep
+        for j in range(size):
+            np.equal(cols[:, :, :, i], j, out=pick)
+            pick &= row
+            np.multiply(g, pick, out=gx_windows[:, :, :, i, :, j])
+    return gx
+
+
+def _check_pool(shape, size: int) -> None:
+    h, w = shape[2:]
+    if h % size or w % size:
+        raise ShapeError(f"maxpool2d dims {h}x{w} not divisible by stride {size}")
+
+
 def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     """Non-overlapping max pooling.  A window holding NaN outputs NaN.
 
-    The output folds np.maximum over the columns of each window row, then
-    over the rows, which gives the bytes of a row-major fold of the window.
     The gradient goes to the first maximum of each window in row-major
     order; a window whose maximum is NaN passes no gradient.  Only when a
-    graph is recorded does the forward keep pick codes for the backward: per
-    window row the column of its first maximum, per window the row, and the
-    windows that hold NaN if there are any.  It never keeps x.
+    graph is recorded does the forward keep pick codes for the backward
+    (see _pool).  It never keeps x.
     """
     if size != stride:
         raise ShapeError("maxpool2d supports size == stride only")
-    n, c, h, w = x.data.shape
-    if h % stride or w % stride:
-        raise ShapeError(f"maxpool2d dims {h}x{w} not divisible by stride {stride}")
-    ho, wo = h // stride, w // stride
-    windows = x.data.reshape(n, c, ho, size, wo, size)
-    codes = _records((x,))
-    row_max, cols = _fold_max([windows[..., j] for j in range(size)], codes)
-    out_data, rows = _fold_max([row_max[:, :, :, i] for i in range(size)], codes)
-    keep = None
-    if codes:
-        nan = np.isnan(out_data, out=_like(out_data, np.bool_))
-        if nan.any():
-            keep = np.logical_not(nan, out=nan)
+    _check_pool(x.data.shape, size)
+    out_data, picks = _pool(x.data, size, _records((x,)))
+    shape = x.data.shape
     layout = np.argsort(x.data.strides, kind="stable")[::-1]  # x's axes, outermost first
 
     def bwd(g):
-        g_rows = _like(cols, g.dtype)  # g on each window's first-maximum row
-        for i in range(size):
-            pick = np.equal(rows, i, out=_like(rows, np.bool_))
-            if keep is not None:
-                pick &= keep
-            np.multiply(g, pick, out=g_rows[:, :, :, i])
-        gx = _empty((n, c, h, w), g.dtype, layout)
-        gx_windows = gx.reshape(n, c, ho, size, wo, size)  # a view: it splits h and w
-        for j in range(size):
-            pick = np.equal(cols, j, out=_like(cols, np.bool_))
-            np.multiply(g_rows, pick, out=gx_windows[..., j])
-        return (gx,)
+        return (_unpool(g, picks, shape, layout, size),)
 
     return _make(out_data, "maxpool2d", (x,), bwd)
 
 
+def _monotone(mag: np.ndarray, add: np.ndarray) -> bool:
+    """Whether v -> v*mag + add, per channel, maps each window's extreme to
+    the extreme of its image with the same bytes and NaN exactly where the
+    extreme is NaN: mag finite and nonzero, add finite and not -0."""
+    return bool(np.isfinite(mag).all() and (mag != 0).all() and np.isfinite(add).all()
+                and not (np.signbit(add) & (add == 0)).any())
+
+
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                 running_var: np.ndarray, training: bool, momentum: float = 0.1,
-                eps: float = 1e-5) -> Tensor:
+                eps: float = 1e-5, pool: int = 1, overwrite_x: bool = False) -> Tensor:
     """Per-channel batch normalization over an N x C x H x W tensor.
 
     Training mode normalizes by the batch statistics (two-pass variance) and
     updates the running stats arrays in place; eval mode is one per-channel
     multiply-add by the running statistics.  The input gradient is the closed
     form of Ioffe & Szegedy (2015).
+
+    With ``pool=k`` it returns ``maxpool2d(batchnorm2d(x), k, k)`` without
+    making the full-size BN output.  Per channel BN is a chain of correctly
+    rounded monotone ops, v -> v*mag + add, so the window max of its output
+    is BN of the window max of its input (of the min where mag < 0), bit for
+    bit: the op pools v (xhat in training, x in eval mode), with the sign of
+    mag folded in so that one max pool serves every channel, and applies
+    |mag| and add to the pooled map.  A pick can differ from the two ops' only
+    where rounding ties BN outputs of different inputs.  Where the map is
+    not strictly monotone or can make -0 (see _monotone) the op pools BN's
+    full-size output instead.  The backward scatters g onto the picks, as
+    maxpool2d's does, and then runs BN's in the saved xhat.
+
+    ``overwrite_x`` lets train mode centre x's own data into xhat; only a
+    caller that owns x and reads it no more may pass it.
     """
     n, c, h, w = x.data.shape
     m = n * h * w
     x3 = x.data.reshape(n, c, h * w)
+    if pool > 1:
+        _check_pool(x.data.shape, pool)
     if training:
         if n < 2:
             raise ParameterError("batchnorm2d needs batch size >= 2 in train mode")
+        mag, add = gamma.data, beta.data
+    else:
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        mag = gamma.data * inv_std  # the scale
+        add = beta.data - running_mean * mag  # the shift
+    fused = pool > 1 and _monotone(mag, add)
+    # -1 where the map falls: those channels are pooled by their min, as the max of -v.
+    # The op multiplies by it rather than negating, which keeps a NaN's bytes.
+    sign = np.sign(mag) if fused and (mag < 0).any() else None
+    if training:
         mean = x3.mean(axis=(0, 2))
         # centred copy, scaled in place into xhat below
-        xhat = np.subtract(x3, mean[:, None], out=_like(x3))
+        xhat = np.subtract(x3, mean[:, None], out=x3 if overwrite_x else _like(x3))
         var = np.einsum("ncp,ncp->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
@@ -769,34 +828,49 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         running_var *= 1.0 - momentum
         running_var += momentum * var * m / max(m - 1, 1)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std[:, None]
-        out_data = np.multiply(xhat, gamma.data[:, None],
-                               out=_like(xhat, np.result_type(xhat, gamma.data)))
-        out_data += beta.data[:, None]
-        saved = xhat
+        # times sign, if any: xhat then holds -xhat where the map falls
+        xhat *= (inv_std if sign is None else inv_std * sign.astype(inv_std.dtype))[:, None]
+        saved = v = xhat
     else:
-        inv_std = 1.0 / np.sqrt(running_var + eps)
-        scale = gamma.data * inv_std
-        out_data = x3 * scale[:, None]
-        out_data += (beta.data - running_mean * scale)[:, None]
+        v = x3 if sign is None else x3 * sign.astype(x3.dtype)[:, None]
         saved = x3  # the backward keeps xhat in training and x3 in eval mode, never both
+    picks = None
+    shape = x.data.shape
+    if fused:
+        pooled, picks = _pool(v.reshape(shape), pool, _records((x, gamma, beta)))
+        out_data = pooled.astype(np.result_type(pooled, mag), copy=False)
+        out_data *= np.abs(mag)[:, None, None]
+        out_data += add[:, None, None]
+    else:
+        out_data = np.multiply(v, mag[:, None], out=_like(v, np.result_type(v, mag)))
+        out_data += add[:, None]
+        out_data = out_data.reshape(shape)
+        if pool > 1:
+            out_data, picks = _pool(out_data, pool, _records((x, gamma, beta)))
+    layout = np.argsort(x.data.strides, kind="stable")[::-1]
 
     def bwd(g):
+        if pool > 1:
+            g = _unpool(g, picks, shape, layout, pool)
         g3 = g.reshape(n, c, h * w)
         xh = saved if training else (saved - running_mean[:, None]) * inv_std[:, None]
         gbeta = g3.sum(axis=(0, 2))
-        ggamma = np.einsum("ncp,ncp->c", g3, xh)
+        ggamma = np.einsum("ncp,ncp->c", g3, xh)  # times sign in training
         s = (gamma.data * inv_std)[:, None]
-        if training:  # s*g - s*(ggamma/m)*xhat - s*gbeta/m
-            gx = np.multiply(xh, (ggamma / m)[:, None], out=_like(xh, np.result_type(xh, ggamma)))
+        if training:  # s*g - s*(ggamma/m)*xhat - s*gbeta/m, in xhat: this node runs once
+            dtype = np.result_type(xh, ggamma)
+            gx = np.multiply(xh, (ggamma / m)[:, None],
+                             out=xh if xh.dtype == dtype else _like(xh, dtype))
             gx += (gbeta / m)[:, None]
             np.subtract(g3, gx, out=gx)
             gx *= s
         else:
             gx = g3 * s
+        if sign is not None and training:
+            ggamma *= sign.astype(ggamma.dtype)
         return gx.reshape(n, c, h, w), ggamma, gbeta
 
-    return _make(out_data.reshape(n, c, h, w), "batchnorm2d", (x, gamma, beta), bwd)
+    return _make(out_data, "batchnorm2d", (x, gamma, beta), bwd)
 
 
 # -- softmax / entropy ---------------------------------------------------

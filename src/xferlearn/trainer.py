@@ -63,6 +63,16 @@ class TrainConfig:
             raise ValueError("temperatures must be > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
+        for name in ("steps", "pretrain_steps", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("batch_source", "batch_unlabeled", "src_proto_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (self.lr > 0 and np.isfinite(self.lr)):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be None (no clipping) or > 0, got {self.grad_clip}")
 
 
 @dataclass

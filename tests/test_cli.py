@@ -55,6 +55,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, {"alpha": "-1"})
 
+    @pytest.mark.parametrize("key, raw", [
+        ("steps", "-1"), ("pretrain_steps", "-3"), ("eval_every", "-1"),
+        ("batch_source", "0"), ("batch_unlabeled", "0"), ("src_proto_per_class", "0"),
+        ("lr", "0"), ("lr", "-0.001"), ("lr", "inf"), ("lr", "nan"),
+        ("grad_clip", "0"), ("grad_clip", "-1"), ("grad_clip", "nan"), ("seeds", ""),
+    ])
+    def test_out_of_range_value_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: raw})
+
+    def test_range_boundaries_accepted(self):
+        cfg = load_config(None, {"steps": "0", "pretrain_steps": "0", "eval_every": "0",
+                                 "batch_source": "1", "batch_unlabeled": "1",
+                                 "src_proto_per_class": "1", "lr": "1e-9", "grad_clip": "",
+                                 "seeds": "7"})
+        assert cfg.grad_clip is None and cfg.seeds == (7,)
+        assert load_config(None, {"grad_clip": "0.5"}).grad_clip == 0.5
+
     def test_dump_roundtrip(self, tmp_path):
         cfg = load_config(None, {"alpha": "0.25", "seeds": "3,4",
                                  "experiment": "synth"})
@@ -133,6 +151,30 @@ class TestCli:
 
     def test_unknown_override_is_usage_error(self):
         assert main(["pretrain", "--bogus", "1"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pretrain_steps", "-3"),  # died in save_checkpoint with a struct.error traceback
+        ("--grad_clip", "-1"),  # exited 0 after Adam had climbed the loss
+        ("--grad_clip", "0"),  # exited 0 after zeroing every update
+        ("--seeds", ""),  # exited 0 with an empty seeds.txt
+    ])
+    def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "pre"
+        assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag[2:] in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_uda_with_target_classes_outside_the_source_is_usage_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "source.ckpt"
+        ckpt.write_bytes(b"")  # never read: the label spaces are checked first
+        out = tmp_path / "uda"
+        code = main(["uda", *SYNTH_ARGS, "--output_dir", str(out), "--checkpoint", str(ckpt),
+                     "--source_classes", "0,1,2", "--target_classes", "2,3,4", "--seeds", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "[3, 4]" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path):
         code = main(["transfer", *SYNTH_ARGS, "--output_dir", str(tmp_path / "o"),

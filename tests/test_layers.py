@@ -1,6 +1,11 @@
 """Network assembly: shape pass, initialization determinism, taps, cloning."""
 
 import contextlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +234,88 @@ class TestPoolBeforeRelu:
         assert outs[0] == outs[1]
 
 
+def _bn_calls(monkeypatch):
+    """The (pool, overwrite_x) of every T.batchnorm2d call from here on."""
+    calls = []
+    batchnorm2d = T.batchnorm2d
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs.get("pool", 1), kwargs.get("overwrite_x", False)))
+        return batchnorm2d(*args, **kwargs)
+
+    monkeypatch.setattr(T, "batchnorm2d", spy)
+    return calls
+
+
+def _step(net, x, until=None):
+    """Bytes of the output, the taps and the parameter gradients of one forward and backward."""
+    for p in net.parameters():
+        p.grad = None
+    out, taps = net.forward(x, until=until)
+    backward((out * Tensor(np.linspace(-1, 1, out.data.size).reshape(out.shape))).sum())
+    return ([out.data.tobytes()] + [t.data.tobytes() for _, t in taps]
+            + [p.grad.tobytes() for p in net.parameters() if p.grad is not None])
+
+
+class TestBatchnormPoolFusion:
+    """forward applies the max pool after each BN inside T.batchnorm2d, and lets
+    it centre the conv output in place, unless a tap or ``until`` hands out
+    the output the fusion would not make or would overwrite."""
+
+    X = np.random.default_rng(4).normal(0, 1, (4, 1, 32, 32))
+
+    def test_every_digit_block_fuses_and_reuses_its_conv_output(self, monkeypatch):
+        calls = _bn_calls(monkeypatch)
+        net = EmbeddingNetwork(digit_embedding_spec(), seed=0)
+        net.forward(Tensor(self.X))
+        net.eval()
+        net.forward(Tensor(self.X))
+        assert calls == [(2, True)] * 8
+
+    @pytest.mark.parametrize("taps, until, want", [
+        (("conv2", "bn3", "fc1"), None, [(2, True), (2, False), (1, False), (2, True)]),
+        (("fc1",), "bn2", [(2, True), (1, False)]),
+        (("conv2",), "pool2", [(2, True), (2, False)]),
+        (("bn1", "pool2"), "pool2", [(1, False), (2, True)]),
+    ])
+    def test_exposed_layers_are_not_fused_or_overwritten(self, monkeypatch, taps, until, want):
+        calls = _bn_calls(monkeypatch)
+        spec = digit_embedding_spec(taps=taps)
+        fused = _step(EmbeddingNetwork(spec, seed=1), Tensor(self.X), until)
+        assert calls == want
+        monkeypatch.setattr(EmbeddingNetwork, "_fuses_pool", lambda self, i, until: False)
+        assert fused == _step(EmbeddingNetwork(spec, seed=1), Tensor(self.X), until)
+
+    def test_a_tapped_conv_output_keeps_its_bytes(self):
+        net = EmbeddingNetwork(digit_embedding_spec(taps=("conv1", "conv3")), seed=2)
+        alone = [EmbeddingNetwork(digit_embedding_spec(), seed=2).forward(
+            Tensor(self.X), until=name)[0].data.copy() for name in ("conv1", "conv3")]
+        logits, taps = net.forward(Tensor(self.X))
+        for (name, tap), want in zip(taps, alone):
+            np.testing.assert_array_equal(tap.data.view(np.uint32), want.view(np.uint32))
+        backward(logits.sum())
+        for (name, tap), want in zip(taps, alone):
+            np.testing.assert_array_equal(tap.data.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("spec", [digit_embedding_spec(), synth_embedding_spec(n_classes=3)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_fused_forward_matches_the_two_ops_bit_for_bit(self, monkeypatch, spec, training):
+        c, h, w = spec.input_shape
+        x = Tensor(np.random.default_rng(5).normal(0, 1, (6, c, h, w)))
+        results = []
+        for fuse in (True, False):
+            if not fuse:
+                monkeypatch.setattr(EmbeddingNetwork, "_fuses_pool", lambda self, i, until: False)
+            net = EmbeddingNetwork(spec, seed=3)
+            for name, (mean, var) in net.running_stats.items():  # away from the identity
+                mean += 0.1
+                var *= 1.5
+            net.training = training
+            results.append(_step(net, x) + [a.tobytes() for pair in net.running_stats.values()
+                                            for a in pair])
+        assert results[0] == results[1]
+
+
 class TestRunningStatsDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_running_stats_stay_in_the_current_dtype(self, dtype):
@@ -257,3 +344,54 @@ class TestRunningStatsDtype:
             assert (loaded.running_stats["bn1"][0] != 0.25).all()
             loaded.eval()
             assert loaded.forward(x)[0].data.dtype == dtype
+
+
+_ARENA_PEAKS = """
+import json
+import numpy as np
+from xferlearn import layers, tensor
+from xferlearn.tensor import Tensor, backward
+
+take, live = tensor._Arena.take, [0]
+
+def counting_take(arena, nbytes):
+    block = take(arena, nbytes)
+    in_use = sum(n for a in tensor._ARENAS for n, _ in list(a.live.values()))
+    live[0] = max(live[0], in_use)
+    return block
+
+tensor._Arena.take = counting_take
+net = layers.EmbeddingNetwork(layers.digit_embedding_spec(n_classes=5), seed=0)
+x = Tensor(np.random.default_rng(0).normal(0, 1, (128, 1, 32, 32)))
+logits, _ = net.forward(x)
+backward(tensor.log_softmax(logits).sum())
+print(json.dumps({"top": max(a.top for a in tensor._ARENAS), "live": live[0]}))
+"""
+
+MIB = 1 << 20
+
+
+class TestTrainingMemory:
+    """Arena memory of one 128-image digit-net forward and backward in train mode.
+
+    In a fresh process the arenas are cut the same way on every run, so both
+    numbers are exact: ``top``, the end of the highest block ever taken (the
+    pages the step touched), and ``live``, the most bytes in use at once.
+    Before batchnorm2d applied the pool they were 122753024 and 111673344;
+    with it they are 110555136 and 97509376.  The peak in use has moved to
+    conv2's backward, where block 1's xhat (32 MiB, kept for BN1's backward)
+    and conv2's gradient buffers are live together, so neither number can
+    drop by a whole block-1 map.  Each bound is the old value less one pooled
+    block-1 map (8 MiB); pooling BN's full-size output again breaks ``live``.
+    """
+
+    def test_the_step_stays_below_the_two_op_peaks(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _ARENA_PEAKS], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        peaks = json.loads(out)
+        assert peaks["top"] <= 122753024 - 8 * MIB, peaks
+        assert peaks["live"] <= 111673344 - 8 * MIB, peaks

@@ -1,5 +1,6 @@
 """Tensor core: op semantics against brute-force oracles, backward rules."""
 
+import contextlib
 import math
 import platform
 import resource
@@ -460,6 +461,138 @@ class TestBatchnormOracleProperties:
                 backward((out * Tensor(layout(g))).sum())
             for got, expected in zip((out.data, got_rm, got_rv, xt.grad, gt.grad, bt.grad), want):
                 np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-9)
+
+
+def _bn_pool_pair(x, gamma, beta, rm, rv, training, g, size, fused, layout=np.ascontiguousarray):
+    """Output, running statistics and the x/gamma/beta gradients of sum(g * pooled BN),
+    by the pool=size op (fused) or by batchnorm2d then maxpool2d."""
+    xt, gt, bt = (Tensor(a, requires_grad=True) for a in (layout(x), gamma, beta))
+    rm, rv = rm.copy(), rv.copy()
+    if fused:
+        out = T.batchnorm2d(xt, gt, bt, rm, rv, training=training, pool=size)
+    else:
+        out = T.maxpool2d(T.batchnorm2d(xt, gt, bt, rm, rv, training=training), size, size)
+    backward((out * Tensor(layout(g))).sum())
+    return out.data, rm, rv, xt.grad, gt.grad, bt.grad
+
+
+def _assert_bytes_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestBatchnormPool:
+    """batchnorm2d(pool=k) gives maxpool2d(batchnorm2d(x)) byte for byte."""
+
+    @given(st.sampled_from([2, 3]), st.integers(2, 3), st.integers(1, 4), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 6), st.booleans(), st.sampled_from(LAYOUTS),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_equal_bn_then_pool(self, size, n, c, ho, wo, levels, training, layout,
+                                      dtype, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct levels: windows mix ties with unique extremes, and distinct
+        # inputs stay apart after BN, so no pick can move
+        x = (rng.integers(0, levels, (n, c, ho * size, wo * size)) * 0.75
+             + rng.normal(0, 2)).astype(dtype)
+        gamma = rng.uniform(0.25, 2, c) * rng.choice([-1.0, 1.0], c)  # both signs
+        beta, rm, rv = rng.normal(0, 1, c), rng.normal(0, 1, c), rng.uniform(0.2, 3, c)
+        g = rng.normal(0, 1, (n, c, ho, wo))
+        with use_float64() if dtype == np.float64 else contextlib.nullcontext():
+            gamma, beta, rm, rv, g = (a.astype(dtype) for a in (gamma, beta, rm, rv, g))
+            pair = [_bn_pool_pair(x, gamma, beta, rm, rv, training, g, size, fused, layout)
+                    for fused in (True, False)]
+        _assert_bytes_equal(*pair)
+        if layout is channel_major:
+            assert is_channel_major(pair[0][0]) and is_channel_major(pair[0][3])
+
+    @given(st.sampled_from([2, 3]), st.integers(2, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_naive_loops(self, size, n, c, ho, wo, training, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(rng.normal(0, 2), rng.uniform(0.5, 3), (n, c, ho * size, wo * size))
+        gamma = rng.uniform(0.25, 2, c) * rng.choice([-1.0, 1.0], c)
+        beta, rm, rv = rng.normal(0, 1, c), rng.normal(0, 1, c), rng.uniform(0.2, 3, c)
+        g = rng.normal(0, 1, (n, c, ho, wo))
+        bn, want_rm, want_rv, *_ = naive_batchnorm(x, gamma, beta, rm, rv, training,
+                                                  np.zeros_like(x))
+        grads = naive_batchnorm(x, gamma, beta, rm, rv, training,
+                                naive_maxpool_grad(bn, g, size))[3:]
+        with use_float64():
+            got = _bn_pool_pair(x, gamma, beta, rm, rv, training, g, size, True)
+        want = (naive_maxpool(bn, size), want_rm, want_rv) + grads
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-9)
+
+    def test_negative_gamma_pools_the_window_min(self):
+        x = np.array([3, 1, 4, 2, 0, 5, 7, 6], np.float32).reshape(2, 1, 2, 2)
+        gamma, beta = np.array([-1.5], np.float32), np.array([0.5], np.float32)
+        rm, rv = np.zeros(1, np.float32), np.ones(1, np.float32)
+        out, _, _, gx, _, _ = _bn_pool_pair(x, gamma, beta, rm, rv, False,
+                                            np.ones((2, 1, 1, 1), np.float32), 2, True)
+        scale = gamma * (1.0 / np.sqrt(rv + 1e-5))
+        np.testing.assert_array_equal(out.reshape(2), np.array([1, 0], np.float32) * scale + beta)
+        np.testing.assert_array_equal(gx.reshape(2, 4) != 0, [[0, 1, 0, 0], [1, 0, 0, 0]])
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("beta0", [0.0, -0.0])
+    def test_zero_gamma_and_signed_zero_beta_keep_the_two_ops_bytes(self, training, beta0):
+        rng = np.random.default_rng(7)
+        x = rng.normal(0, 1, (3, 4, 4, 4)).astype(np.float32)
+        x[:, 3] = -0.0  # an all-zero channel: xhat is -0 there
+        gamma = np.array([0.0, -0.0, 1.5, 0.0], np.float32)
+        beta = np.array([beta0, beta0, beta0, 2.0], np.float32)
+        g = rng.normal(0, 1, (3, 4, 2, 2)).astype(np.float32)
+        rm, rv = np.zeros(4, np.float32), np.ones(4, np.float32)
+        pair = [_bn_pool_pair(x, gamma, beta, rm, rv, training, g, 2, fused, channel_major)
+                for fused in (True, False)]
+        _assert_bytes_equal(*pair)
+        out = pair[0][0]
+        assert (out[:, :2] == 0).all() and (out[:, 3] == 2.0).all()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_nan_windows_output_nan_and_pass_no_gradient(self, training):
+        rng = np.random.default_rng(8)
+        x = rng.normal(0, 1, (2, 3, 4, 6)).astype(np.float32)
+        x[0, 0, 1, 1] = np.nan  # window (0, 0, 0, 0)
+        x[1, 2, 3, 5] = np.nan  # window (1, 2, 1, 2)
+        gamma = np.array([1.0, -0.5, -2.0], np.float32)
+        beta = np.array([0.1, 0.2, 0.3], np.float32)
+        g = rng.normal(0, 1, (2, 3, 2, 3)).astype(np.float32)
+        rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
+        pair = [_bn_pool_pair(x, gamma, beta, rm, rv, training, g, 2, fused)
+                for fused in (True, False)]
+        _assert_bytes_equal(*pair)
+        out, gx = pair[0][0], pair[0][3]
+        if training:  # NaN in a channel's statistics takes the whole channel
+            assert np.isnan(out[:, [0, 2]]).all() and not np.isnan(out[:, 1]).any()
+        else:
+            assert np.isnan(out).sum() == 2 and np.isnan(out[0, 0, 0, 0])
+            assert np.isnan(out[1, 2, 1, 2])
+            assert (gx[0, 0, :2, :2] == 0).all() and (gx[1, 2, 2:, 4:] == 0).all()
+
+    def test_overwrite_x_writes_only_x(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(0, 1, (4, 3, 4, 4)).astype(np.float32)
+        gamma, beta = np.array([1.0, -1.0, 0.5], np.float32), np.zeros(3, np.float32)
+        g = rng.normal(0, 1, (4, 3, 2, 2)).astype(np.float32)
+        want = _bn_pool_pair(x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
+                             True, g, 2, True, channel_major)
+        xt, gt, bt = Tensor(channel_major(x), requires_grad=True), Tensor(gamma), Tensor(beta)
+        rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
+        out = T.batchnorm2d(xt, gt, bt, rm, rv, training=True, pool=2, overwrite_x=True)
+        assert not np.array_equal(xt.data, x)  # x's own memory now holds xhat
+        backward((out * Tensor(g)).sum())
+        _assert_bytes_equal((out.data, rm, rv, xt.grad), want[:4])
+        np.testing.assert_array_equal(gt.data, gamma)
+        np.testing.assert_array_equal(bt.data, beta)
+
+    def test_non_divisible_rejected(self):
+        with pytest.raises(ShapeError):
+            T.batchnorm2d(Tensor(np.zeros((2, 1, 5, 4))), Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                          np.zeros(1), np.ones(1), training=True, pool=2)
 
 
 def _bn(training):
