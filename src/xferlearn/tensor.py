@@ -560,35 +560,69 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding, ho, wo):
     return _unpad(out, padding)
 
 
-def _shifted_grads(planes: np.ndarray, w: np.ndarray, g: np.ndarray, need_gx: bool):
-    """Weight gradient and padded input gradient of a stride-1 convolution.
+# bytes of one destination column block of the shifted input gradient
+_GRAD_BLOCK_BYTES = 1 << 20
 
-    On the flattened padded grid (C, L), L = N*Hp*Wp, output pixel (n, oi, oj)
-    sits at column n*Hp*Wp + oi*Wp + oj, and kernel offset (i, j) reads the
-    column i*Wp + j further on.  With g zero-filled onto the same grid, each
-    offset is one GEMM over contiguous column slices, so neither im2col
-    columns nor a col2im scatter are needed (cf. Cho & Brand, 2017).
+
+def _shifted_grid(g: np.ndarray, hp: int, wp: int, kh: int, kw: int) -> np.ndarray:
+    """g (N, F, Ho, Wo) zero-filled onto the flattened padded grid (F, span) of
+    a stride-1 convolution; span ends after the last output pixel's column.
+
+    On the grid (C, L), L = N*Hp*Wp, output pixel (n, oi, oj) sits at column
+    n*Hp*Wp + oi*Wp + oj, and kernel offset (i, j) reads the column i*Wp + j
+    further on, so each offset of either gradient is one GEMM over
+    contiguous column slices: neither im2col columns nor a col2im scatter
+    are needed (cf. Cho & Brand, 2017).
     """
-    c, n, hp, wp = planes.shape
-    f, _, kh, kw = w.shape
+    n, f = g.shape[:2]
     length = n * hp * wp
-    span = length - (kh - 1) * wp - (kw - 1)  # the last output pixel's column + 1
     grid = _zeros((f, n, hp, wp), g.dtype)
     grid[:, :, :g.shape[2], :g.shape[3]] = g.transpose(1, 0, 2, 3)
-    grid = grid.reshape(f, length)[:, :span]
-    flat = planes.reshape(c, length)
-    gw = np.empty((kh, kw, f, c), dtype=g.dtype)
-    wt = w.transpose(2, 3, 1, 0).copy()  # (kh, kw, C, F)
-    gxp = _zeros((c, length), g.dtype) if need_gx else None
-    term = _empty((c, span), g.dtype) if need_gx else None
+    return grid.reshape(f, length)[:, :length - (kh - 1) * wp - (kw - 1)]
+
+
+def _shifted_weight_grad(planes: np.ndarray, grid: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Weight gradient (F, C, kh, kw) of a stride-1 convolution of padded
+    planes (C, N, Hp, Wp): one GEMM per kernel offset (see _shifted_grid)."""
+    c, n, hp, wp = planes.shape
+    f, span = grid.shape
+    flat = planes.reshape(c, n * hp * wp)
+    gw = np.empty((kh, kw, f, c), dtype=grid.dtype)
     for i in range(kh):
         for j in range(kw):
             off = i * wp + j
             np.matmul(grid, flat[:, off:off + span].T, out=gw[i, j])
-            if need_gx:
-                gxp[:, off:off + span] += np.matmul(wt[i, j], grid, out=term)
-    gw = gw.transpose(2, 3, 0, 1).copy()
-    return gw, None if gxp is None else gxp.reshape(c, n, hp, wp)
+    return gw.transpose(2, 3, 0, 1).copy()
+
+
+def _shifted_input_grad(w: np.ndarray, grid: np.ndarray, shape) -> np.ndarray:
+    """Padded input gradient (C, N, Hp, Wp) of a stride-1 convolution.
+
+    Each destination block of columns, at most _GRAD_BLOCK_BYTES, is zeroed
+    and then takes every kernel offset's GEMM term that lands in it, in
+    offset order, so each element sums the same terms in the same order as
+    one whole-grid accumulation while the block stays in cache.
+    """
+    c, n, hp, wp = shape
+    f, kh, kw = w.shape[0], w.shape[2], w.shape[3]
+    length = n * hp * wp
+    span = grid.shape[1]
+    wt = w.transpose(2, 3, 1, 0).copy()  # (kh, kw, C, F)
+    gxp = _empty((c, length), grid.dtype)
+    width = max(1, _GRAD_BLOCK_BYTES // (c * grid.itemsize))
+    term = np.empty((c, width), grid.dtype)
+    for start in range(0, length, width):
+        stop = min(start + width, length)
+        dst = gxp[:, start:stop]
+        dst.fill(0)
+        for i in range(kh):
+            for j in range(kw):
+                off = i * wp + j
+                lo, hi = max(start - off, 0), min(stop - off, span)  # grid columns landing here
+                if lo < hi:
+                    part = np.matmul(wt[i, j], grid[:, lo:hi], out=term[:, :hi - lo])
+                    dst[:, lo + off - start:hi + off - start] += part
+    return gxp.reshape(c, n, hp, wp)
 
 
 def _block_forward(planes: np.ndarray, wmat: np.ndarray, bias: np.ndarray, kh: int, kw: int):
@@ -633,8 +667,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     At stride 1 with C > 1 the forward builds its columns per image block
     from the padded planes (_block_forward) and the backward keeps only those
-    planes (_shifted_grads).  Otherwise both are one im2col GEMM, and the
-    backward keeps the columns.
+    planes, which it frees after the weight gradient (see _shifted_grid).
+    Otherwise both are one im2col GEMM, and the backward keeps the columns.
     """
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
@@ -662,11 +696,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     need_gx = x.requires_grad or x.node is not None  # not an input leaf like the images
 
     def bwd(g):
+        nonlocal planes
         gmat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
         gb = gmat.sum(axis=1)
         if shifted:
-            gw, gxp = _shifted_grads(planes, w.data, g, need_gx)
-            return None if gxp is None else _unpad(gxp, padding), gw, gb
+            c, hp, wp = planes.shape[0], planes.shape[2], planes.shape[3]
+            grid = _shifted_grid(g, hp, wp, kh, kw)
+            gw = _shifted_weight_grad(planes, grid, kh, kw)
+            planes = None  # this node runs once: free the planes before the input gradient
+            if not need_gx:
+                return None, gw, gb
+            return _unpad(_shifted_input_grad(w.data, grid, (c, n, hp, wp)), padding), gw, gb
         gw = (gmat @ cols.T).reshape(w.data.shape)
         if not need_gx:
             return None, gw, gb
