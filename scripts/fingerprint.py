@@ -15,13 +15,19 @@ bits exactly when their outputs are equal:
     PYTHONPATH=old/src python3 scripts/fingerprint.py --seeds 0 1 2 3 > old.txt
     PYTHONPATH=new/src python3 scripts/fingerprint.py --seeds 0 1 2 3 > new.txt
     diff old.txt new.txt
+
+With ``--shadow`` each run is repeated under ``tensor.use_float64()``, and
+one more line per step gives each loss term's relative deviation from its
+float64 value, |float32 - float64| / |float64| (the absolute deviation
+where the float64 value is 0).  It tells whether a change moves float32
+away from the exact values or only reorders their rounding.
 """
 
 import argparse
 import hashlib
 import sys
 
-from xferlearn import data, layers, metrics, trainer
+from xferlearn import data, layers, metrics, tensor, trainer
 
 WORKLOADS = ("finetune_k5", "joint_k5", "pretrain", "uda")
 TERMS = ("loss_sup", "loss_dt_d", "loss_dt_e", "loss_st_src", "loss_st_sup",
@@ -80,11 +86,17 @@ def run(workload: str, seed: int, steps: int):
     return net, record, test
 
 
+def deviation(got: float, exact: float) -> float:
+    return abs(got - exact) / abs(exact) if exact else abs(got - exact)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--steps", type=int, default=5)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--shadow", action="store_true",
+                        help="also print each loss term's deviation from a float64 rerun")
     args = parser.parse_args(argv)
     for workload in args.workloads:
         for seed in args.seeds:
@@ -97,6 +109,13 @@ def main(argv=None) -> int:
                 print(f"{tag} step={row['step']} {terms}")
             print(f"{tag} state_sha256={state_sha256(net)}")
             print(f"{tag} eval_acc={metrics.evaluate(net, test).accuracy!r}")
+            if args.shadow:
+                with tensor.use_float64():
+                    _, exact, _ = run(workload, seed, args.steps)
+                for row, want in zip(record.rows, exact.rows):
+                    terms = " ".join(f"{t}={deviation(float(row[t]), float(want[t])):.2e}"
+                                     for t in TERMS)
+                    print(f"{tag} step={row['step']} shadow {terms}")
     return 0
 
 

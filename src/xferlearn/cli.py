@@ -80,7 +80,9 @@ def _require(path: str, what: str) -> str:
 def _load_source(cfg: Config) -> D.LabeledDataset:
     if cfg.experiment == "synth":
         classes = cfg.source_classes or (0, 1, 2, 3, 4)
-        return D.synth_digits(200, classes, image_size=16, seed=cfg.seed)
+        ds = D.synth_digits(200, classes, image_size=16, seed=cfg.seed)
+        # numbered 0..C-1 like the filtered IDX source: the head has C outputs
+        return D.filter_classes(ds, cfg.source_classes) if cfg.source_classes else ds
     ds = D.load_idx(_require(cfg.source_images, "source images"),
                     _require(cfg.source_labels, "source labels"), name="source")
     if cfg.source_classes:
@@ -122,6 +124,19 @@ def _load_test(cfg: Config) -> D.LabeledDataset:
     if cfg.target_classes:
         ds = D.filter_classes(ds, cfg.target_classes)
     return _resize_ds(ds, _image_size(cfg))
+
+
+def _in_source_order(ds: D.LabeledDataset, cfg: Config) -> D.LabeledDataset:
+    """A target set of ``uda`` labelled in the order of the source head's outputs.
+
+    The loaders number the target classes 0..k-1 in ascending order where
+    ``target_classes`` is set, and the source classes 0..C-1 where
+    ``source_classes`` is set; otherwise a label is the class id.  Every
+    target class is a source class (``cmd_uda`` checks that first).
+    """
+    ids = np.asarray(sorted(cfg.target_classes))[ds.labels] if cfg.target_classes else ds.labels
+    labels = np.searchsorted(sorted(cfg.source_classes), ids) if cfg.source_classes else ids
+    return D.LabeledDataset(images=ds.images, labels=labels.astype(np.int64), name=ds.name)
 
 
 def _write_metrics(path: Path, rows) -> None:
@@ -238,7 +253,7 @@ def cmd_uda(cfg: Config) -> int:
         raise UsageError(f"uda needs the target classes among the source classes; "
                          f"{foreign} are not")
     out = _prepare_outdir(cfg)
-    test = _load_test(cfg)
+    pool, test = _in_source_order(pool, cfg), _in_source_order(_load_test(cfg), cfg)
     n_classes = len(set(d1.classes))
     rows = []
     for seed in cfg.seeds:

@@ -189,6 +189,37 @@ def _cases(rng, corrupt=False):
         return lambda b: (T.batchnorm2d(x, gamma, b, np.zeros(2), np.ones(2), training=True,
                                         pool=2) * c).sum(), rand(2)
 
+    def _block_case(r):
+        """Images, conv weights and bias, BN's gamma (both signs) and beta, and a
+        weighting of the pooled output, drawn until every window's extreme
+        leads the rest of its window by 0.05 or more in BN's output, so that
+        no central difference moves a pick."""
+        while True:
+            x, w, b = rand(3, 1, 4, 6), rand(4, 1, 3, 3), rand(4)
+            gamma = Tensor(r.uniform(0.5, 1.5, 4) * np.array([1.0, -1.0, 1.0, -1.0]))
+            bn = T.batchnorm2d(T.conv2d(x, w, b, padding=1), gamma, rand(4), np.zeros(4),
+                               np.ones(4), training=True).data
+            windows = np.sort(bn.reshape(3, 4, 2, 2, 3, 2).transpose(0, 1, 2, 4, 3, 5)
+                              .reshape(3, 4, 2, 3, 4), axis=-1)
+            if (windows[..., -1] - windows[..., -2]).min() >= 0.05:
+                return x, w, b, gamma, rand(4), rand(3, 4, 2, 3)
+
+    def _block(x, w, b, gamma, beta, c):
+        bn = (gamma, beta, np.zeros(4), np.ones(4))
+        return (T.conv2d(x, w, b, padding=1, bn=bn, pool=2) * c).sum()
+
+    def case_conv_bn_pool_w(r):
+        x, w, b, gamma, beta, c = _block_case(r)
+        return lambda w: _block(x, w, b, gamma, beta, c), w
+
+    def case_conv_bn_pool_gamma(r):
+        x, w, b, gamma, beta, c = _block_case(r)
+        return lambda gamma: _block(x, w, b, gamma, beta, c), gamma
+
+    def case_conv_bn_pool_beta(r):
+        x, w, b, gamma, beta, c = _block_case(r)
+        return lambda beta: _block(x, w, b, gamma, beta, c), beta
+
     def case_softmax(r):
         c = rand(3, 4)
         return lambda x: (T.softmax(x, temperature=1.5) * c).sum(), rand(3, 4)
@@ -308,6 +339,9 @@ def _cases(rng, corrupt=False):
     yield "batchnorm2d_pool_x", case_bn_pool_x
     yield "batchnorm2d_pool_gamma", case_bn_pool_gamma
     yield "batchnorm2d_pool_beta", case_bn_pool_beta
+    yield "conv2d_bn_pool_weight", case_conv_bn_pool_w
+    yield "conv2d_bn_pool_gamma", case_conv_bn_pool_gamma
+    yield "conv2d_bn_pool_beta", case_conv_bn_pool_beta
     yield "softmax", case_softmax
     yield "log_softmax", case_logsoftmax
     yield "entropy", case_entropy

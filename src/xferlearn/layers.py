@@ -151,25 +151,33 @@ class EmbeddingNetwork:
         taps = []
         h = x
         layers = self.spec.layers
-        pooled = False  # the last batchnorm applied the maxpool after it
+        skip = 0  # layers that the op of an earlier layer has applied
         for i, (name, ls) in enumerate(layers):
-            if ls.kind == "conv":
+            if skip:
+                skip -= 1
+            elif ls.kind == "conv":
+                fuse = {}
+                if self._fuses_block(i, until, h):
+                    skip = 2
+                    bn = layers[i + 1][0]
+                    fuse["bn"] = (self.params[f"{self.prefix}{bn}.gamma"],
+                                  self.params[f"{self.prefix}{bn}.beta"], *self.running_stats[bn])
+                    fuse["pool"] = layers[i + 2][1].kernel
                 h = T.conv2d(
                     h,
                     self.params[f"{self.prefix}{name}.w"],
                     self.params[f"{self.prefix}{name}.b"],
                     stride=ls.stride,
                     padding=ls.padding,
+                    **fuse,
                 )
             elif ls.kind == "maxpool":
-                if not pooled:
-                    h = T.maxpool2d(h, size=ls.kernel, stride=ls.stride)
-                pooled = False
+                h = T.maxpool2d(h, size=ls.kernel, stride=ls.stride)
             elif ls.kind == "batchnorm":
                 mean, var = self.running_stats[name]
                 fuse = {}
                 if self._fuses_pool(i, until):
-                    pooled = True
+                    skip = 1
                     fuse["pool"] = layers[i + 1][1].kernel
                     # a conv output that nothing else reads may be centred in place
                     fuse["overwrite_x"] = (i > 0 and layers[i - 1][1].kind == "conv"
@@ -212,6 +220,22 @@ class EmbeddingNetwork:
             return False
         nxt = layers[i + 1][1]
         return nxt.kind == "maxpool" and nxt.kernel == nxt.stride
+
+    def _fuses_block(self, i: int, until: str | None, h: Tensor) -> bool:
+        """Whether conv layer i, the batchnorm and the max pool after it run as
+        one ``T.conv2d(..., bn=, pool=)`` op on its input ``h``: in training, on
+        an input that needs no gradient (the images), where the conv's columns
+        are at most as many rows (C*k*k) as it has output channels, and with
+        none of the three layers a tap or the ``until`` target."""
+        layers = self.spec.layers
+        if (not self.training or h.requires_grad or h.node is not None
+                or i + 2 >= len(layers)):
+            return False
+        conv, bn, pool = (ls for _, ls in layers[i:i + 3])
+        return (bn.kind == "batchnorm" and pool.kind == "maxpool"
+                and pool.kernel == pool.stride
+                and h.shape[1] * conv.kernel ** 2 <= conv.out_channels
+                and not any(self._exposed(name, until) for name, _ in layers[i:i + 3]))
 
     def __call__(self, x: Tensor):
         return self.forward(x)

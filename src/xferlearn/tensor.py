@@ -33,6 +33,9 @@ _RECORDING = True  # False inside no_grad()
 # im2col bytes per image block of a stride-1 conv forward: a block's columns
 # stay near the caches, where numpy's copies run about twice as fast
 _COLUMN_BUDGET = 8 << 20
+# bytes of the signed xhat of one image block in the conv-BN-pool op
+# (_conv_bn_pool): its GEMM output, pool folds and codes stay in L2 cache
+_MAP_BUDGET = 1 << 20
 
 
 def _reuse_freed_memory() -> None:
@@ -662,13 +665,21 @@ def _block_forward(planes: np.ndarray, wmat: np.ndarray, bias: np.ndarray, kh: i
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
+           bn: tuple | None = None, pool: int = 1) -> Tensor:
     """Cross-correlate x (N, C, H, W) with w (F, C, kh, kw) and add the bias.
 
     At stride 1 with C > 1 the forward builds its columns per image block
     from the padded planes (_block_forward) and the backward keeps only those
     planes, which it frees after the weight gradient (see _shifted_grid).
     Otherwise both are one im2col GEMM, and the backward keeps the columns.
+
+    With ``bn=(gamma, beta, running_mean, running_var)`` it returns
+    ``maxpool2d(batchnorm2d(conv2d(x, w, bias), gamma, beta, running_mean,
+    running_var, training=True), pool, pool)``, updating the running
+    statistics.  Where x needs no gradient this is one op that works from
+    the im2col columns alone (see _conv_bn_pool); otherwise, or where that op
+    does not apply, it is the conv then ``batchnorm2d(..., pool=pool)``.
     """
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
@@ -679,6 +690,20 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"conv2d non-integral output for input {x.data.shape}, "
             f"kernel {w.data.shape}, stride {stride}, padding {padding}"
         )
+    if bn is None:
+        return _conv(x, w, bias, stride, padding)
+    _check_pool((n, f, (h + 2 * padding - kh) // stride + 1,
+                 (wd + 2 * padding - kw) // stride + 1), pool)
+    out = _conv_bn_pool(x, w, bias, *bn, stride, padding, pool)
+    if out is None:
+        out = batchnorm2d(_conv(x, w, bias, stride, padding), *bn, training=True, pool=pool,
+                          overwrite_x=True)
+    return out
+
+
+def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
+    n, c = x.data.shape[:2]
+    f, _, kh, kw = w.data.shape
     planes = _planes(x.data, padding)
     wmat = w.data.reshape(f, -1)
     shifted = stride == 1 and c > 1
@@ -807,6 +832,9 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     return _make(out_data, "maxpool2d", (x,), bwd)
 
 
+_BN_MOMENTUM, _BN_EPS = 0.1, 1e-5  # batchnorm2d's defaults, which layers use
+
+
 def _monotone(mag: np.ndarray, add: np.ndarray) -> bool:
     """Whether v -> v*mag + add, per channel, maps each window's extreme to
     the extreme of its image with the same bytes and NaN exactly where the
@@ -815,9 +843,18 @@ def _monotone(mag: np.ndarray, add: np.ndarray) -> bool:
                 and not (np.signbit(add) & (add == 0)).any())
 
 
+def _update_running(running_mean, running_var, mean, var, m: int, momentum: float) -> None:
+    """Move the running statistics towards a batch's, in place."""
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    # running var uses the unbiased estimate, matching common practice
+    running_var *= 1.0 - momentum
+    running_var += momentum * var * m / max(m - 1, 1)
+
+
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, training: bool, momentum: float = 0.1,
-                eps: float = 1e-5, pool: int = 1, overwrite_x: bool = False) -> Tensor:
+                running_var: np.ndarray, training: bool, momentum: float = _BN_MOMENTUM,
+                eps: float = _BN_EPS, pool: int = 1, overwrite_x: bool = False) -> Tensor:
     """Per-channel batch normalization over an N x C x H x W tensor.
 
     Training mode normalizes by the batch statistics (two-pass variance) and
@@ -862,11 +899,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         # centred copy, scaled in place into xhat below
         xhat = np.subtract(x3, mean[:, None], out=x3 if overwrite_x else _like(x3))
         var = np.einsum("ncp,ncp->c", xhat, xhat) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        # running var uses the unbiased estimate, matching common practice
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * m / max(m - 1, 1)
+        _update_running(running_mean, running_var, mean, var, m, momentum)
         inv_std = 1.0 / np.sqrt(var + eps)
         # times sign, if any: xhat then holds -xhat where the map falls
         xhat *= (inv_std if sign is None else inv_std * sign.astype(inv_std.dtype))[:, None]
@@ -911,6 +944,134 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         return gx.reshape(n, c, h, w), ggamma, gbeta
 
     return _make(out_data, "batchnorm2d", (x, gamma, beta), bwd)
+
+
+def _window_columns(planes: np.ndarray, kh: int, kw: int, stride: int, pool: int):
+    """im2col columns of planes (C, N, Hp, Wp) in pool-window order.
+
+    Returns cols (C*kh*kw, pool, pool, N, Ho/pool, Wo/pool): cols[:, i, j,
+    n, a, b] is the column of output pixel (n, pool*a + i, pool*b + j), so
+    the columns of each window position are one contiguous block per row.
+    """
+    c, n, hp, wp = planes.shape
+    hq = ((hp - kh) // stride + 1) // pool
+    wq = ((wp - kw) // stride + 1) // pool
+    step = stride * pool
+    cols = _empty((c, kh, kw, pool, pool, n, hq, wq), planes.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            for i in range(pool):
+                for j in range(pool):
+                    r, s = stride * i + ki, stride * j + kj
+                    cols[:, ki, kj, i, j] = planes[:, :, r:r + step * hq:step,
+                                                   s:s + step * wq:step]
+    return cols.reshape(c * kh * kw, pool, pool, n, hq, wq)
+
+
+def _conv_bn_pool(x: Tensor, w: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
+                  running_mean: np.ndarray, running_var: np.ndarray, stride: int,
+                  padding: int, pool: int) -> Tensor | None:
+    """conv2d, training-mode batchnorm2d and a pool x pool max pool of images
+    x that need no gradient, from x's im2col columns; None where it does not
+    apply (see below), and then nothing is changed.
+
+    Each conv output is y_fp = w_f.x_p + b_f, with x_p the K-wide column of
+    pixel p (K = C*kh*kw) and P the number of pixels.  With mu the mean
+    column and S the K x K covariance of the columns, both in float64, BN's
+    batch mean is w_f.mu + b_f and its variance w_f' S w_f, so
+    xhat_fp = inv_std_f w_f.(x_p - mu): the bias drops out and no conv
+    output is needed for the statistics.  The forward centres the columns
+    in place and, for each block of images whose map fits _MAP_BUDGET,
+    makes v = sign(gamma_f) xhat_fp by one GEMM per window position with W's
+    rows scaled by sign(gamma_f) inv_std_f, max-pools it at once (channels
+    with gamma < 0 pool their min, as in batchnorm2d) and writes
+    |gamma_f| max + beta_f.  It keeps the centred columns, one uint8 pick
+    code per window (row * pool + column of its first maximum in row-major
+    order) and K-sized vectors; the full-size map never exists.
+
+    The backward takes the gradient g of the pooled output.  With
+    A_f = sum_q g_qf (x_pick(q) - mu), one GEMM of the picks' columns per
+    window position, it returns
+      g_beta_f  = sum_q g_qf,
+      g_gamma_f = inv_std_f w_f.A_f,
+      g_w_f     = gamma_f inv_std_f (A_f - g_gamma_f inv_std_f S w_f),
+      g_b       = 0 exactly, since the bias cancels in xhat,
+    and no gradient for x.
+
+    It does not apply, and conv2d takes the conv then batchnorm2d(pool=),
+    where x needs a gradient, the batch has one image, an image is not
+    finite or is so large that a centred column would overflow, S or the
+    bias is not finite, or v -> v |gamma| inv_std + beta would not keep the
+    pooled bytes (see _monotone): gamma = 0, a non-finite gamma, w or beta,
+    or a -0 beta.  Where it applies v is finite, so no window holds NaN.
+    """
+    xd = x.data
+    n = xd.shape[0]
+    f, c, kh, kw = w.data.shape
+    k = c * kh * kw
+    limit = np.finfo(xd.dtype).max / 2  # then every centred column entry is finite
+    if x.requires_grad or x.node is not None or n < 2 or not np.abs(xd).max() <= limit:
+        return None
+    cols = _window_columns(_planes(xd, padding), kh, kw, stride, pool)
+    _, _, _, _, hq, wq = cols.shape
+    flat = cols.reshape(k, -1)
+    m = flat.shape[1]
+    mu = flat.mean(axis=1, dtype=np.float64)
+    centred = np.subtract(flat, mu[:, None], out=_empty((k, m), np.float64))
+    cov = (centred @ centred.T) / m
+    wk = w.data.reshape(f, k).astype(np.float64)
+    var = np.einsum("fk,kl,fl->f", wk, cov, wk)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+    gamma64 = gamma.data.astype(np.float64)
+    if not (np.isfinite(cov).all() and np.isfinite(bias.data).all()
+            and _monotone(gamma64 * inv_std, beta.data)):
+        return None
+    _update_running(running_mean, running_var, wk @ mu + bias.data, var, m, _BN_MOMENTUM)
+    np.copyto(flat, centred)
+    del centred  # 8 bytes a column entry: free it before the map blocks
+    dtype = xd.dtype
+    wv = (wk * (np.sign(gamma64) * inv_std)[:, None]).astype(dtype)
+    mag, add = np.abs(gamma.data).astype(dtype), beta.data.astype(dtype)
+    recording = _records((x, w, bias, gamma, beta))
+    q = hq * wq
+    out = _empty((f, n, hq, wq), dtype)
+    codes = _empty((f, n, hq, wq), np.uint8) if recording else None
+    block = max(1, min(n, _MAP_BUDGET // (f * pool * pool * q * cols.itemsize)))
+    v = _empty((pool, pool, f, block * q), dtype)
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        for i in range(pool):
+            for j in range(pool):
+                np.matmul(wv, cols[:, i, j, start:start + b].reshape(k, b * q),
+                          out=v[i, j, :, :b * q])
+        row_max, col = _fold_max([v[:, j, :, :b * q] for j in range(pool)], recording)
+        top, row = _fold_max(list(row_max), recording)
+        dst = out[:, start:start + b]
+        np.multiply(top.reshape(f, b, hq, wq), mag[:, None, None, None], out=dst)
+        dst += add[:, None, None, None]
+        if recording:  # row * pool + col[row], with uint8 arithmetic only
+            code = np.multiply(row, pool, dtype=np.uint8)
+            for i in range(pool):
+                code += np.equal(row, i).view(np.uint8) * col[i]
+            codes[:, start:start + b] = code.reshape(f, b, hq, wq)
+
+    def bwd(g):
+        gq = g.transpose(1, 0, 2, 3).reshape(f, n * q)
+        gbeta = gq.sum(axis=1, dtype=np.float64)
+        flat_codes = codes.reshape(f, n * q)
+        mask, picked = _like(flat_codes, np.bool_), _like(gq)
+        a = np.zeros((f, k))
+        for i in range(pool):
+            for j in range(pool):
+                np.equal(flat_codes, i * pool + j, out=mask)
+                np.multiply(gq, mask, out=picked)
+                a += picked @ cols[:, i, j].reshape(k, n * q).T
+        ggamma = inv_std * np.einsum("fk,fk->f", wk, a)
+        gw = (gamma64 * inv_std)[:, None] * (a - (ggamma * inv_std)[:, None] * (wk @ cov))
+        return (None, gw.reshape(w.data.shape).astype(dtype), np.zeros_like(bias.data),
+                ggamma.astype(dtype), gbeta.astype(dtype))
+
+    return _make(out.transpose(1, 0, 2, 3), "conv2d", (x, w, bias, gamma, beta), bwd)
 
 
 # -- softmax / entropy ---------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from xferlearn.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint)
 from xferlearn.cli import CSV_FIELDS, main
 from xferlearn.config import Config, ConfigError, dump_config, load_config
+from xferlearn.data import synth_digits
+from xferlearn.metrics import evaluate
 from xferlearn.layers import EmbeddingNetwork, synth_embedding_spec
 
 
@@ -225,6 +227,27 @@ class TestCli:
         rows = read_csv(ud / "uda.csv")
         assert list(rows[0]) == ["seed", "source_only", "adapted"]
         assert 0.0 <= float(rows[0]["adapted"]) <= 1.0
+
+    def test_uda_scores_target_classes_in_the_source_label_order(self, tmp_path):
+        classes = ["--source_classes", "0,1,2", "--target_classes", "1,2"]
+        pre = tmp_path / "pre"
+        assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(pre), *classes]) == 0
+        ud = tmp_path / "uda"
+        assert main(["uda", *SYNTH_ARGS, "--output_dir", str(ud), *classes,
+                     "--checkpoint", str(pre / "source.ckpt"), "--seeds", "0"]) == 0
+        # the source net on the uda test images, labelled by their class ids,
+        # which are the source head's outputs for classes 0, 1 and 2
+        net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
+        net.load_state_dict(load_checkpoint(pre / "source.ckpt").tensors)
+        test = synth_digits(50, (1, 2), image_size=16, seed=999, domain_shift=True)
+        want = evaluate(net, test).accuracy
+        assert float(read_csv(ud / "uda.csv")[0]["source_only"]) == want
+
+    def test_synth_source_classes_are_numbered_from_zero(self, tmp_path):
+        pre = tmp_path / "pre"
+        assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(pre),
+                     "--source_classes", "2,3,4"]) == 0
+        assert load_checkpoint(pre / "source.ckpt").tensors["fc2.b"].shape == (3,)
 
     def test_deterministic_reruns_bit_identical(self, tmp_path):
         outs = []

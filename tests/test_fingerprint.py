@@ -28,3 +28,16 @@ def test_two_runs_print_identical_fingerprints():
     # the final accuracy of each run, and pretraining's evaluation at step 2
     assert [i for i, line in enumerate(lines) if "eval_acc=" in line] == [3, 7, 9, 11, 15]
     assert _fingerprint(*args) == first
+
+
+def test_the_float64_shadow_prints_small_deviations():
+    lines = _fingerprint("--seeds", "0", "--steps", "1", "--shadow").splitlines()
+    shadow = [line for line in lines if " shadow " in line]
+    assert [line.split()[0] for line in shadow] == ["finetune_k5", "joint_k5", "pretrain", "uda"]
+    for line in shadow:
+        assert line.split()[1:4] == ["seed=0", "step=1", "shadow"]
+        deviations = [float(term.split("=")[1]) for term in line.split()[4:]]
+        assert len(deviations) == 7 and all(0.0 <= d < 1e-3 for d in deviations)
+    # the float32 lines are the fingerprint itself
+    assert [line for line in lines if " shadow " not in line] == _fingerprint(
+        "--seeds", "0", "--steps", "1").splitlines()

@@ -220,7 +220,10 @@ class TestPoolBeforeRelu:
             results.append((out.data.tobytes(), xt.grad.tobytes()))
         assert results[0] == results[1]
 
-    def test_digit_net_matches_relu_then_pool_bit_for_bit(self):
+    def test_digit_net_matches_relu_then_pool_bit_for_bit(self, monkeypatch):
+        # conv1, bn1 and pool1 as one op needs bn1 directly before pool1, so
+        # it is off here: the two nets run the same ops in both orders
+        monkeypatch.setattr(EmbeddingNetwork, "_fuses_block", lambda self, i, until, h: False)
         x = Tensor(np.random.default_rng(3).normal(0, 1, (4, 1, 32, 32)))
         outs = []
         for spec in (digit_embedding_spec(), _relu_then_pool(digit_embedding_spec())):
@@ -234,17 +237,33 @@ class TestPoolBeforeRelu:
         assert outs[0] == outs[1]
 
 
-def _bn_calls(monkeypatch):
-    """The (pool, overwrite_x) of every T.batchnorm2d call from here on."""
+def _block_calls(monkeypatch):
+    """("conv2d", pool) for every T.conv2d call from here on, pool 1 for a
+    plain conv, and ("batchnorm2d", pool, overwrite_x) for every T.batchnorm2d."""
     calls = []
-    batchnorm2d = T.batchnorm2d
+    conv2d, batchnorm2d = T.conv2d, T.batchnorm2d
 
-    def spy(*args, **kwargs):
-        calls.append((kwargs.get("pool", 1), kwargs.get("overwrite_x", False)))
+    def conv_spy(*args, **kwargs):
+        calls.append(("conv2d", kwargs.get("pool", 1)))
+        return conv2d(*args, **kwargs)
+
+    def bn_spy(*args, **kwargs):
+        calls.append(("batchnorm2d", kwargs.get("pool", 1), kwargs.get("overwrite_x", False)))
         return batchnorm2d(*args, **kwargs)
 
-    monkeypatch.setattr(T, "batchnorm2d", spy)
+    monkeypatch.setattr(T, "conv2d", conv_spy)
+    monkeypatch.setattr(T, "batchnorm2d", bn_spy)
     return calls
+
+
+def _no_conv_block_op(monkeypatch):
+    """Run conv1, bn1 and pool1 as conv2d then batchnorm2d(pool=) from here on."""
+    monkeypatch.setattr(EmbeddingNetwork, "_fuses_block", lambda self, i, until, h: False)
+
+
+CONV, CONV_BN_POOL = ("conv2d", 1), ("conv2d", 2)
+BN_POOL_IN_PLACE, BN_POOL, BN = ("batchnorm2d", 2, True), ("batchnorm2d", 2, False), (
+    "batchnorm2d", 1, False)
 
 
 def _step(net, x, until=None):
@@ -258,37 +277,55 @@ def _step(net, x, until=None):
 
 
 class TestBatchnormPoolFusion:
-    """forward applies the max pool after each BN inside T.batchnorm2d, and lets
-    it centre the conv output in place, unless a tap or ``until`` hands out
-    the output the fusion would not make or would overwrite."""
+    """In training, forward runs conv1, bn1 and pool1 as one T.conv2d(bn=, pool=)
+    op on the images; it applies the max pool after every other BN inside
+    T.batchnorm2d and lets it centre the conv output in place, unless a tap
+    or ``until`` hands out an output the fusion would not make or would
+    overwrite.  The byte-for-byte checks of the BN-pool fusion turn the
+    block op off, so that every block's BN-pool is compared with the two ops."""
 
     X = np.random.default_rng(4).normal(0, 1, (4, 1, 32, 32))
 
     def test_every_digit_block_fuses_and_reuses_its_conv_output(self, monkeypatch):
-        calls = _bn_calls(monkeypatch)
+        calls = _block_calls(monkeypatch)
         net = EmbeddingNetwork(digit_embedding_spec(), seed=0)
         net.forward(Tensor(self.X))
+        assert calls == [CONV_BN_POOL] + [CONV, BN_POOL_IN_PLACE] * 3
+        calls.clear()
         net.eval()
         net.forward(Tensor(self.X))
-        assert calls == [(2, True)] * 8
+        assert calls == [CONV, BN_POOL_IN_PLACE] * 4
 
     @pytest.mark.parametrize("taps, until, want", [
-        (("conv2", "bn3", "fc1"), None, [(2, True), (2, False), (1, False), (2, True)]),
-        (("fc1",), "bn2", [(2, True), (1, False)]),
-        (("conv2",), "pool2", [(2, True), (2, False)]),
-        (("bn1", "pool2"), "pool2", [(1, False), (2, True)]),
+        (("conv2", "bn3", "fc1"), None,
+         [CONV_BN_POOL, CONV, BN_POOL, CONV, BN, CONV, BN_POOL_IN_PLACE]),
+        (("fc1",), "bn2", [CONV_BN_POOL, CONV, BN]),
+        (("conv2",), "pool2", [CONV_BN_POOL, CONV, BN_POOL]),
+        (("bn1", "pool2"), "pool2", [CONV, BN, CONV, BN_POOL_IN_PLACE]),
+        (("conv1",), "pool1", [CONV, BN_POOL]),
+        (("fc1",), "pool1", [CONV, BN_POOL_IN_PLACE]),
     ])
     def test_exposed_layers_are_not_fused_or_overwritten(self, monkeypatch, taps, until, want):
-        calls = _bn_calls(monkeypatch)
+        calls = _block_calls(monkeypatch)
         spec = digit_embedding_spec(taps=taps)
-        fused = _step(EmbeddingNetwork(spec, seed=1), Tensor(self.X), until)
+        _step(EmbeddingNetwork(spec, seed=1), Tensor(self.X), until)
         assert calls == want
+        _no_conv_block_op(monkeypatch)
+        fused = _step(EmbeddingNetwork(spec, seed=1), Tensor(self.X), until)
         monkeypatch.setattr(EmbeddingNetwork, "_fuses_pool", lambda self, i, until: False)
         assert fused == _step(EmbeddingNetwork(spec, seed=1), Tensor(self.X), until)
 
+    def test_an_input_that_needs_a_gradient_keeps_the_two_ops(self, monkeypatch):
+        calls = _block_calls(monkeypatch)
+        x = Tensor(self.X, requires_grad=True)
+        _step(EmbeddingNetwork(digit_embedding_spec(), seed=1), x)
+        assert calls == [CONV, BN_POOL_IN_PLACE] * 4
+        assert x.grad is not None and np.abs(x.grad).max() > 0
+
     def test_a_tapped_conv_output_keeps_its_bytes(self):
-        net = EmbeddingNetwork(digit_embedding_spec(taps=("conv1", "conv3")), seed=2)
-        alone = [EmbeddingNetwork(digit_embedding_spec(), seed=2).forward(
+        spec = digit_embedding_spec(taps=("conv1", "conv3"))
+        net = EmbeddingNetwork(spec, seed=2)
+        alone = [EmbeddingNetwork(spec, seed=2).forward(
             Tensor(self.X), until=name)[0].data.copy() for name in ("conv1", "conv3")]
         logits, taps = net.forward(Tensor(self.X))
         for (name, tap), want in zip(taps, alone):
@@ -300,6 +337,7 @@ class TestBatchnormPoolFusion:
     @pytest.mark.parametrize("spec", [digit_embedding_spec(), synth_embedding_spec(n_classes=3)])
     @pytest.mark.parametrize("training", [True, False])
     def test_fused_forward_matches_the_two_ops_bit_for_bit(self, monkeypatch, spec, training):
+        _no_conv_block_op(monkeypatch)
         c, h, w = spec.input_shape
         x = Tensor(np.random.default_rng(5).normal(0, 1, (6, c, h, w)))
         results = []
@@ -314,6 +352,25 @@ class TestBatchnormPoolFusion:
             results.append(_step(net, x) + [a.tobytes() for pair in net.running_stats.values()
                                             for a in pair])
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("spec", [digit_embedding_spec(), synth_embedding_spec(n_classes=3)])
+    def test_the_block_op_matches_the_two_ops_in_float64(self, monkeypatch, spec):
+        c, h, w = spec.input_shape
+        x = np.random.default_rng(6).normal(0, 1, (6, c, h, w))
+        results = []
+        with use_float64():
+            for op in (True, False):
+                if not op:
+                    _no_conv_block_op(monkeypatch)
+                net = EmbeddingNetwork(spec, seed=3)
+                out, _ = net.forward(Tensor(x))
+                backward((out * Tensor(np.linspace(-1, 1, out.data.size).reshape(out.shape)))
+                         .sum())
+                results.append([out.data] + [p.grad for p in net.parameters()]
+                               + [a for pair in net.running_stats.values() for a in pair])
+        assert not np.any(results[0][2])  # conv1.b: the bias cancels in BN
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 class TestRunningStatsDtype:
@@ -377,12 +434,12 @@ class TestTrainingMemory:
     In a fresh process the arenas are cut the same way on every run, so both
     numbers are exact: ``top``, the end of the highest block ever taken (the
     pages the step touched), and ``live``, the most bytes in use at once.
-    Before batchnorm2d applied the pool they were 122753024 and 111673344;
-    with it they are 110555136 and 97509376.  The peak in use has moved to
-    conv2's backward, where block 1's xhat (32 MiB, kept for BN1's backward)
-    and conv2's gradient buffers are live together, so neither number can
-    drop by a whole block-1 map.  Each bound is the old value less one pooled
-    block-1 map (8 MiB); pooling BN's full-size output again breaks ``live``.
+    With conv1, bn1 and pool1 run as conv2d then batchnorm2d(pool=2) they are
+    103878656 and 90701824: block 1's xhat (32 MiB, kept for BN1's backward)
+    is live at the peak, in conv2's backward.  With the three as one op
+    (conv2d(bn=, pool=2)) no full-size block-1 map exists, and they are
+    56819712 and 47161344.  Each bound is the two-op value less one
+    full-size block-1 map (32 MiB).
     """
 
     def test_the_step_stays_below_the_two_op_peaks(self):
@@ -393,5 +450,5 @@ class TestTrainingMemory:
         out = subprocess.run([sys.executable, "-c", _ARENA_PEAKS], env=env, check=True,
                              capture_output=True, text=True).stdout
         peaks = json.loads(out)
-        assert peaks["top"] <= 122753024 - 8 * MIB, peaks
-        assert peaks["live"] <= 111673344 - 8 * MIB, peaks
+        assert peaks["top"] <= 103878656 - 32 * MIB, peaks
+        assert peaks["live"] <= 90701824 - 32 * MIB, peaks

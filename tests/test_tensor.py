@@ -595,6 +595,124 @@ class TestBatchnormPool:
                           np.zeros(1), np.ones(1), training=True, pool=2)
 
 
+def _conv_bn_pool_pair(x, w, b, gamma, beta, g, stride, padding, size, op, x_grad=False):
+    """Output, running statistics and the w/b/gamma/beta (and x) gradients of
+    sum(g * pooled training-mode BN of the conv), by conv2d(bn=, pool=) (op)
+    or by conv2d then batchnorm2d(pool=size, overwrite_x=True)."""
+    xt = Tensor(x, requires_grad=x_grad)
+    wt, bt, gt, bet = (Tensor(a, requires_grad=True) for a in (w, b, gamma, beta))
+    rm = np.full(len(b), 0.25, T.current_dtype())
+    rv = np.full(len(b), 1.5, T.current_dtype())
+    if op:
+        out = T.conv2d(xt, wt, bt, stride, padding, bn=(gt, bet, rm, rv), pool=size)
+    else:
+        out = T.batchnorm2d(T.conv2d(xt, wt, bt, stride, padding), gt, bet, rm, rv,
+                            training=True, pool=size, overwrite_x=True)
+    backward((out * Tensor(g)).sum())
+    grads = (wt.grad, bt.grad, gt.grad, bet.grad) + ((xt.grad,) if x_grad else ())
+    return (out.data, rm, rv) + grads
+
+
+def _conv_bn_pool_inputs(seed, n=3, c=1, f=10, h=8, w=6, size=2, stride=1, padding=1):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.normal(0, 2), rng.uniform(0.5, 3), (n, c, h, w))
+    wk = rng.uniform(-1, 1, (f, c, 3, 3))
+    b = rng.normal(0, 1, f)
+    gamma = rng.uniform(0.25, 2, f) * rng.choice([-1.0, 1.0], f)  # both signs
+    beta = rng.normal(0, 1, f)
+    ho, wo = (h + 2 * padding - 3) // stride + 1, (w + 2 * padding - 3) // stride + 1
+    g = rng.normal(0, 1, (n, f, ho // size, wo // size))
+    return x, wk, b, gamma, beta, g
+
+
+class TestConvBnPool:
+    """conv2d(x, w, b, bn=(gamma, beta, mean, var), pool=k) on images that need no
+    gradient: maxpool2d(batchnorm2d(conv2d(x)), k, k) in training mode, from
+    x's im2col columns, with the bias gradient exactly 0."""
+
+    @given(st.sampled_from([1, 3]), st.sampled_from([(1, 1, 2, 8, 6), (1, 0, 3, 8, 5),
+                                                     (2, 1, 2, 11, 7)]),
+           st.sampled_from(LAYOUTS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_conv_then_bn_pool_in_float64(self, c, geom, layout, seed):
+        stride, padding, size, h, w = geom
+        x, wk, b, gamma, beta, g = _conv_bn_pool_inputs(seed, c=c, f=3 * c * 3 + 1, h=h, w=w,
+                                                        size=size, stride=stride,
+                                                        padding=padding)
+        with use_float64():
+            got, want = (_conv_bn_pool_pair(layout(x), wk, b, gamma, beta, g, stride, padding,
+                                            size, op) for op in (True, False))
+        assert not got[4].any()  # the bias cancels in BN
+        for name, a, e in zip(("out", "running_mean", "running_var", "w", "b", "gamma",
+                               "beta"), got, want):
+            np.testing.assert_allclose(a, e, rtol=1e-8, atol=1e-9, err_msg=name)
+        assert is_channel_major(got[0])
+
+    def test_float32_stays_closer_to_float64_than_the_two_ops(self):
+        x, wk, b, gamma, beta, g = _conv_bn_pool_inputs(0, n=16, f=16, h=16, w=16)
+        with use_float64():
+            exact = _conv_bn_pool_pair(x, wk, b, gamma, beta, g, 1, 1, 2, False)
+        f32 = [a.astype(np.float32) for a in (x, wk, b, gamma, beta, g)]
+        op, two = (_conv_bn_pool_pair(*f32, 1, 1, 2, flag) for flag in (True, False))
+        for i in (0, 3, 5):  # the output and the w and gamma gradients
+            assert np.abs(op[i] - exact[i]).max() < np.abs(two[i] - exact[i]).max()
+        assert op[0].dtype == np.float32 and not op[4].any()
+
+    def test_no_grad_gives_the_same_output_and_statistics(self):
+        x, wk, b, gamma, beta, _ = (a.astype(np.float32) for a in _conv_bn_pool_inputs(1))
+        outs = []
+        for ctx in (contextlib.nullcontext(), T.no_grad()):
+            rm, rv = np.zeros(10, np.float32), np.ones(10, np.float32)
+            with ctx:
+                out = T.conv2d(Tensor(x), Tensor(wk, requires_grad=True), Tensor(b),
+                               padding=1, bn=(Tensor(gamma), Tensor(beta), rm, rv), pool=2)
+            outs.append((out.data, rm, rv))
+        assert out.node is None
+        _assert_bytes_equal(*outs)
+
+    @pytest.mark.parametrize("case", ["applies", "zero_gamma", "negative_zero_beta", "nan_image",
+                                      "huge_image", "inf_bias", "input_needs_grad",
+                                      "one_image"])
+    def test_falls_back_to_conv_then_bn_pool(self, case):
+        x, wk, b, gamma, beta, g = (a.astype(np.float32) for a in _conv_bn_pool_inputs(2))
+        if case == "zero_gamma":
+            gamma[3] = 0.0
+        elif case == "negative_zero_beta":
+            beta[5] = -0.0
+        elif case == "nan_image":
+            x[1, 0, 2, 3] = np.nan
+        elif case == "huge_image":
+            x[0, 0, 0, 0] = np.finfo(np.float32).max  # its centred column would overflow
+        elif case == "inf_bias":
+            b[0] = np.inf
+        elif case == "one_image":
+            with pytest.raises(ParameterError):
+                _conv_bn_pool_pair(x[:1], wk, b, gamma, beta, g[:1], 1, 1, 2, True)
+            return
+        x_grad = case == "input_needs_grad"
+        with np.errstate(all="ignore"):
+            pair = [_conv_bn_pool_pair(x, wk, b, gamma, beta, g, 1, 1, 2, op, x_grad)
+                    for op in (True, False)]
+        if case == "applies":  # the op's own bytes differ, so equal bytes show the fallback
+            assert not pair[0][4].any() and pair[1][4].any()
+        else:
+            _assert_bytes_equal(*pair)
+
+    def test_the_op_is_one_graph_node_that_keeps_no_full_size_map(self):
+        x, wk, b, gamma, beta, _ = (a.astype(np.float32)
+                                    for a in _conv_bn_pool_inputs(3, n=4, f=64, h=32, w=32))
+        params = [Tensor(a, requires_grad=True) for a in (wk, b, gamma, beta)]
+        out = T.conv2d(Tensor(x), params[0], params[1], padding=1, pool=2,
+                       bn=(params[2], params[3], np.zeros(64, np.float32),
+                           np.ones(64, np.float32)))
+        assert out.node.op == "conv2d" and out.node.inputs[1:] == tuple(params)
+        kept = [cell.cell_contents for cell in out.node.backward_fn.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        # the centred columns (9 x 4096 pixels) are the largest array kept;
+        # the 64 x 4096 map is not
+        assert max(a.nbytes for a in kept) == 9 * 4 * 32 * 32 * 4
+
+
 def _bn(training):
     c = 3
     return lambda x: T.batchnorm2d(x, Tensor(np.full(c, 1.5)), Tensor(np.full(c, 0.5)),
