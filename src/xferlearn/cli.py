@@ -253,7 +253,7 @@ def cmd_uda(cfg: Config) -> int:
         raise UsageError(f"uda needs the target classes among the source classes; "
                          f"{foreign} are not")
     out = _prepare_outdir(cfg)
-    pool, test = _in_source_order(pool, cfg), _in_source_order(_load_test(cfg), cfg)
+    test = _in_source_order(_load_test(cfg), cfg)
     n_classes = len(set(d1.classes))
     rows = []
     for seed in cfg.seeds:

@@ -205,8 +205,9 @@ def _cases(rng, corrupt=False):
                 return x, w, b, gamma, rand(4), rand(3, 4, 2, 3)
 
     def _block(x, w, b, gamma, beta, c):
-        bn = (gamma, beta, np.zeros(4), np.ones(4))
-        return (T.conv2d(x, w, b, padding=1, bn=bn, pool=2) * c).sum()
+        z = T.conv2d(x, w, b, padding=1, lazy=True)
+        return (T.batchnorm2d(z, gamma, beta, np.zeros(4), np.ones(4), training=True,
+                              pool=2) * c).sum()
 
     def case_conv_bn_pool_w(r):
         x, w, b, gamma, beta, c = _block_case(r)

@@ -151,33 +151,26 @@ class EmbeddingNetwork:
         taps = []
         h = x
         layers = self.spec.layers
-        skip = 0  # layers that the op of an earlier layer has applied
+        pooled = False  # the last batchnorm applied the maxpool after it
         for i, (name, ls) in enumerate(layers):
-            if skip:
-                skip -= 1
-            elif ls.kind == "conv":
-                fuse = {}
-                if self._fuses_block(i, until, h):
-                    skip = 2
-                    bn = layers[i + 1][0]
-                    fuse["bn"] = (self.params[f"{self.prefix}{bn}.gamma"],
-                                  self.params[f"{self.prefix}{bn}.beta"], *self.running_stats[bn])
-                    fuse["pool"] = layers[i + 2][1].kernel
+            if ls.kind == "conv":
                 h = T.conv2d(
                     h,
                     self.params[f"{self.prefix}{name}.w"],
                     self.params[f"{self.prefix}{name}.b"],
                     stride=ls.stride,
                     padding=ls.padding,
-                    **fuse,
+                    lazy=self._lazy_conv(i, until),
                 )
             elif ls.kind == "maxpool":
-                h = T.maxpool2d(h, size=ls.kernel, stride=ls.stride)
+                if not pooled:
+                    h = T.maxpool2d(h, size=ls.kernel, stride=ls.stride)
+                pooled = False
             elif ls.kind == "batchnorm":
                 mean, var = self.running_stats[name]
                 fuse = {}
                 if self._fuses_pool(i, until):
-                    skip = 1
+                    pooled = True
                     fuse["pool"] = layers[i + 1][1].kernel
                     # a conv output that nothing else reads may be centred in place
                     fuse["overwrite_x"] = (i > 0 and layers[i - 1][1].kind == "conv"
@@ -221,21 +214,20 @@ class EmbeddingNetwork:
         nxt = layers[i + 1][1]
         return nxt.kind == "maxpool" and nxt.kernel == nxt.stride
 
-    def _fuses_block(self, i: int, until: str | None, h: Tensor) -> bool:
-        """Whether conv layer i, the batchnorm and the max pool after it run as
-        one ``T.conv2d(..., bn=, pool=)`` op on its input ``h``: in training, on
-        an input that needs no gradient (the images), where the conv's columns
-        are at most as many rows (C*k*k) as it has output channels, and with
-        none of the three layers a tap or the ``until`` target."""
+    def _lazy_conv(self, i: int, until: str | None) -> bool:
+        """Whether conv layer i may hand its output uncomputed (T.conv2d's
+        ``lazy``) to the batchnorm after it: in training, for the first layer,
+        where that batchnorm applies the pool and is the conv output's only
+        reader, the output being neither a tap nor the ``until`` target.
+        T.conv2d and T.batchnorm2d then run conv, BN and pool as one op where
+        they can: on input that needs no gradient, the images.  A later conv's
+        input needs no gradient only in a graph-free forward, and the op's
+        bytes differ from the two ops', so it is not offered there: a forward
+        gives the same bytes with and without a graph."""
         layers = self.spec.layers
-        if (not self.training or h.requires_grad or h.node is not None
-                or i + 2 >= len(layers)):
-            return False
-        conv, bn, pool = (ls for _, ls in layers[i:i + 3])
-        return (bn.kind == "batchnorm" and pool.kind == "maxpool"
-                and pool.kernel == pool.stride
-                and h.shape[1] * conv.kernel ** 2 <= conv.out_channels
-                and not any(self._exposed(name, until) for name, _ in layers[i:i + 3]))
+        return (i == 0 and self.training and len(layers) > 1
+                and layers[1][1].kind == "batchnorm" and not self._exposed(layers[0][0], until)
+                and self._fuses_pool(1, until))
 
     def __call__(self, x: Tensor):
         return self.forward(x)

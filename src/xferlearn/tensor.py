@@ -295,7 +295,11 @@ def _records(inputs: Sequence[Tensor]) -> bool:
 
 
 def _make(data, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
-    out = Tensor(data)
+    return _record(Tensor(data), op, inputs, backward_fn)
+
+
+def _record(out: Tensor, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
+    """Give out a graph node if an op on these inputs records one."""
     if _records(inputs):
         out.requires_grad = True
         out.node = GraphNode(op, [t if t.node is None else t.node for t in inputs], backward_fn)
@@ -613,7 +617,7 @@ def _shifted_input_grad(w: np.ndarray, grid: np.ndarray, shape) -> np.ndarray:
     wt = w.transpose(2, 3, 1, 0).copy()  # (kh, kw, C, F)
     gxp = _empty((c, length), grid.dtype)
     width = max(1, _GRAD_BLOCK_BYTES // (c * grid.itemsize))
-    term = np.empty((c, width), grid.dtype)
+    term = _empty((c, width), grid.dtype)
     for start in range(0, length, width):
         stop = min(start + width, length)
         dst = gxp[:, start:stop]
@@ -666,7 +670,7 @@ def _block_forward(planes: np.ndarray, wmat: np.ndarray, bias: np.ndarray, kh: i
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
-           bn: tuple | None = None, pool: int = 1) -> Tensor:
+           lazy: bool = False) -> Tensor:
     """Cross-correlate x (N, C, H, W) with w (F, C, kh, kw) and add the bias.
 
     At stride 1 with C > 1 the forward builds its columns per image block
@@ -674,12 +678,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     planes, which it frees after the weight gradient (see _shifted_grid).
     Otherwise both are one im2col GEMM, and the backward keeps the columns.
 
-    With ``bn=(gamma, beta, running_mean, running_var)`` it returns
-    ``maxpool2d(batchnorm2d(conv2d(x, w, bias), gamma, beta, running_mean,
-    running_var, training=True), pool, pool)``, updating the running
-    statistics.  Where x needs no gradient this is one op that works from
-    the im2col columns alone (see _conv_bn_pool); otherwise, or where that op
-    does not apply, it is the conv then ``batchnorm2d(..., pool=pool)``.
+    With ``lazy``, where x needs no gradient (the images), the output is a
+    _LazyConv: nothing is computed until its data is read, and
+    ``batchnorm2d(..., training=True, pool=k)`` of it runs the conv, BN and
+    the pool as one op from x's im2col columns (see _conv_bn_pool).  Only a
+    caller that hands the output to one op and to nothing else may pass it.
     """
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
@@ -690,18 +693,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"conv2d non-integral output for input {x.data.shape}, "
             f"kernel {w.data.shape}, stride {stride}, padding {padding}"
         )
-    if bn is None:
-        return _conv(x, w, bias, stride, padding)
-    _check_pool((n, f, (h + 2 * padding - kh) // stride + 1,
-                 (wd + 2 * padding - kw) // stride + 1), pool)
-    out = _conv_bn_pool(x, w, bias, *bn, stride, padding, pool)
-    if out is None:
-        out = batchnorm2d(_conv(x, w, bias, stride, padding), *bn, training=True, pool=pool,
-                          overwrite_x=True)
-    return out
+    if lazy and not (x.requires_grad or x.node is not None):
+        shape = (n, f, (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1)
+        return _LazyConv(x, w, bias, stride, padding, shape)
+    out, bwd = _conv(x, w, bias, stride, padding)
+    return _make(out, "conv2d", (x, w, bias), bwd)
 
 
-def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int) -> Tensor:
+def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int):
+    """conv2d's output data, channel-major behind NCHW shapes, and its backward."""
     n, c = x.data.shape[:2]
     f, _, kh, kw = w.data.shape
     planes = _planes(x.data, padding)
@@ -737,7 +737,61 @@ def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int) -> Tens
             return None, gw, gb
         return _col2im(wmat.T @ gmat, x_shape, kh, kw, stride, padding, ho, wo), gw, gb
 
-    return _make(out.transpose(1, 0, 2, 3), "conv2d", (x, w, bias), bwd)
+    return out.transpose(1, 0, 2, 3), bwd
+
+
+class _ConvGrad:
+    """The gradient of a _LazyConv's output, given as the conv's weight and
+    bias gradients: all that the conv's backward would make of it, since
+    its input needs no gradient.  It has no sum, so a lazy output that two
+    ops read fails in the backward instead of adding wrongly."""
+
+    __slots__ = ("w", "b")
+
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w, self.b = w, b
+
+
+class _LazyConv(Tensor):
+    """conv2d's output on an input that needs no gradient, not yet computed.
+
+    Reading ``data`` computes it, once (_conv).  Until then
+    batchnorm2d(..., pool=k) in training can run the conv, BN and the pool
+    from the input's columns instead (_conv_bn_pool), and its gradient for
+    this output is then a _ConvGrad.  The graph node is the conv's own: it
+    hands on a _ConvGrad as the weight and bias gradients, and an array
+    gradient to the backward of the computed conv.
+    """
+
+    __slots__ = ("conv", "_shape", "_value", "_backward")
+
+    def __init__(self, x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int, shape):
+        self.conv = (x, w, bias, stride, padding)
+        self._shape = shape
+        self._value = None
+        self.grad = None
+        self.requires_grad = False
+        self.node = None
+        computed = self._backward = []  # the computed conv's backward, once data is read
+
+        def bwd(g):
+            if isinstance(g, _ConvGrad):
+                return None, g.w, g.b
+            return computed[0](g)
+
+        _record(self, "conv2d", (x, w, bias), bwd)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._value is None:
+            self._value, bwd = _conv(*self.conv)
+            if self.node is not None:
+                self._backward.append(bwd)
+        return self._value
+
+    @property
+    def shape(self):
+        return self._shape
 
 
 def _fold_max(parts: Sequence[np.ndarray], codes: bool):
@@ -832,9 +886,6 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     return _make(out_data, "maxpool2d", (x,), bwd)
 
 
-_BN_MOMENTUM, _BN_EPS = 0.1, 1e-5  # batchnorm2d's defaults, which layers use
-
-
 def _monotone(mag: np.ndarray, add: np.ndarray) -> bool:
     """Whether v -> v*mag + add, per channel, maps each window's extreme to
     the extreme of its image with the same bytes and NaN exactly where the
@@ -853,8 +904,8 @@ def _update_running(running_mean, running_var, mean, var, m: int, momentum: floa
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, training: bool, momentum: float = _BN_MOMENTUM,
-                eps: float = _BN_EPS, pool: int = 1, overwrite_x: bool = False) -> Tensor:
+                running_var: np.ndarray, training: bool, momentum: float = 0.1,
+                eps: float = 1e-5, pool: int = 1, overwrite_x: bool = False) -> Tensor:
     """Per-channel batch normalization over an N x C x H x W tensor.
 
     Training mode normalizes by the batch statistics (two-pass variance) and
@@ -874,17 +925,25 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     full-size output instead.  The backward scatters g onto the picks, as
     maxpool2d's does, and then runs BN's in the saved xhat.
 
+    In training with ``pool=k``, an uncomputed conv output (conv2d's
+    ``lazy``) is normalized and pooled from its input's columns
+    (_conv_bn_pool) where that op applies, and is never computed.
+
     ``overwrite_x`` lets train mode centre x's own data into xhat; only a
     caller that owns x and reads it no more may pass it.
     """
-    n, c, h, w = x.data.shape
+    n, c, h, w = x.shape
+    if pool > 1:
+        _check_pool(x.shape, pool)
+    if training and n < 2:
+        raise ParameterError("batchnorm2d needs batch size >= 2 in train mode")
+    if training and pool > 1 and isinstance(x, _LazyConv):
+        out = _conv_bn_pool(x, gamma, beta, running_mean, running_var, momentum, eps, pool)
+        if out is not None:
+            return out
     m = n * h * w
     x3 = x.data.reshape(n, c, h * w)
-    if pool > 1:
-        _check_pool(x.data.shape, pool)
     if training:
-        if n < 2:
-            raise ParameterError("batchnorm2d needs batch size >= 2 in train mode")
         mag, add = gamma.data, beta.data
     else:
         inv_std = 1.0 / np.sqrt(running_var + eps)
@@ -968,12 +1027,12 @@ def _window_columns(planes: np.ndarray, kh: int, kw: int, stride: int, pool: int
     return cols.reshape(c * kh * kw, pool, pool, n, hq, wq)
 
 
-def _conv_bn_pool(x: Tensor, w: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
-                  running_mean: np.ndarray, running_var: np.ndarray, stride: int,
-                  padding: int, pool: int) -> Tensor | None:
-    """conv2d, training-mode batchnorm2d and a pool x pool max pool of images
-    x that need no gradient, from x's im2col columns; None where it does not
-    apply (see below), and then nothing is changed.
+def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                  running_var: np.ndarray, momentum: float, eps: float,
+                  pool: int) -> Tensor | None:
+    """batchnorm2d(z, ..., training=True, pool=pool) of the uncomputed conv
+    output z, from the im2col columns of the conv's input x; None where it
+    does not apply (see below), and then nothing is changed.
 
     Each conv output is y_fp = w_f.x_p + b_f, with x_p the K-wide column of
     pixel p (K = C*kh*kw) and P the number of pixels.  With mu the mean
@@ -996,21 +1055,21 @@ def _conv_bn_pool(x: Tensor, w: Tensor, bias: Tensor, gamma: Tensor, beta: Tenso
       g_gamma_f = inv_std_f w_f.A_f,
       g_w_f     = gamma_f inv_std_f (A_f - g_gamma_f inv_std_f S w_f),
       g_b       = 0 exactly, since the bias cancels in xhat,
-    and no gradient for x.
+    with the last two as z's gradient (a _ConvGrad).
 
-    It does not apply, and conv2d takes the conv then batchnorm2d(pool=),
-    where x needs a gradient, the batch has one image, an image is not
+    It does not apply, and batchnorm2d computes z, where an image is not
     finite or is so large that a centred column would overflow, S or the
     bias is not finite, or v -> v |gamma| inv_std + beta would not keep the
     pooled bytes (see _monotone): gamma = 0, a non-finite gamma, w or beta,
     or a -0 beta.  Where it applies v is finite, so no window holds NaN.
     """
+    x, w, bias, stride, padding = z.conv
     xd = x.data
     n = xd.shape[0]
     f, c, kh, kw = w.data.shape
     k = c * kh * kw
     limit = np.finfo(xd.dtype).max / 2  # then every centred column entry is finite
-    if x.requires_grad or x.node is not None or n < 2 or not np.abs(xd).max() <= limit:
+    if not (xd.max() <= limit and xd.min() >= -limit):  # False on NaN
         return None
     cols = _window_columns(_planes(xd, padding), kh, kw, stride, pool)
     _, _, _, _, hq, wq = cols.shape
@@ -1021,18 +1080,18 @@ def _conv_bn_pool(x: Tensor, w: Tensor, bias: Tensor, gamma: Tensor, beta: Tenso
     cov = (centred @ centred.T) / m
     wk = w.data.reshape(f, k).astype(np.float64)
     var = np.einsum("fk,kl,fl->f", wk, cov, wk)
-    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+    inv_std = 1.0 / np.sqrt(var + eps)
     gamma64 = gamma.data.astype(np.float64)
     if not (np.isfinite(cov).all() and np.isfinite(bias.data).all()
             and _monotone(gamma64 * inv_std, beta.data)):
         return None
-    _update_running(running_mean, running_var, wk @ mu + bias.data, var, m, _BN_MOMENTUM)
+    _update_running(running_mean, running_var, wk @ mu + bias.data, var, m, momentum)
     np.copyto(flat, centred)
     del centred  # 8 bytes a column entry: free it before the map blocks
     dtype = xd.dtype
     wv = (wk * (np.sign(gamma64) * inv_std)[:, None]).astype(dtype)
     mag, add = np.abs(gamma.data).astype(dtype), beta.data.astype(dtype)
-    recording = _records((x, w, bias, gamma, beta))
+    recording = _records((z, gamma, beta))
     q = hq * wq
     out = _empty((f, n, hq, wq), dtype)
     codes = _empty((f, n, hq, wq), np.uint8) if recording else None
@@ -1068,10 +1127,10 @@ def _conv_bn_pool(x: Tensor, w: Tensor, bias: Tensor, gamma: Tensor, beta: Tenso
                 a += picked @ cols[:, i, j].reshape(k, n * q).T
         ggamma = inv_std * np.einsum("fk,fk->f", wk, a)
         gw = (gamma64 * inv_std)[:, None] * (a - (ggamma * inv_std)[:, None] * (wk @ cov))
-        return (None, gw.reshape(w.data.shape).astype(dtype), np.zeros_like(bias.data),
-                ggamma.astype(dtype), gbeta.astype(dtype))
+        gz = _ConvGrad(gw.reshape(w.data.shape).astype(dtype), np.zeros_like(bias.data))
+        return gz, ggamma.astype(dtype), gbeta.astype(dtype)
 
-    return _make(out.transpose(1, 0, 2, 3), "conv2d", (x, w, bias, gamma, beta), bwd)
+    return _make(out.transpose(1, 0, 2, 3), "batchnorm2d", (z, gamma, beta), bwd)
 
 
 # -- softmax / entropy ---------------------------------------------------

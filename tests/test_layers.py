@@ -223,7 +223,7 @@ class TestPoolBeforeRelu:
     def test_digit_net_matches_relu_then_pool_bit_for_bit(self, monkeypatch):
         # conv1, bn1 and pool1 as one op needs bn1 directly before pool1, so
         # it is off here: the two nets run the same ops in both orders
-        monkeypatch.setattr(EmbeddingNetwork, "_fuses_block", lambda self, i, until, h: False)
+        monkeypatch.setattr(EmbeddingNetwork, "_lazy_conv", lambda self, i, until: False)
         x = Tensor(np.random.default_rng(3).normal(0, 1, (4, 1, 32, 32)))
         outs = []
         for spec in (digit_embedding_spec(), _relu_then_pool(digit_embedding_spec())):
@@ -238,14 +238,16 @@ class TestPoolBeforeRelu:
 
 
 def _block_calls(monkeypatch):
-    """("conv2d", pool) for every T.conv2d call from here on, pool 1 for a
-    plain conv, and ("batchnorm2d", pool, overwrite_x) for every T.batchnorm2d."""
+    """("conv2d", whether the output is left uncomputed) for every T.conv2d
+    call from here on, and ("batchnorm2d", pool, overwrite_x) for every
+    T.batchnorm2d: a lazy conv and the BN-pool after it are the block op."""
     calls = []
     conv2d, batchnorm2d = T.conv2d, T.batchnorm2d
 
     def conv_spy(*args, **kwargs):
-        calls.append(("conv2d", kwargs.get("pool", 1)))
-        return conv2d(*args, **kwargs)
+        out = conv2d(*args, **kwargs)
+        calls.append(("conv2d", isinstance(out, T._LazyConv)))
+        return out
 
     def bn_spy(*args, **kwargs):
         calls.append(("batchnorm2d", kwargs.get("pool", 1), kwargs.get("overwrite_x", False)))
@@ -257,11 +259,11 @@ def _block_calls(monkeypatch):
 
 
 def _no_conv_block_op(monkeypatch):
-    """Run conv1, bn1 and pool1 as conv2d then batchnorm2d(pool=) from here on."""
-    monkeypatch.setattr(EmbeddingNetwork, "_fuses_block", lambda self, i, until, h: False)
+    """Compute conv1's output before batchnorm2d(pool=) from here on."""
+    monkeypatch.setattr(EmbeddingNetwork, "_lazy_conv", lambda self, i, until: False)
 
 
-CONV, CONV_BN_POOL = ("conv2d", 1), ("conv2d", 2)
+CONV, LAZY_CONV = ("conv2d", False), ("conv2d", True)
 BN_POOL_IN_PLACE, BN_POOL, BN = ("batchnorm2d", 2, True), ("batchnorm2d", 2, False), (
     "batchnorm2d", 1, False)
 
@@ -277,11 +279,11 @@ def _step(net, x, until=None):
 
 
 class TestBatchnormPoolFusion:
-    """In training, forward runs conv1, bn1 and pool1 as one T.conv2d(bn=, pool=)
-    op on the images; it applies the max pool after every other BN inside
-    T.batchnorm2d and lets it centre the conv output in place, unless a tap
-    or ``until`` hands out an output the fusion would not make or would
-    overwrite.  The byte-for-byte checks of the BN-pool fusion turn the
+    """In training, forward hands conv1's output on the images to bn1 uncomputed,
+    and T.batchnorm2d runs conv1, bn1 and pool1 as one op; it applies the max
+    pool after every BN inside T.batchnorm2d and lets it centre the conv
+    output in place, unless a tap or ``until`` hands out an output the
+    fusion would not make or would overwrite.  The byte-for-byte checks of the BN-pool fusion turn the
     block op off, so that every block's BN-pool is compared with the two ops."""
 
     X = np.random.default_rng(4).normal(0, 1, (4, 1, 32, 32))
@@ -290,7 +292,7 @@ class TestBatchnormPoolFusion:
         calls = _block_calls(monkeypatch)
         net = EmbeddingNetwork(digit_embedding_spec(), seed=0)
         net.forward(Tensor(self.X))
-        assert calls == [CONV_BN_POOL] + [CONV, BN_POOL_IN_PLACE] * 3
+        assert calls == [LAZY_CONV] + [BN_POOL_IN_PLACE, CONV] * 3 + [BN_POOL_IN_PLACE]
         calls.clear()
         net.eval()
         net.forward(Tensor(self.X))
@@ -298,12 +300,12 @@ class TestBatchnormPoolFusion:
 
     @pytest.mark.parametrize("taps, until, want", [
         (("conv2", "bn3", "fc1"), None,
-         [CONV_BN_POOL, CONV, BN_POOL, CONV, BN, CONV, BN_POOL_IN_PLACE]),
-        (("fc1",), "bn2", [CONV_BN_POOL, CONV, BN]),
-        (("conv2",), "pool2", [CONV_BN_POOL, CONV, BN_POOL]),
+         [LAZY_CONV, BN_POOL_IN_PLACE, CONV, BN_POOL, CONV, BN, CONV, BN_POOL_IN_PLACE]),
+        (("fc1",), "bn2", [LAZY_CONV, BN_POOL_IN_PLACE, CONV, BN]),
+        (("conv2",), "pool2", [LAZY_CONV, BN_POOL_IN_PLACE, CONV, BN_POOL]),
         (("bn1", "pool2"), "pool2", [CONV, BN, CONV, BN_POOL_IN_PLACE]),
         (("conv1",), "pool1", [CONV, BN_POOL]),
-        (("fc1",), "pool1", [CONV, BN_POOL_IN_PLACE]),
+        (("fc1",), "pool1", [LAZY_CONV, BN_POOL_IN_PLACE]),
     ])
     def test_exposed_layers_are_not_fused_or_overwritten(self, monkeypatch, taps, until, want):
         calls = _block_calls(monkeypatch)
@@ -321,6 +323,19 @@ class TestBatchnormPoolFusion:
         _step(EmbeddingNetwork(digit_embedding_spec(), seed=1), x)
         assert calls == [CONV, BN_POOL_IN_PLACE] * 4
         assert x.grad is not None and np.abs(x.grad).max() > 0
+
+    def test_a_graph_free_training_forward_gives_the_recorded_bytes(self, monkeypatch):
+        calls = _block_calls(monkeypatch)
+        results = []
+        for ctx in (contextlib.nullcontext, T.no_grad):
+            net = EmbeddingNetwork(digit_embedding_spec(), seed=1)
+            with ctx():
+                out, taps = net.forward(Tensor(self.X))
+            results.append([out.data.tobytes()] + [t.data.tobytes() for _, t in taps]
+                           + [a.tobytes() for pair in net.running_stats.values() for a in pair])
+        assert calls[8:] == calls[:8] == [LAZY_CONV] + [BN_POOL_IN_PLACE, CONV] * 3 + [
+            BN_POOL_IN_PLACE]
+        assert results[0] == results[1]
 
     def test_a_tapped_conv_output_keeps_its_bytes(self):
         spec = digit_embedding_spec(taps=("conv1", "conv3"))
@@ -437,7 +452,8 @@ class TestTrainingMemory:
     With conv1, bn1 and pool1 run as conv2d then batchnorm2d(pool=2) they are
     103878656 and 90701824: block 1's xhat (32 MiB, kept for BN1's backward)
     is live at the peak, in conv2's backward.  With the three as one op
-    (conv2d(bn=, pool=2)) no full-size block-1 map exists, and they are
+    (batchnorm2d(pool=2) of a lazy conv1 output) no full-size block-1 map
+    exists, and they are
     56819712 and 47161344.  Each bound is the two-op value less one
     full-size block-1 map (32 MiB).
     """

@@ -595,19 +595,17 @@ class TestBatchnormPool:
                           np.zeros(1), np.ones(1), training=True, pool=2)
 
 
-def _conv_bn_pool_pair(x, w, b, gamma, beta, g, stride, padding, size, op, x_grad=False):
+def _conv_bn_pool_pair(x, w, b, gamma, beta, g, stride, padding, size, op, x_grad=False,
+                       training=True):
     """Output, running statistics and the w/b/gamma/beta (and x) gradients of
-    sum(g * pooled training-mode BN of the conv), by conv2d(bn=, pool=) (op)
-    or by conv2d then batchnorm2d(pool=size, overwrite_x=True)."""
+    sum(g * pooled BN of the conv), by batchnorm2d(pool=size, overwrite_x=True)
+    of a lazy conv output (op) or of a computed one."""
     xt = Tensor(x, requires_grad=x_grad)
     wt, bt, gt, bet = (Tensor(a, requires_grad=True) for a in (w, b, gamma, beta))
     rm = np.full(len(b), 0.25, T.current_dtype())
     rv = np.full(len(b), 1.5, T.current_dtype())
-    if op:
-        out = T.conv2d(xt, wt, bt, stride, padding, bn=(gt, bet, rm, rv), pool=size)
-    else:
-        out = T.batchnorm2d(T.conv2d(xt, wt, bt, stride, padding), gt, bet, rm, rv,
-                            training=True, pool=size, overwrite_x=True)
+    out = T.batchnorm2d(T.conv2d(xt, wt, bt, stride, padding, lazy=op), gt, bet, rm, rv,
+                        training=training, pool=size, overwrite_x=True)
     backward((out * Tensor(g)).sum())
     grads = (wt.grad, bt.grad, gt.grad, bet.grad) + ((xt.grad,) if x_grad else ())
     return (out.data, rm, rv) + grads
@@ -626,8 +624,8 @@ def _conv_bn_pool_inputs(seed, n=3, c=1, f=10, h=8, w=6, size=2, stride=1, paddi
 
 
 class TestConvBnPool:
-    """conv2d(x, w, b, bn=(gamma, beta, mean, var), pool=k) on images that need no
-    gradient: maxpool2d(batchnorm2d(conv2d(x)), k, k) in training mode, from
+    """batchnorm2d(conv2d(x, w, b, lazy=True), ..., training=True, pool=k) on
+    images that need no gradient: maxpool2d(batchnorm2d(conv2d(x)), k, k) from
     x's im2col columns, with the bias gradient exactly 0."""
 
     @given(st.sampled_from([1, 3]), st.sampled_from([(1, 1, 2, 8, 6), (1, 0, 3, 8, 5),
@@ -664,15 +662,17 @@ class TestConvBnPool:
         for ctx in (contextlib.nullcontext(), T.no_grad()):
             rm, rv = np.zeros(10, np.float32), np.ones(10, np.float32)
             with ctx:
-                out = T.conv2d(Tensor(x), Tensor(wk, requires_grad=True), Tensor(b),
-                               padding=1, bn=(Tensor(gamma), Tensor(beta), rm, rv), pool=2)
+                z = T.conv2d(Tensor(x), Tensor(wk, requires_grad=True), Tensor(b),
+                             padding=1, lazy=True)
+                out = T.batchnorm2d(z, Tensor(gamma), Tensor(beta), rm, rv, training=True,
+                                    pool=2)
             outs.append((out.data, rm, rv))
         assert out.node is None
         _assert_bytes_equal(*outs)
 
     @pytest.mark.parametrize("case", ["applies", "zero_gamma", "negative_zero_beta", "nan_image",
                                       "huge_image", "inf_bias", "input_needs_grad",
-                                      "one_image"])
+                                      "eval_mode", "one_image"])
     def test_falls_back_to_conv_then_bn_pool(self, case):
         x, wk, b, gamma, beta, g = (a.astype(np.float32) for a in _conv_bn_pool_inputs(2))
         if case == "zero_gamma":
@@ -689,28 +689,44 @@ class TestConvBnPool:
             with pytest.raises(ParameterError):
                 _conv_bn_pool_pair(x[:1], wk, b, gamma, beta, g[:1], 1, 1, 2, True)
             return
-        x_grad = case == "input_needs_grad"
+        x_grad, training = case == "input_needs_grad", case != "eval_mode"
         with np.errstate(all="ignore"):
-            pair = [_conv_bn_pool_pair(x, wk, b, gamma, beta, g, 1, 1, 2, op, x_grad)
+            pair = [_conv_bn_pool_pair(x, wk, b, gamma, beta, g, 1, 1, 2, op, x_grad, training)
                     for op in (True, False)]
         if case == "applies":  # the op's own bytes differ, so equal bytes show the fallback
             assert not pair[0][4].any() and pair[1][4].any()
         else:
             _assert_bytes_equal(*pair)
 
-    def test_the_op_is_one_graph_node_that_keeps_no_full_size_map(self):
+    def test_the_op_is_the_bn_node_of_a_conv_node_and_keeps_no_full_size_map(self):
         x, wk, b, gamma, beta, _ = (a.astype(np.float32)
                                     for a in _conv_bn_pool_inputs(3, n=4, f=64, h=32, w=32))
+        xt = Tensor(x)
         params = [Tensor(a, requires_grad=True) for a in (wk, b, gamma, beta)]
-        out = T.conv2d(Tensor(x), params[0], params[1], padding=1, pool=2,
-                       bn=(params[2], params[3], np.zeros(64, np.float32),
-                           np.ones(64, np.float32)))
-        assert out.node.op == "conv2d" and out.node.inputs[1:] == tuple(params)
+        z = T.conv2d(xt, params[0], params[1], padding=1, lazy=True)
+        assert z.shape == (4, 64, 32, 32)
+        out = T.batchnorm2d(z, params[2], params[3], np.zeros(64, np.float32),
+                            np.ones(64, np.float32), training=True, pool=2)
+        assert z._value is None  # the conv output was never computed
+        conv = out.node.inputs[0]
+        assert out.node.op == "batchnorm2d" and out.node.inputs[1:] == tuple(params[2:])
+        assert conv is z.node and conv.op == "conv2d" and conv.inputs == (xt, *params[:2])
         kept = [cell.cell_contents for cell in out.node.backward_fn.__closure__
                 if isinstance(cell.cell_contents, np.ndarray)]
         # the centred columns (9 x 4096 pixels) are the largest array kept;
         # the 64 x 4096 map is not
         assert max(a.nbytes for a in kept) == 9 * 4 * 32 * 32 * 4
+
+    def test_a_lazy_output_that_is_read_gives_the_conv_and_its_gradients(self):
+        x, wk, b, _, _, _ = (a.astype(np.float32) for a in _conv_bn_pool_inputs(4))
+        g = np.random.default_rng(0).normal(0, 1, (3, 10, 8, 6)).astype(np.float32)
+        results = []
+        for lazy in (True, False):
+            wt, bt = Tensor(wk, requires_grad=True), Tensor(b, requires_grad=True)
+            z = T.conv2d(Tensor(x), wt, bt, padding=1, lazy=lazy)
+            backward((T.relu(z) * Tensor(g)).sum())
+            results.append((z.data, wt.grad, bt.grad))
+        _assert_bytes_equal(*results)
 
 
 def _bn(training):
