@@ -38,6 +38,8 @@ class Config(TrainConfig):
         super().__post_init__()
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
+        if any(k < 1 for k in self.k_values):
+            raise ValueError(f"k_values must all be >= 1, got {self.k_values}")
 
 
 _TUPLE_INT = {"seeds", "k_values", "source_classes", "target_classes", "disc_taps",
@@ -52,7 +54,10 @@ def _parse_value(name: str, raw: str, target_type):
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if name in ("methods", "disc_taps"):
             return tuple(parts)
-        return tuple(int(p) for p in parts)
+        try:
+            return tuple(int(p) for p in parts)
+        except ValueError as e:
+            raise ConfigError(f"{name}: expected comma-separated integers, got {raw!r}") from e
     if target_type is bool or isinstance(target_type, bool):
         if raw.lower() in ("1", "true", "yes"):
             return True

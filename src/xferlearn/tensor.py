@@ -571,112 +571,168 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding, ho, wo):
 _GRAD_BLOCK_BYTES = 1 << 20
 
 
-def _shifted_grid(g: np.ndarray, hp: int, wp: int, kh: int, kw: int) -> np.ndarray:
-    """g (N, F, Ho, Wo) zero-filled onto the flattened padded grid (F, span) of
-    a stride-1 convolution; span ends after the last output pixel's column.
+class _Grid:
+    """The shared-padding grid of a stride-1 convolution of N images H x W
+    with padding p and a kh x kw kernel.
 
-    On the grid (C, L), L = N*Hp*Wp, output pixel (n, oi, oj) sits at column
-    n*Hp*Wp + oi*Wp + oj, and kernel offset (i, j) reads the column i*Wp + j
-    further on, so each offset of either gradient is one GEMM over
-    contiguous column slices: neither im2col columns nor a col2im scatter
-    are needed (cf. Cho & Brand, 2017).
+    An array on the grid, (channels, length), holds an image in each run of
+    ``size`` = hq*wq columns, row by row at row pitch wq = max(W + p, Wo):
+    input pixel (n, r, c) sits at column n*size + (p + r)*wq + p + c and
+    every other column is zero.  The p zero columns in front of a row pad
+    both it and the row before it, and the image pitch hq = max(H + p, Ho)
+    rows puts p zero rows between images that pad both neighbours, where
+    padding each image on both sides would spend (W + 2p)(H + 2p) columns
+    on it.  Output pixel (n, oi, oj) sits at column n*size + oi*wq + oj,
+    and kernel offset (i, j) reads the input column i*wq + j further on, so
+    the im2col columns of a run of output columns are kh*kw contiguous
+    slices of the grid, and each offset's term of the input gradient is one
+    GEMM over contiguous column slices (cf. Cho & Brand, 2017).  The
+    pitches are at least Wo and Ho, so no two output pixels share a column
+    when p > k - 1.
     """
-    n, f = g.shape[:2]
-    length = n * hp * wp
-    grid = _zeros((f, n, hp, wp), g.dtype)
-    grid[:, :, :g.shape[2], :g.shape[3]] = g.transpose(1, 0, 2, 3)
-    return grid.reshape(f, length)[:, :length - (kh - 1) * wp - (kw - 1)]
+
+    def __init__(self, shape, kh: int, kw: int, padding: int):
+        self.n, _, self.h, self.w = shape
+        self.kh, self.kw, self.p = kh, kw, padding
+        self.ho, self.wo = self.h + 2 * padding - kh + 1, self.w + 2 * padding - kw + 1
+        self.hq, self.wq = max(self.h + padding, self.ho), max(self.w + padding, self.wo)
+        self.size = self.hq * self.wq
+        # the last output pixel's kernel window ends at this column
+        self.length = max(self.n * self.size, self.span(self.n) + (kh - 1) * self.wq + kw - 1)
+
+    def span(self, b: int) -> int:
+        """Columns from the first output pixel of b consecutive images to past their last."""
+        return (b - 1) * self.size + (self.ho - 1) * self.wq + self.wo
 
 
-def _shifted_weight_grad(planes: np.ndarray, grid: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Weight gradient (F, C, kh, kw) of a stride-1 convolution of padded
-    planes (C, N, Hp, Wp): one GEMM per kernel offset (see _shifted_grid)."""
-    c, n, hp, wp = planes.shape
-    f, span = grid.shape
-    flat = planes.reshape(c, n * hp * wp)
-    gw = np.empty((kh, kw, f, c), dtype=grid.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            off = i * wp + j
-            np.matmul(grid, flat[:, off:off + span].T, out=gw[i, j])
-    return gw.transpose(2, 3, 0, 1).copy()
+def _shifted_grid(a: np.ndarray, grid: _Grid, top: int) -> np.ndarray:
+    """a (N, C, h, w), in any memory order, zero-filled onto the grid as
+    (C, grid.length): pixel (n, r, c) at row top + r, column top + c of
+    image n's hq x wq run.  top = p places the input, top = 0 the output
+    gradient."""
+    n, c, h, w = a.shape
+    flat = _zeros((c, grid.length), a.dtype)
+    images = flat[:, :n * grid.size].reshape(c, n, grid.hq, grid.wq)
+    images[:, :, top:top + h, top:top + w] = a.transpose(1, 0, 2, 3)
+    return flat
 
 
-def _shifted_input_grad(w: np.ndarray, grid: np.ndarray, shape) -> np.ndarray:
-    """Padded input gradient (C, N, Hp, Wp) of a stride-1 convolution.
+def _grid_columns(flat: np.ndarray, grid: _Grid, budget: int):
+    """The im2col columns of the input on the grid, one image block at a time.
 
-    Each destination block of columns, at most _GRAD_BLOCK_BYTES, is zeroed
-    and then takes every kernel offset's GEMM term that lands in it, in
-    offset order, so each element sums the same terms in the same order as
-    one whole-grid accumulation while the block stays in cache.
+    Yields (first image, images, columns (C*kh*kw, span)) for blocks whose
+    columns fit ``budget`` bytes.  Column t of a block is the column of
+    grid position first*size + t: kh*kw slice copies, one per kernel
+    offset.  The columns of positions that hold no output pixel are built
+    too.  The buffer is reused, so a block's columns are valid until the
+    next is yielded.
     """
-    c, n, hp, wp = shape
-    f, kh, kw = w.shape[0], w.shape[2], w.shape[3]
-    length = n * hp * wp
-    span = grid.shape[1]
+    c = flat.shape[0]
+    kh, kw, size = grid.kh, grid.kw, grid.size
+    k = c * kh * kw
+    block = max(1, min(grid.n, budget // (k * size * flat.itemsize)))
+    cols = _empty((c, kh, kw, grid.span(block)), flat.dtype)
+    cols2d = cols.reshape(k, -1)
+    for start in range(0, grid.n, block):
+        b = min(block, grid.n - start)
+        span = grid.span(b)
+        for i in range(kh):
+            for j in range(kw):
+                off = start * size + i * grid.wq + j
+                cols[:, i, j, :span] = flat[:, off:off + span]
+        yield start, b, cols2d[:, :span]
+
+
+def _block_forward(flat: np.ndarray, grid: _Grid, wmat: np.ndarray, bias: np.ndarray):
+    """Stride-1 convolution of the input on the grid (C, length): (F, N, Ho, Wo), bias added.
+
+    Images go in blocks whose columns fit _COLUMN_BUDGET (_grid_columns),
+    each one GEMM; the outputs of positions that hold no output pixel are
+    computed and dropped.  Each output pixel is still the dot product of
+    its weight row with its im2col column, so the bytes equal one
+    whole-batch im2col GEMM's wherever the BLAS runs the same kernel for
+    both.
+    """
+    f = wmat.shape[0]
+    dtype = np.result_type(flat, wmat)
+    out = _empty((f, grid.n, grid.ho, grid.wo), dtype)
+    prod = None
+    bias = bias[:, None, None, None]
+    for start, b, cols in _grid_columns(flat, grid, _COLUMN_BUDGET):
+        if prod is None:  # sized by the first block, the largest
+            prod = _empty((f, b, grid.hq, grid.wq), dtype)
+        np.matmul(wmat, cols, out=prod.reshape(f, -1)[:, :cols.shape[1]])
+        np.add(prod[:, :b, :grid.ho, :grid.wo], bias, out=out[:, start:start + b])
+    return out
+
+
+def _grid_weight_grad(flat: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Weight gradient (F, C, kh, kw) of a stride-1 convolution from its input
+    on the grid and its output gradient on the grid (_shifted_grid, top 0).
+
+    Per image block, the block's im2col columns (C*kh*kw, span) times the
+    transpose of its output-gradient columns (F, span) is one GEMM; the
+    zeros at positions without an output pixel drop the rest.  Blocks are
+    summed in order.  Their columns fit half of _COLUMN_BUDGET: they are
+    made at the backward's memory peak, on top of both grids.
+    """
+    c, f = flat.shape[0], ggrid.shape[0]
+    gw = None
+    for start, _, cols in _grid_columns(flat, grid, _COLUMN_BUDGET // 2):
+        first = start * grid.size
+        part = cols @ ggrid[:, first:first + cols.shape[1]].T
+        gw = part if gw is None else np.add(gw, part, out=gw)
+    return np.ascontiguousarray(gw.T).reshape(f, c, grid.kh, grid.kw)
+
+
+def _shifted_input_grad(w: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.ndarray:
+    """Input gradient (N, C, H, W), channel-major, of a stride-1 convolution
+    from its output gradient on the grid (_shifted_grid, top 0).
+
+    The gradient is made on the grid: each destination block of columns,
+    at most _GRAD_BLOCK_BYTES, is zeroed and then takes every kernel
+    offset's GEMM term that lands in it, in offset order, so each element
+    sums the same terms in the same order as one whole-grid accumulation
+    while the block stays in cache.
+    """
+    _, c, kh, kw = w.shape
+    n, p, size = grid.n, grid.p, grid.size
+    length, span = n * size, grid.span(n)  # ggrid holds no output pixel past span
     wt = w.transpose(2, 3, 1, 0).copy()  # (kh, kw, C, F)
-    gxp = _empty((c, length), grid.dtype)
-    width = max(1, _GRAD_BLOCK_BYTES // (c * grid.itemsize))
-    term = _empty((c, width), grid.dtype)
+    gxp = _empty((c, length), ggrid.dtype)
+    # equal blocks: a narrow last one would take the BLAS's small-matrix
+    # kernel, whose bytes for a column depend on where the call ends
+    blocks = -(-length // max(1, _GRAD_BLOCK_BYTES // (c * ggrid.itemsize)))
+    width = -(-length // blocks)
+    term = _empty((c, width), ggrid.dtype)
     for start in range(0, length, width):
         stop = min(start + width, length)
         dst = gxp[:, start:stop]
         dst.fill(0)
         for i in range(kh):
             for j in range(kw):
-                off = i * wp + j
+                off = i * grid.wq + j
                 lo, hi = max(start - off, 0), min(stop - off, span)  # grid columns landing here
                 if lo < hi:
-                    part = np.matmul(wt[i, j], grid[:, lo:hi], out=term[:, :hi - lo])
+                    part = np.matmul(wt[i, j], ggrid[:, lo:hi], out=term[:, :hi - lo])
                     dst[:, lo + off - start:hi + off - start] += part
-    return gxp.reshape(c, n, hp, wp)
-
-
-def _block_forward(planes: np.ndarray, wmat: np.ndarray, bias: np.ndarray, kh: int, kw: int):
-    """Stride-1 convolution of padded planes (C, N, Hp, Wp): (F, N, Ho, Wo), bias added.
-
-    Images go in blocks whose columns fit _COLUMN_BUDGET.  On the block's
-    flattened padded grid, kernel offset (i, j) of every output pixel is one
-    contiguous slice, i*Wp + j further on, so the block's columns are kh*kw
-    slice copies and one GEMM; the columns of padding positions are computed
-    and dropped.  Each output pixel is still the dot product of its weight
-    row with its im2col column, so the bytes equal one whole-batch im2col
-    GEMM's wherever the BLAS runs the same kernel for both.
-    """
-    c, n, hp, wp = planes.shape
-    f, k = wmat.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    grid = hp * wp
-    tail = (kh - 1) * wp + (kw - 1)  # grid columns after the block's last output pixel
-    block = max(1, min(n, _COLUMN_BUDGET // (k * grid * planes.itemsize)))
-    flat = planes.reshape(c, n * grid)
-    cols = _empty((c, kh, kw, block * grid - tail), planes.dtype)
-    cols2d = cols.reshape(k, -1)
-    dtype = np.result_type(planes, wmat)
-    prod = _empty((f, block, hp, wp), dtype)
-    prod2d = prod.reshape(f, -1)
-    out = _empty((f, n, ho, wo), dtype)
-    bias = bias[:, None, None, None]
-    for start in range(0, n, block):
-        b = min(block, n - start)
-        span = b * grid - tail
-        for i in range(kh):
-            for j in range(kw):
-                off = start * grid + i * wp + j
-                cols[:, i, j, :span] = flat[:, off:off + span]
-        np.matmul(wmat, cols2d[:, :span], out=prod2d[:, :span])
-        np.add(prod[:, :b, :ho, :wo], bias, out=out[:, start:start + b])
-    return out
+    gx = gxp.reshape(c, n, grid.hq, grid.wq)[:, :, p:p + grid.h, p:p + grid.w]
+    if not gx.flags.c_contiguous:  # padding rows or columns lie between the pixels
+        inner, gx = gx, _empty(gx.shape, gx.dtype)
+        np.copyto(gx, inner)
+    return gx.transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
            lazy: bool = False) -> Tensor:
     """Cross-correlate x (N, C, H, W) with w (F, C, kh, kw) and add the bias.
 
-    At stride 1 with C > 1 the forward builds its columns per image block
-    from the padded planes (_block_forward) and the backward keeps only those
-    planes, which it frees after the weight gradient (see _shifted_grid).
-    Otherwise both are one im2col GEMM, and the backward keeps the columns.
+    At stride 1 with C > 1, x goes onto a shared-padding grid (_Grid) and
+    the forward builds its im2col columns per image block from it
+    (_block_forward).  The backward keeps only that grid: it takes the
+    weight gradient from the same column blocks, frees the grid, and makes
+    the input gradient by shifted GEMMs (_shifted_input_grad).  Otherwise
+    both are one im2col GEMM, and the backward keeps the columns.
 
     With ``lazy``, where x needs no gradient (the images), the output is a
     _LazyConv: nothing is computed until its data is read, and
@@ -704,34 +760,34 @@ def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int):
     """conv2d's output data, channel-major behind NCHW shapes, and its backward."""
     n, c = x.data.shape[:2]
     f, _, kh, kw = w.data.shape
-    planes = _planes(x.data, padding)
     wmat = w.data.reshape(f, -1)
-    shifted = stride == 1 and c > 1
-    if shifted:
-        cols = None  # the backward needs only the planes
-        out = _block_forward(planes, wmat, bias.data, kh, kw)
-        ho, wo = out.shape[2:]
-    else:
-        cols, ho, wo = _im2col(planes, kh, kw, stride)
-        planes = None
-        out = np.matmul(wmat, cols, out=_empty((f, cols.shape[1]), np.result_type(wmat, cols)))
-        out += bias.data[:, None]
-        out = out.reshape(f, n, ho, wo)
-    x_shape = x.data.shape
     need_gx = x.requires_grad or x.node is not None  # not an input leaf like the images
+    if stride == 1 and c > 1:
+        grid = _Grid(x.data.shape, kh, kw, padding)
+        flat = _shifted_grid(x.data, grid, padding)
+        out = _block_forward(flat, grid, wmat, bias.data)
 
-    def bwd(g):
-        nonlocal planes
-        gmat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        gb = gmat.sum(axis=1)
-        if shifted:
-            c, hp, wp = planes.shape[0], planes.shape[2], planes.shape[3]
-            grid = _shifted_grid(g, hp, wp, kh, kw)
-            gw = _shifted_weight_grad(planes, grid, kh, kw)
-            planes = None  # this node runs once: free the planes before the input gradient
+        def bwd(g):
+            nonlocal flat
+            gb = g.transpose(1, 0, 2, 3).reshape(f, -1).sum(axis=1)
+            ggrid = _shifted_grid(g, grid, 0)
+            gw = _grid_weight_grad(flat, ggrid, grid)
+            flat = None  # this node runs once: free the grid before the input gradient
             if not need_gx:
                 return None, gw, gb
-            return _unpad(_shifted_input_grad(w.data, grid, (c, n, hp, wp)), padding), gw, gb
+            return _shifted_input_grad(w.data, ggrid, grid), gw, gb
+
+        return out.transpose(1, 0, 2, 3), bwd
+
+    cols, ho, wo = _im2col(_planes(x.data, padding), kh, kw, stride)
+    out = np.matmul(wmat, cols, out=_empty((f, cols.shape[1]), np.result_type(wmat, cols)))
+    out += bias.data[:, None]
+    out = out.reshape(f, n, ho, wo)
+    x_shape = x.data.shape
+
+    def bwd(g):
+        gmat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+        gb = gmat.sum(axis=1)
         gw = (gmat @ cols.T).reshape(w.data.shape)
         if not need_gx:
             return None, gw, gb

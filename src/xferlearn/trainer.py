@@ -57,10 +57,13 @@ class TrainConfig:
     src_proto_per_class: int = 1000
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if self.tau_st <= 0 or self.tau_tt <= 0:
-            raise ValueError("temperatures must be > 0")
+        # written so that NaN, for which every comparison is False, fails too
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise ValueError(f"alpha and beta must be finite and >= 0, got {self.alpha}, "
+                             f"{self.beta}")
+        if not (0 < self.tau_st < np.inf and 0 < self.tau_tt < np.inf):
+            raise ValueError(f"temperatures tau_st and tau_tt must be finite and > 0, got "
+                             f"{self.tau_st}, {self.tau_tt}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         for name in ("steps", "pretrain_steps", "eval_every"):
@@ -71,6 +74,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (self.lr > 0 and np.isfinite(self.lr)):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if any(width < 1 for width in self.head_widths):
+            raise ValueError(f"head_widths must all be >= 1, got {self.head_widths}")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError(f"grad_clip must be None (no clipping) or > 0, got {self.grad_clip}")
 

@@ -62,6 +62,9 @@ class TestConfig:
         ("batch_source", "0"), ("batch_unlabeled", "0"), ("src_proto_per_class", "0"),
         ("lr", "0"), ("lr", "-0.001"), ("lr", "inf"), ("lr", "nan"),
         ("grad_clip", "0"), ("grad_clip", "-1"), ("grad_clip", "nan"), ("seeds", ""),
+        ("seeds", "a"), ("k_values", "2,x"), ("k_values", "0"), ("k_values", "-1"),
+        ("head_widths", "0"), ("head_widths", "32,-1"), ("alpha", "nan"), ("beta", "inf"),
+        ("tau_st", "nan"), ("tau_tt", "inf"), ("tau_tt", "0"),
     ])
     def test_out_of_range_value_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -163,6 +166,27 @@ class TestCli:
     def test_out_of_range_config_is_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "pre"
         assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag[2:] in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--head_widths", "0"),  # an OverflowError traceback building the discriminator
+        ("--seeds", "a"),  # exited 1: "invalid literal for int()"
+        ("--k_values", "2,x"),  # the same
+        ("--k_values", "0"),  # exited 1: "empty dataset"
+        ("--k_values", "-1"),  # exited 1: "negative dimensions are not allowed"
+        ("--alpha", "nan"),  # exited 1: the total loss was NaN at step 1
+        ("--tau_st", "nan"),  # exited 1: "entropy: rows must sum to 1"
+        ("--tau_tt", "inf"),  # exited 0 after training
+    ])
+    def test_bad_transfer_config_is_usage_error(self, tmp_path, capsys, flag, value):
+        ckpt = tmp_path / "source.ckpt"
+        ckpt.write_bytes(b"")  # never read: the config is checked first
+        out = tmp_path / "tr"
+        code = main(["transfer", *SYNTH_ARGS, "--output_dir", str(out), "--checkpoint", str(ckpt),
+                     "--source_classes", "0,1,2", "--target_classes", "3,4", flag, value])
+        assert code == 2
         err = capsys.readouterr().err
         assert flag[2:] in err and "Traceback" not in err
         assert not out.exists()

@@ -454,7 +454,8 @@ class TestTrainingMemory:
     is live at the peak, in conv2's backward.  With the three as one op
     (batchnorm2d(pool=2) of a lazy conv1 output) no full-size block-1 map
     exists, and they are
-    56819712 and 47161344.  Each bound is the two-op value less one
+    56819712 and 47161344; with conv2-4 on the shared-padding grid,
+    53628928 and 45588480.  Each bound is the two-op value less one
     full-size block-1 map (32 MiB).
     """
 

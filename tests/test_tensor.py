@@ -247,28 +247,34 @@ class TestConv2d:
 
 
 class TestBlockForward:
-    """The stride-1, C > 1 forward builds its im2col columns one image block at a time."""
+    """The stride-1, C > 1 forward builds its im2col columns one image block at a time
+    from the shared-padding grid, where an image takes (H + p)(W + p) columns."""
 
     @staticmethod
-    def _im2col_gemm(x, w, b):
-        f = w.shape[0]
-        cols, ho, wo = T._im2col(T._planes(x, 1), 3, 3, 1)
+    def _im2col_gemm(x, w, b, padding):
+        f, _, kh, kw = w.shape
+        cols, ho, wo = T._im2col(T._planes(x, padding), kh, kw, 1)
         out = w.reshape(f, -1) @ cols
         out += b[:, None]
         return out.reshape(f, x.shape[0], ho, wo).transpose(1, 0, 2, 3)
 
-    @pytest.mark.parametrize("size", [16, 8])
+    @pytest.mark.parametrize("size, c, f, k, padding", [
+        (16, 64, 64, 3, 1),  # conv2 of the digit net
+        (8, 64, 64, 3, 1),  # conv3
+        (12, 20, 50, 5, 0),  # conv2 of the ablation net
+    ], ids=["16", "8", "ablation_conv2"])
     @pytest.mark.parametrize("layout", LAYOUTS, ids=["c_order", "channel_major"])
-    def test_bytes_equal_one_im2col_gemm_around_the_block_size(self, size, layout):
+    def test_bytes_equal_one_im2col_gemm_around_the_block_size(self, size, c, f, k, padding,
+                                                               layout):
         rng = np.random.default_rng(size)
-        w = rng.standard_normal((64, 64, 3, 3), dtype=np.float32) * 0.05
-        b = rng.standard_normal(64, dtype=np.float32)
-        block = T._COLUMN_BUDGET // (64 * 9 * (size + 2) ** 2 * 4)
+        w = rng.standard_normal((f, c, k, k), dtype=np.float32) * 0.05
+        b = rng.standard_normal(f, dtype=np.float32)
+        block = T._COLUMN_BUDGET // (c * k * k * (size + padding) ** 2 * 4)
         assert block > 2
         for n in (1, block - 1, block, block + 1):
-            x = layout(rng.standard_normal((n, 64, size, size), dtype=np.float32))
-            out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
-            want = self._im2col_gemm(x, w, b)
+            x = layout(rng.standard_normal((n, c, size, size), dtype=np.float32))
+            out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+            want = self._im2col_gemm(x, w, b, padding)
             assert out.strides == want.strides
             np.testing.assert_array_equal(out.view(np.uint32), want.view(np.uint32))
 
@@ -277,7 +283,8 @@ class TestBlockForward:
         x = Tensor(channel_major(rng.standard_normal((128, 64, 16, 16), dtype=np.float32)))
         w = Tensor(rng.standard_normal((64, 64, 3, 3), dtype=np.float32), requires_grad=True)
         b = Tensor(np.zeros(64), requires_grad=True)
-        planes = 64 * 128 * 18 * 18 * 4  # saved for the backward
+        # saved for the backward: 17x17 columns an image and 18 after the last
+        grid = 64 * (128 * 17 * 17 + 18) * 4
         # conv2d takes its large arrays from arenas, which tracemalloc does
         # not see; the pages they touch are counted here
         arenas = []
@@ -291,7 +298,44 @@ class TestBlockForward:
         peak += sum(arena.top for arena in arenas)
         # the whole batch's columns would be 75 MiB; a block's GEMM result is
         # F / (C*kh*kw) = 1/9 of its columns
-        assert peak - planes - out.data.nbytes <= T._COLUMN_BUDGET * (1 + 1 / 9) + (64 << 10)
+        assert peak - grid - out.data.nbytes <= T._COLUMN_BUDGET * (1 + 1 / 9) + (64 << 10)
+
+
+class TestGridWeightGradient:
+    """The stride-1, C > 1 weight gradient sums one GEMM per block of the forward's columns."""
+
+    def test_float32_across_column_blocks_matches_a_float64_oracle(self):
+        rng = np.random.default_rng(5)
+        n, size = 14, 16
+        block = T._COLUMN_BUDGET // 2 // (64 * 9 * (size + 1) ** 2 * 4)
+        assert 1 < block < n and n % block  # several blocks, the last one partial
+        x = channel_major(rng.standard_normal((n, 64, size, size), dtype=np.float32))
+        w = rng.standard_normal((64, 64, 3, 3), dtype=np.float32) * 0.05
+        g = channel_major(rng.standard_normal((n, 64, size, size), dtype=np.float32))
+        out = T.conv2d(Tensor(x), Tensor(w, requires_grad=True),
+                       Tensor(np.zeros(64, np.float32)), padding=1)
+        gw = out.node.backward_fn(g)[1]
+        xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (1, 1), (1, 1)))
+        want = np.stack([np.einsum("nfhw,nchw->fc", g.astype(np.float64),
+                                   xp[:, :, i:i + size, j:j + size])
+                         for i in range(3) for j in range(3)], axis=-1).reshape(w.shape)
+        assert gw.dtype == np.float32 and gw.shape == w.shape and gw.flags.c_contiguous
+        assert np.abs(gw - want).max() <= 100 * np.finfo(np.float32).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("padding", [0, 1, 3], ids=["p0", "p1", "p3_over_padded"])
+    def test_one_image_per_block_matches_the_naive_loops(self, monkeypatch, padding):
+        monkeypatch.setattr(T, "_COLUMN_BUDGET", 1)  # every block holds one image
+        rng = np.random.default_rng(padding)
+        x, w, bias = (rng.normal(0, 1, s) for s in ((3, 2, 4, 5), (2, 2, 3, 3), (2,)))
+        want_out = naive_conv2d(x, w, bias, 1, padding)
+        g = rng.normal(0, 1, want_out.shape)
+        with use_float64():
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, bias))
+            out = T.conv2d(xt, wt, bt, padding=padding)
+            backward((out * Tensor(g)).sum())
+        np.testing.assert_allclose(out.data, want_out, rtol=1e-10, atol=1e-10)
+        for got, want in zip((xt.grad, wt.grad, bt.grad), naive_conv2d_grads(x, w, g, 1, padding)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 class TestConvOracleProperties:
@@ -305,7 +349,7 @@ class TestConvOracleProperties:
         want_out = naive_conv2d(x, kernel, bias, s, p)
         g = rng.normal(0, 1, want_out.shape)
         want_grads = naive_conv2d_grads(x, kernel, g, s, p)
-        for layout in LAYOUTS:  # stride 1 with c > 1 takes the shifted-GEMM backward
+        for layout in LAYOUTS:  # stride 1 with c > 1 runs on the shared-padding grid
             with use_float64():
                 xt, kt, bt = (Tensor(a, requires_grad=True) for a in (layout(x), kernel, bias))
                 out = T.conv2d(xt, kt, bt, stride=s, padding=p)
@@ -747,7 +791,7 @@ class TestChannelMajorLayout:
     outputs and input gradients, so no layer transposes or copies it back."""
 
     @pytest.mark.parametrize("op, c, h, w", [
-        (_conv(3, 1, 1), 3, 6, 4),  # shifted-GEMM backward
+        (_conv(3, 1, 1), 3, 6, 4),  # the shared-padding grid
         (_conv(3, 1, 0), 3, 6, 4),
         (_conv(1, 1, 1), 1, 6, 4),  # im2col columns and _col2im
         (_conv(3, 2, 1), 3, 7, 5),
@@ -1037,7 +1081,7 @@ class TestNoGrad:
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc options are glibc's")
 class TestMemoryReuse:
     def test_repeated_conv_step_faults_in_no_fresh_pages(self):
-        # the padded planes and gradients here are 4-5 MiB each: arena
+        # the grids and gradients here are 4-5 MiB each: arena
         # blocks, and above glibc's default mmap threshold
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((64, 64, 16, 16)), requires_grad=True)
