@@ -2,6 +2,7 @@
 """Check the first steps of every benchmark workload against perfbench/reference.json.
 
     python3 scripts/refcheck.py --seeds 0-63
+    python3 scripts/refcheck.py --seeds 0-1,41,48
 
 For each workload and seed it trains the steps that the reference records
 (three) through ``run`` of perfbench/workload.py, as the benchmark's own
@@ -27,15 +28,20 @@ sys.path.insert(0, str(PERFBENCH))
 import workload  # noqa: E402
 
 
-def seed_range(text: str) -> list[int]:
-    """'A-B' (both included) or 'A' as a list of seeds."""
-    first, _, last = text.partition("-")
-    try:
-        seeds = list(range(int(first), int(last or first) + 1))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A-B or A, got {text!r}") from None
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+def seed_list(text: str) -> list[int]:
+    """Comma-separated seeds 'A' and ranges 'A-B' (both included), e.g. '0-1,41,48',
+    as a list of seeds in order."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.strip().partition("-")
+        try:
+            span = range(int(first), int(last or first) + 1)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected A-B or A, comma-separated, got {part!r}") from None
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
     return seeds
 
 
@@ -53,8 +59,9 @@ def compare(rows, reference: dict, want_rows):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=seed_range, default=seed_range("0-63"),
-                        help="seeds A-B, both included (default 0-63: all the reference holds)")
+    parser.add_argument("--seeds", type=seed_list, default=seed_list("0-63"),
+                        help="comma-separated seeds A and ranges A-B, both included, e.g. "
+                             "0-1,41,48 (default 0-63: all the reference holds)")
     args = parser.parse_args(argv)
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     misses = []

@@ -38,6 +38,12 @@ class Config(TrainConfig):
         super().__post_init__()
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must all be >= 0, got {self.seeds}")
+        for key in ("source_classes", "target_classes"):
+            ids = getattr(self, key)
+            if len(set(ids)) < len(ids):
+                raise ValueError(f"{key} must not repeat a class id, got {ids}")
         if any(k < 1 for k in self.k_values):
             raise ValueError(f"k_values must all be >= 1, got {self.k_values}")
 

@@ -567,7 +567,7 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding, ho, wo):
     return _unpad(out, padding)
 
 
-# bytes of one destination column block of the shifted input gradient
+# bytes of one destination column block of the input gradient (_grid_input_grad)
 _GRAD_BLOCK_BYTES = 1 << 20
 
 
@@ -585,10 +585,10 @@ class _Grid:
     on it.  Output pixel (n, oi, oj) sits at column n*size + oi*wq + oj,
     and kernel offset (i, j) reads the input column i*wq + j further on, so
     the im2col columns of a run of output columns are kh*kw contiguous
-    slices of the grid, and each offset's term of the input gradient is one
-    GEMM over contiguous column slices (cf. Cho & Brand, 2017).  The
-    pitches are at least Wo and Ho, so no two output pixels share a column
-    when p > k - 1.
+    slices of the grid, and those of kernel row i are the kw horizontal
+    shifts read i*wq columns further on (_row_columns; cf. Cho & Brand,
+    2017).  The pitches are at least Wo and Ho, so no two output pixels
+    share a column when p > k - 1.
     """
 
     def __init__(self, shape, kh: int, kw: int, padding: int):
@@ -603,6 +603,10 @@ class _Grid:
     def span(self, b: int) -> int:
         """Columns from the first output pixel of b consecutive images to past their last."""
         return (b - 1) * self.size + (self.ho - 1) * self.wq + self.wo
+
+    def block(self, rows: int, budget: int, itemsize: int) -> int:
+        """Images per block whose columns, ``rows`` items each, fit ``budget`` bytes."""
+        return max(1, min(self.n, budget // (rows * self.size * itemsize)))
 
 
 def _shifted_grid(a: np.ndarray, grid: _Grid, top: int) -> np.ndarray:
@@ -630,7 +634,7 @@ def _grid_columns(flat: np.ndarray, grid: _Grid, budget: int):
     c = flat.shape[0]
     kh, kw, size = grid.kh, grid.kw, grid.size
     k = c * kh * kw
-    block = max(1, min(grid.n, budget // (k * size * flat.itemsize)))
+    block = grid.block(k, budget, flat.itemsize)
     cols = _empty((c, kh, kw, grid.span(block)), flat.dtype)
     cols2d = cols.reshape(k, -1)
     for start in range(0, grid.n, block):
@@ -641,6 +645,28 @@ def _grid_columns(flat: np.ndarray, grid: _Grid, budget: int):
                 off = start * size + i * grid.wq + j
                 cols[:, i, j, :span] = flat[:, off:off + span]
         yield start, b, cols2d[:, :span]
+
+
+def _row_columns(a: np.ndarray, grid: _Grid, first: int, span: int, buf: np.ndarray):
+    """The kernel-row columns of ``span`` grid positions from ``first``.
+
+    They are the kw shifted copies of a's columns [first, first + span +
+    (kh-1)*wq), as (kw*channels, span + (kh-1)*wq): row j*channels + ch
+    holds a[ch, first + j + t] in column t, and columns before a's first
+    read zero.  Kernel row i's im2col columns of the positions, rows in
+    (j, channel) order, are the contiguous slice [i*wq, i*wq + span), so a
+    block takes kw copies where its im2col columns take kh*kw.  The result
+    is a view of ``buf``, a 1-d array of at least its size.
+    """
+    ch = a.shape[0]
+    width = span + (grid.kh - 1) * grid.wq
+    rows = buf[:grid.kw * ch * width].reshape(grid.kw, ch, width)
+    for j in range(grid.kw):
+        lo = first + j  # a's column that lands in column 0
+        head = min(max(-lo, 0), width)
+        rows[j, :, :head] = 0
+        rows[j, :, head:] = a[:, lo + head:lo + width]
+    return rows.reshape(-1, width)
 
 
 def _block_forward(flat: np.ndarray, grid: _Grid, wmat: np.ndarray, bias: np.ndarray):
@@ -670,53 +696,72 @@ def _grid_weight_grad(flat: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.nd
     """Weight gradient (F, C, kh, kw) of a stride-1 convolution from its input
     on the grid and its output gradient on the grid (_shifted_grid, top 0).
 
-    Per image block, the block's im2col columns (C*kh*kw, span) times the
-    transpose of its output-gradient columns (F, span) is one GEMM; the
-    zeros at positions without an output pixel drop the rest.  Blocks are
-    summed in order.  Their columns fit half of _COLUMN_BUDGET: they are
-    made at the backward's memory peak, on top of both grids.
+    Per image block, each kernel row i is one GEMM: its im2col columns
+    (kw*C, span), a slice of the block's kernel-row columns (_row_columns),
+    times the transpose of the block's output-gradient columns (F, span);
+    the zeros at positions without an output pixel drop the rest.  Blocks
+    are summed in order.  They are the blocks whose im2col columns fit half
+    of _COLUMN_BUDGET, so every entry is the same dot product, and the same
+    sum over blocks, as one GEMM of each block's _grid_columns.  The
+    kernel-row columns are made at the backward's memory peak, on top of
+    both grids, and take about a kh-th of the im2col columns' bytes.
     """
     c, f = flat.shape[0], ggrid.shape[0]
-    gw = None
-    for start, _, cols in _grid_columns(flat, grid, _COLUMN_BUDGET // 2):
-        first = start * grid.size
-        part = cols @ ggrid[:, first:first + cols.shape[1]].T
-        gw = part if gw is None else np.add(gw, part, out=gw)
-    return np.ascontiguousarray(gw.T).reshape(f, c, grid.kh, grid.kw)
+    kh, kw, wq, size = grid.kh, grid.kw, grid.wq, grid.size
+    dtype = np.result_type(flat, ggrid)
+    block = grid.block(c * kh * kw, _COLUMN_BUDGET // 2, flat.itemsize)
+    buf = _empty((kw * c * (grid.span(block) + (kh - 1) * wq),), flat.dtype)
+    gw = _empty((kh, kw * c, f), dtype)
+    part = np.empty((kw * c, f), dtype)
+    for start in range(0, grid.n, block):
+        first, span = start * size, grid.span(min(block, grid.n - start))
+        cols = _row_columns(flat, grid, first, span, buf)
+        gt = ggrid[:, first:first + span].T
+        for i in range(kh):
+            x = cols[:, i * wq:i * wq + span]
+            if start == 0:
+                np.matmul(x, gt, out=gw[i])
+            else:
+                np.add(gw[i], np.matmul(x, gt, out=part), out=gw[i])
+    return np.ascontiguousarray(gw.reshape(kh, kw, c, f).transpose(3, 2, 0, 1))
 
 
-def _shifted_input_grad(w: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.ndarray:
+def _grid_input_grad(w: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.ndarray:
     """Input gradient (N, C, H, W), channel-major, of a stride-1 convolution
     from its output gradient on the grid (_shifted_grid, top 0).
 
-    The gradient is made on the grid: each destination block of columns,
-    at most _GRAD_BLOCK_BYTES, is zeroed and then takes every kernel
-    offset's GEMM term that lands in it, in offset order, so each element
-    sums the same terms in the same order as one whole-grid accumulation
-    while the block stays in cache.
+    Input column y takes w[:, :, i, j]ᵀ times output-gradient column
+    y - i*wq - j for every kernel offset, so with the kernel flipped, input
+    columns are a convolution of the output gradient's kernel-row columns
+    (_row_columns) from kh-1 rows and kw-1 columns before them.  The
+    gradient is made on the grid in equal destination blocks of columns,
+    at most _GRAD_BLOCK_BYTES each: a block is kh GEMMs of the flipped
+    kernel's rows (C, kw*F) with the slices of the block's kernel-row
+    columns, summed in kernel-row order while the block stays in cache.
     """
-    _, c, kh, kw = w.shape
-    n, p, size = grid.n, grid.p, grid.size
-    length, span = n * size, grid.span(n)  # ggrid holds no output pixel past span
-    wt = w.transpose(2, 3, 1, 0).copy()  # (kh, kw, C, F)
-    gxp = _empty((c, length), ggrid.dtype)
+    f, c, kh, kw = w.shape
+    n, p, wq = grid.n, grid.p, grid.wq
+    length = n * grid.size
+    dtype = ggrid.dtype
+    # row i: the kernel's row kh-1-i as (C, kw*F), columns (kw-1-j)*F + f
+    wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(2, 1, 3, 0),
+                              dtype=dtype).reshape(kh, c, kw * f)
+    gxp = _empty((c, length), dtype)
     # equal blocks: a narrow last one would take the BLAS's small-matrix
     # kernel, whose bytes for a column depend on where the call ends
-    blocks = -(-length // max(1, _GRAD_BLOCK_BYTES // (c * ggrid.itemsize)))
+    blocks = -(-length // max(1, _GRAD_BLOCK_BYTES // (c * dtype.itemsize)))
     width = -(-length // blocks)
-    term = _empty((c, width), ggrid.dtype)
+    buf = _empty((kw * f * (width + (kh - 1) * wq),), dtype)
+    term = _empty((c, width), dtype)
+    back = (kh - 1) * wq + kw - 1  # a block reads the output gradient from this far before it
     for start in range(0, length, width):
-        stop = min(start + width, length)
-        dst = gxp[:, start:stop]
-        dst.fill(0)
-        for i in range(kh):
-            for j in range(kw):
-                off = i * grid.wq + j
-                lo, hi = max(start - off, 0), min(stop - off, span)  # grid columns landing here
-                if lo < hi:
-                    part = np.matmul(wt[i, j], ggrid[:, lo:hi], out=term[:, :hi - lo])
-                    dst[:, lo + off - start:hi + off - start] += part
-    gx = gxp.reshape(c, n, grid.hq, grid.wq)[:, :, p:p + grid.h, p:p + grid.w]
+        span = min(width, length - start)
+        cols = _row_columns(ggrid, grid, start - back, span, buf)
+        dst = gxp[:, start:start + span]
+        np.matmul(wf[0], cols[:, :span], out=dst)
+        for i in range(1, kh):
+            dst += np.matmul(wf[i], cols[:, i * wq:i * wq + span], out=term[:, :span])
+    gx = gxp.reshape(c, n, grid.hq, wq)[:, :, p:p + grid.h, p:p + grid.w]
     if not gx.flags.c_contiguous:  # padding rows or columns lie between the pixels
         inner, gx = gx, _empty(gx.shape, gx.dtype)
         np.copyto(gx, inner)
@@ -730,8 +775,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     At stride 1 with C > 1, x goes onto a shared-padding grid (_Grid) and
     the forward builds its im2col columns per image block from it
     (_block_forward).  The backward keeps only that grid: it takes the
-    weight gradient from the same column blocks, frees the grid, and makes
-    the input gradient by shifted GEMMs (_shifted_input_grad).  Otherwise
+    weight gradient from the kernel-row columns of the same image blocks
+    (_grid_weight_grad), frees the grid, and makes the input gradient from
+    the output gradient's kernel-row columns (_grid_input_grad).  Otherwise
     both are one im2col GEMM, and the backward keeps the columns.
 
     With ``lazy``, where x needs no gradient (the images), the output is a
@@ -775,7 +821,7 @@ def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int):
             flat = None  # this node runs once: free the grid before the input gradient
             if not need_gx:
                 return None, gw, gb
-            return _shifted_input_grad(w.data, ggrid, grid), gw, gb
+            return _grid_input_grad(w.data, ggrid, grid), gw, gb
 
         return out.transpose(1, 0, 2, 3), bwd
 

@@ -64,7 +64,8 @@ class TestConfig:
         ("grad_clip", "0"), ("grad_clip", "-1"), ("grad_clip", "nan"), ("seeds", ""),
         ("seeds", "a"), ("k_values", "2,x"), ("k_values", "0"), ("k_values", "-1"),
         ("head_widths", "0"), ("head_widths", "32,-1"), ("alpha", "nan"), ("beta", "inf"),
-        ("tau_st", "nan"), ("tau_tt", "inf"), ("tau_tt", "0"),
+        ("tau_st", "nan"), ("tau_tt", "inf"), ("tau_tt", "0"), ("seeds", "0,-1"),
+        ("source_classes", "0,0,1"), ("target_classes", "3,4,3"),
     ])
     def test_out_of_range_value_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -179,6 +180,9 @@ class TestCli:
         ("--alpha", "nan"),  # exited 1: the total loss was NaN at step 1
         ("--tau_st", "nan"),  # exited 1: "entropy: rows must sum to 1"
         ("--tau_tt", "inf"),  # exited 0 after training
+        ("--seeds", "-1"),  # exited 1 from numpy's seeding after writing config.txt
+        ("--source_classes", "0,0,1"),  # exited 1: "entropy: rows must sum to 1"
+        ("--target_classes", "3,4,4"),
     ])
     def test_bad_transfer_config_is_usage_error(self, tmp_path, capsys, flag, value):
         ckpt = tmp_path / "source.ckpt"

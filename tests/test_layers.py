@@ -455,8 +455,10 @@ class TestTrainingMemory:
     (batchnorm2d(pool=2) of a lazy conv1 output) no full-size block-1 map
     exists, and they are
     56819712 and 47161344; with conv2-4 on the shared-padding grid,
-    53628928 and 45588480.  Each bound is the two-op value less one
-    full-size block-1 map (32 MiB).
+    53628928 and 45588480; with their backward on kernel-row columns,
+    53628928 and 48459776 (conv2's input gradient holds its destination
+    block's kernel-row columns, 2.7 MiB, at the peak).  Each bound is the
+    two-op value less one full-size block-1 map (32 MiB).
     """
 
     def test_the_step_stays_below_the_two_op_peaks(self):

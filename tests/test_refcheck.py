@@ -20,10 +20,12 @@ def _load():
     return module
 
 
-def test_two_seeds_pass_and_print_the_worst_deviation_per_step():
+def test_four_seeds_pass_and_print_the_worst_deviation_per_step():
+    # seed 41 holds the worst step-2 and step-3 deviations, and seed 48 is
+    # where a change in the forward's rounding first misses
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(SCRIPT), "--seeds", "0-1"], env=env,
+    done = subprocess.run([sys.executable, str(SCRIPT), "--seeds", "0-1,41,48"], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -49,6 +51,16 @@ def test_a_term_off_the_reference_is_a_miss(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "finetune_k5 step 2: worst deviation 0.00e+00" in captured.out
     assert captured.err.startswith("miss: joint_k5 seed 5 step 2 loss_st_src")
+
+
+def test_seeds_are_comma_separated_seeds_and_ranges():
+    refcheck = _load()
+    assert refcheck.seed_list("0-1,41,48") == [0, 1, 41, 48]
+    assert refcheck.seed_list("5") == [5]
+    for bad in ("3-1", "a", "1,,2"):
+        with pytest.raises(SystemExit) as exit_info:
+            refcheck.main(["--seeds", bad])
+        assert exit_info.value.code == 2
 
 
 def test_seeds_without_a_reference_are_a_usage_error():

@@ -302,7 +302,30 @@ class TestBlockForward:
 
 
 class TestGridWeightGradient:
-    """The stride-1, C > 1 weight gradient sums one GEMM per block of the forward's columns."""
+    """The stride-1, C > 1 weight gradient sums, per image block, one GEMM per kernel row
+    of the block's kernel-row columns."""
+
+    @pytest.mark.parametrize("n, size, c, f, k, padding", [
+        (14, 16, 64, 64, 3, 1),  # conv2 of the digit net: blocks of 6, 6 and 2 images
+        (30, 12, 20, 50, 5, 0),  # conv2 of the ablation net: blocks of 14, 14 and 2
+    ], ids=["digit_conv2", "ablation_conv2"])
+    def test_bytes_equal_one_gemm_per_block_of_im2col_columns(self, n, size, c, f, k, padding):
+        rng = np.random.default_rng(n)
+        x = channel_major(rng.standard_normal((n, c, size, size), dtype=np.float32))
+        grid = T._Grid(x.shape, k, k, padding)
+        g = channel_major(rng.standard_normal((n, f, grid.ho, grid.wo), dtype=np.float32))
+        flat, ggrid = T._shifted_grid(x, grid, padding), T._shifted_grid(g, grid, 0)
+        block = grid.block(c * k * k, T._COLUMN_BUDGET // 2, 4)
+        assert 1 < block < n and n % block  # several blocks, the last one partial
+        want = None
+        for start, _, cols in T._grid_columns(flat, grid, T._COLUMN_BUDGET // 2):
+            first = start * grid.size
+            part = cols @ ggrid[:, first:first + cols.shape[1]].T
+            want = part if want is None else np.add(want, part, out=want)
+        want = np.ascontiguousarray(want.T).reshape(f, c, k, k)
+        gw = T._grid_weight_grad(flat, ggrid, grid)
+        assert gw.flags.c_contiguous
+        _assert_bytes_equal(gw, want)
 
     def test_float32_across_column_blocks_matches_a_float64_oracle(self):
         rng = np.random.default_rng(5)
@@ -336,6 +359,83 @@ class TestGridWeightGradient:
         np.testing.assert_allclose(out.data, want_out, rtol=1e-10, atol=1e-10)
         for got, want in zip((xt.grad, wt.grad, bt.grad), naive_conv2d_grads(x, w, g, 1, padding)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+def _float64_input_grad(w, g, padding):
+    """The input gradient of a stride-1 convolution in float64, one product per kernel offset."""
+    n, f, ho, wo = g.shape
+    _, c, kh, kw = w.shape
+    g64 = g.astype(np.float64).transpose(0, 2, 3, 1)
+    gxp = np.zeros((n, ho + kh - 1, wo + kw - 1, c))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i:i + ho, j:j + wo] += g64 @ w[:, :, i, j].astype(np.float64)
+    h, wd = ho + kh - 1 - 2 * padding, wo + kw - 1 - 2 * padding
+    return gxp[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
+
+
+class TestGridInputGradient:
+    """The stride-1, C > 1 input gradient: per destination column block, kh GEMMs of the
+    flipped kernel's rows with the output gradient's kernel-row columns."""
+
+    @pytest.mark.parametrize("padding", [0, 1, 3], ids=["p0", "p1", "p3_over_padded"])
+    def test_several_destination_blocks_match_the_naive_loops(self, monkeypatch, padding):
+        rng = np.random.default_rng(10 + padding)
+        x, w = rng.normal(0, 1, (3, 4, 5, 6)), rng.normal(0, 1, (2, 4, 3, 3))
+        grid = T._Grid(x.shape, 3, 3, padding)
+        # destination blocks of 13 float64 columns of 4 channels, the last
+        # one narrower; the first reaches back over the start of the grid
+        monkeypatch.setattr(T, "_GRAD_BLOCK_BYTES", 13 * 4 * 8)
+        assert grid.n * grid.size % 13
+        empty = T._empty
+
+        def nan_filled(*args, **kwargs):  # no column may be read before it is written
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(T, "_empty", nan_filled)
+        g = rng.normal(0, 1, (3, 2, grid.ho, grid.wo))
+        with use_float64():
+            gx = T._grid_input_grad(w, T._shifted_grid(g, grid, 0), grid)
+        assert is_channel_major(gx)
+        np.testing.assert_allclose(gx, naive_conv2d_grads(x, w, g, 1, padding)[0],
+                                   rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [25, 128])
+    def test_float32_across_destination_blocks_matches_a_float64_oracle(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.standard_normal((64, 64, 3, 3), dtype=np.float32) * 0.05
+        g = channel_major(rng.standard_normal((n, 64, 16, 16), dtype=np.float32))
+        grid = T._Grid((n, 64, 16, 16), 3, 3, 1)
+        assert n * grid.size * 64 * 4 > T._GRAD_BLOCK_BYTES  # several destination blocks
+        gx = T._grid_input_grad(w, T._shifted_grid(g, grid, 0), grid)
+        want = _float64_input_grad(w, g, 1)
+        assert gx.dtype == np.float32 and gx.shape == want.shape and is_channel_major(gx)
+        assert np.abs(gx - want).max() <= 100 * np.finfo(np.float32).eps * np.abs(want).max()
+
+    def test_transient_memory_stays_within_the_block_buffers(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        n, c, f, size = 128, 64, 64, 16
+        w = rng.standard_normal((f, c, 3, 3), dtype=np.float32)
+        grid = T._Grid((n, c, size, size), 3, 3, 1)
+        ggrid = T._shifted_grid(rng.standard_normal((n, f, size, size), dtype=np.float32),
+                                grid, 0)
+        gxp = c * n * grid.size * 4  # the gradient on the grid, 17x17 columns an image
+        gx = n * c * size * size * 4  # the valid pixels copied out of it
+        arenas = []
+        monkeypatch.setattr(T, "_ARENAS", arenas)
+        tracemalloc.start()
+        try:
+            T._grid_input_grad(w, ggrid, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peak += sum(arena.top for arena in arenas)
+        # the kernel-row columns of a destination block are kw*F/C times its
+        # bytes plus (kh-1)*wq columns; one more block holds a GEMM's term
+        rows = 3 * f * 4 * (T._GRAD_BLOCK_BYTES // (c * 4) + 2 * grid.wq)
+        assert peak - gxp - gx <= rows + T._GRAD_BLOCK_BYTES + (64 << 10)
 
 
 class TestConvOracleProperties:
