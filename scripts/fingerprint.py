@@ -12,9 +12,12 @@ classes in the shifted domain, taps pool4_flat, fc1 and fc2) cover the
 other two procedures.  Two source trees compute the same
 bits exactly when their outputs are equal:
 
-    PYTHONPATH=old/src python3 scripts/fingerprint.py --seeds 0 1 2 3 > old.txt
-    PYTHONPATH=new/src python3 scripts/fingerprint.py --seeds 0 1 2 3 > new.txt
+    PYTHONPATH=old/src python3 scripts/fingerprint.py --seeds 0-3 > old.txt
+    PYTHONPATH=new/src python3 scripts/fingerprint.py --seeds 0-3 > new.txt
     diff old.txt new.txt
+
+``--seeds`` takes seeds and ranges as scripts/refcheck.py does (``0-7,41``),
+and also space-separated (``0 1 2 3``).
 
 With ``--shadow`` each run is repeated under ``tensor.use_float64()``, and
 one more line per step gives each loss term's relative deviation from its
@@ -28,6 +31,9 @@ import hashlib
 import sys
 
 from xferlearn import data, layers, metrics, tensor, trainer
+
+# after xferlearn: importing refcheck puts this tree's src/ first on sys.path
+from refcheck import seed_list  # noqa: E402
 
 WORKLOADS = ("finetune_k5", "joint_k5", "pretrain", "uda")
 TERMS = ("loss_sup", "loss_dt_d", "loss_dt_e", "loss_st_src", "loss_st_sup",
@@ -92,14 +98,15 @@ def deviation(got: float, exact: float) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    parser.add_argument("--seeds", type=seed_list, nargs="+", default=[[0]],
+                        help="seeds A and ranges A-B, comma- or space-separated, e.g. 0-7,41")
     parser.add_argument("--steps", type=int, default=5)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--shadow", action="store_true",
                         help="also print each loss term's deviation from a float64 rerun")
     args = parser.parse_args(argv)
     for workload in args.workloads:
-        for seed in args.seeds:
+        for seed in (seed for part in args.seeds for seed in part):
             net, record, test = run(workload, seed, args.steps)
             tag = f"{workload} seed={seed}"
             for row in record.rows:

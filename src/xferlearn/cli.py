@@ -39,13 +39,9 @@ class UsageError(ValueError):
 
 
 def _net_spec(cfg: Config, n_classes: int):
-    if cfg.experiment == "digits":
-        return digit_embedding_spec(n_classes=n_classes)
-    if cfg.experiment == "ablation":
-        return ablation_embedding_spec(n_classes=n_classes)
-    if cfg.experiment == "synth":
-        return synth_embedding_spec(n_classes=n_classes)
-    raise UsageError(f"unknown experiment {cfg.experiment!r}")
+    spec = {"digits": digit_embedding_spec, "ablation": ablation_embedding_spec,
+            "synth": synth_embedding_spec}[cfg.experiment]
+    return spec(n_classes=n_classes)
 
 
 def _image_size(cfg: Config) -> int:
@@ -206,12 +202,10 @@ def cmd_transfer(cfg: Config) -> int:
                     net, record = trainer.run_baseline(
                         "fine_tune", d2, run_cfg, source_net=source_net,
                         reinit_head=disjoint)
-                elif method in ("full", "adv_only"):
+                else:  # full or adv_only
                     mcfg = replace(run_cfg, beta=0.0) if method == "adv_only" else run_cfg
                     net, record = trainer.adapt_joint(source_net, d1, d2, d3, mcfg,
                                                       reinit_head=disjoint)
-                else:
-                    raise UsageError(f"unknown method {method!r}")
                 acc = evaluate(net, test).accuracy
                 tag = f"{method}_k{k}_seed{seed}"
                 _write_metrics(out / f"metrics_{tag}.csv", record.rows)

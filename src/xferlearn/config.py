@@ -16,6 +16,10 @@ class ConfigError(ValueError):
     pass
 
 
+EXPERIMENTS = ("digits", "ablation", "synth")
+METHODS = ("target_only", "fine_tune", "full", "adv_only")
+
+
 @dataclass
 class Config(TrainConfig):
     experiment: str = "digits"  # digits | ablation | synth
@@ -36,6 +40,14 @@ class Config(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"experiment must be one of {', '.join(EXPERIMENTS)}, "
+                             f"got {self.experiment!r}")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"methods must be among {', '.join(METHODS)}, got {unknown}")
+        if self.source_subsample < 0:
+            raise ValueError(f"source_subsample must be >= 0, got {self.source_subsample}")
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
         if any(s < 0 for s in self.seeds):

@@ -11,19 +11,14 @@ has run.
 Storage is float32 by default; ``use_float64()`` switches the whole module
 to double precision for gradient checking.  Importing the module sets
 glibc's malloc thresholds so that freed arrays are reused (see
-``_reuse_freed_memory``); the large arrays of the conv-block ops and of
-their backwards come from memory maps of their own instead (see ``_Arena``).
+``_reuse_freed_memory``); every array comes from numpy.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import math
-import mmap
 import sys
-import threading
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,99 +62,12 @@ def _reuse_freed_memory() -> None:
 
 _reuse_freed_memory()
 
-# arrays of at least this many bytes that the conv-block ops and their
-# backwards make come from _ARENAS
-_ARENA_MIN_BYTES = 256 << 10
-_ARENA_BYTES = 256 << 20  # address space per arena; only the pages used count as memory
-
-
-class _Arena:
-    """An anonymous memory map apart from glibc's heap, cut best fit into page-aligned blocks.
-
-    A training step makes and frees the same activations, saved tensors and
-    gradients.  In glibc's heap (see ``_reuse_freed_memory``) they leave
-    holes between steps that whatever else the process allocates may split;
-    a later step that no longer fits then extends the heap, and a fine-tune
-    run's peak memory grew by one 6 MiB activation at a step that differed
-    from run to run.  An arena holds only these arrays, and each step cuts
-    it the same way, so a run's memory stops growing after its first steps.
-    A block is an array over its range of the map.  Every view of it holds
-    it (numpy points a view's base at the array that holds the memory), and
-    a weakref callback frees the range once the block is gone.  The map
-    asks for transparent huge pages before any page is touched.  numpy asks
-    for them on each of its own arrays of 4 MiB or more, so a heap range
-    could be marked while some of its pages were in use; the kernel then
-    collapsed it in the background, at a time that varied from run to run,
-    adding the untouched rest of the range to the memory in use.
-    """
-
-    def __init__(self, nbytes: int):
-        self.map = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        if hasattr(mmap, "MADV_HUGEPAGE"):
-            self.map.madvise(mmap.MADV_HUGEPAGE)
-        self.live: dict[int, tuple] = {}  # offset -> (bytes, weakref) of each block in use
-        self.top = 0  # end of the highest block ever taken: the pages touched lie below
-
-    def take(self, nbytes: int) -> np.ndarray | None:
-        """A block of ``nbytes`` (a multiple of the page size) in the smallest
-        gap between blocks that holds it, the lowest of equal gaps, else after
-        the last block; None if that does not fit either."""
-        best, end = None, 0  # (gap, offset)
-        live = self.live
-        for off in sorted(live):
-            if off - end >= nbytes and (best is None or off - end < best[0]):
-                best = (off - end, end)
-            end = off + live.get(off, (0,))[0]  # a block may die meanwhile
-        if best is None:
-            if len(self.map) - end < nbytes:
-                return None
-            best = (0, end)
-        off = best[1]
-        block = np.frombuffer(self.map, dtype=np.uint8, count=nbytes, offset=off)
-        live[off] = (nbytes, weakref.ref(block, lambda _, off=off: live.pop(off)))
-        self.top = max(self.top, off + nbytes)
-        return block
-
-
-_ARENAS: list[_Arena] = []
-_ARENA_LOCK = threading.Lock()  # finding a gap and taking it must not interleave
-
-
 def _empty(shape, dtype, order=None) -> np.ndarray:
     """np.empty(shape, dtype) with its axes in memory in ``order``, outermost
-    first (default: C order); from _ARENAS if it is large."""
-    dtype = np.dtype(dtype)
-    outer = shape if order is None else [shape[a] for a in order]
-    nbytes = math.prod(outer) * dtype.itemsize
-    if nbytes < _ARENA_MIN_BYTES:
-        out = np.empty(outer, dtype)
-    else:
-        size = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
-        with _ARENA_LOCK:
-            for arena in _ARENAS:
-                block = arena.take(size)
-                if block is not None:
-                    break
-            else:
-                _ARENAS.append(_Arena(max(size, _ARENA_BYTES)))
-                block = _ARENAS[-1].take(size)
-        out = block[:nbytes].view(dtype).reshape(outer)
-    return out if order is None else out.transpose(sorted(range(len(order)),
-                                                          key=order.__getitem__))
-
-
-def _zeros(shape, dtype) -> np.ndarray:
-    out = _empty(shape, dtype)
-    out.fill(0)
-    return out
-
-
-def _like(a: np.ndarray, dtype=None) -> np.ndarray:
-    """np.empty_like(a, dtype): a's shape, its axes in memory by falling stride."""
-    dtype = a.dtype if dtype is None else np.dtype(dtype)
-    if a.size * dtype.itemsize < _ARENA_MIN_BYTES:
-        return np.empty_like(a, dtype)
-    return _empty(a.shape, dtype, sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
+    first (default: C order)."""
+    if order is None:
+        return np.empty(shape, dtype)
+    return np.empty([shape[a] for a in order], dtype).transpose(np.argsort(order))
 
 
 def current_dtype():
@@ -387,12 +295,12 @@ def sqrt(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     # gradient at exactly 0 is 0
-    mask = np.greater(a.data, 0, out=_like(a.data, np.bool_)) if _records((a,)) else None
+    mask = a.data > 0 if _records((a,)) else None
 
     def bwd(g):
-        return (np.multiply(g, mask, out=_like(g)),)
+        return (np.multiply(g, mask, out=np.empty_like(g)),)  # in g's memory order
 
-    return _make(np.maximum(a.data, 0, out=_like(a.data)), "relu", (a,), bwd)
+    return _make(np.maximum(a.data, 0), "relu", (a,), bwd)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
@@ -522,40 +430,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _planes(x: np.ndarray, padding: int) -> np.ndarray:
     """x (N, C, H, W), in any memory order, as zero-padded channel-major planes (C, N, Hp, Wp)."""
     n, c, h, w = x.shape
-    planes = _zeros((c, n, h + 2 * padding, w + 2 * padding), x.dtype)
+    planes = np.zeros((c, n, h + 2 * padding, w + 2 * padding), x.dtype)
     planes[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
     return planes
 
 
-def _unpad(planes: np.ndarray, padding: int) -> np.ndarray:
-    """Inverse of _planes: the unpadded part as a channel-major (N, C, H, W) array."""
-    if padding:
-        inner = planes[:, :, padding:-padding, padding:-padding]
-        planes = _empty(inner.shape, inner.dtype)
-        np.copyto(planes, inner)
-    return planes.transpose(1, 0, 2, 3)
-
-
-def _im2col(planes: np.ndarray, kh: int, kw: int, stride: int):
-    """Unfold planes (C, N, Hp, Wp) into cols (C*kh*kw, N*Ho*Wo), one column per output pixel.
-
-    With this layout the convolution and both of its gradients are single 2-D
-    GEMMs (Chellapilla et al., 2006).
-    """
-    c, n, hp, wp = planes.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    cols = _empty((c, kh, kw, n, ho, wo), planes.dtype)
-    for i in range(kh):
-        i_end = i + stride * ho
-        for j in range(kw):
-            j_end = j + stride * wo
-            cols[:, i, j] = planes[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
-
-
 def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding, ho, wo):
-    """Adjoint of _im2col: scatter-add (C*kh*kw, N*Ho*Wo) columns back into x_shape."""
+    """Adjoint of the im2col columns of _window_columns(_planes(x, padding),
+    kh, kw, stride, 1): scatter-add (C*kh*kw, N*Ho*Wo) columns back into
+    x_shape, as a channel-major array."""
     n, c, h, w = x_shape
     cols = cols.reshape(c, kh, kw, n, ho, wo)
     out = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
@@ -564,7 +447,8 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding, ho, wo):
         for j in range(kw):
             j_end = j + stride * wo
             out[:, :, i:i_end:stride, j:j_end:stride] += cols[:, i, j]
-    return _unpad(out, padding)
+    return np.ascontiguousarray(out[:, :, padding:padding + h,
+                                    padding:padding + w]).transpose(1, 0, 2, 3)
 
 
 # bytes of one destination column block of the input gradient (_grid_input_grad)
@@ -615,7 +499,7 @@ def _shifted_grid(a: np.ndarray, grid: _Grid, top: int) -> np.ndarray:
     image n's hq x wq run.  top = p places the input, top = 0 the output
     gradient."""
     n, c, h, w = a.shape
-    flat = _zeros((c, grid.length), a.dtype)
+    flat = np.zeros((c, grid.length), a.dtype)
     images = flat[:, :n * grid.size].reshape(c, n, grid.hq, grid.wq)
     images[:, :, top:top + h, top:top + w] = a.transpose(1, 0, 2, 3)
     return flat
@@ -763,8 +647,7 @@ def _grid_input_grad(w: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.ndarra
             dst += np.matmul(wf[i], cols[:, i * wq:i * wq + span], out=term[:, :span])
     gx = gxp.reshape(c, n, grid.hq, wq)[:, :, p:p + grid.h, p:p + grid.w]
     if not gx.flags.c_contiguous:  # padding rows or columns lie between the pixels
-        inner, gx = gx, _empty(gx.shape, gx.dtype)
-        np.copyto(gx, inner)
+        gx = gx.copy()
     return gx.transpose(1, 0, 2, 3)
 
 
@@ -825,8 +708,10 @@ def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int):
 
         return out.transpose(1, 0, 2, 3), bwd
 
-    cols, ho, wo = _im2col(_planes(x.data, padding), kh, kw, stride)
-    out = np.matmul(wmat, cols, out=_empty((f, cols.shape[1]), np.result_type(wmat, cols)))
+    cols = _window_columns(_planes(x.data, padding), kh, kw, stride, 1)
+    ho, wo = cols.shape[-2:]
+    cols = cols.reshape(len(cols), -1)
+    out = wmat @ cols
     out += bias.data[:, None]
     out = out.reshape(f, n, ho, wo)
     x_shape = x.data.shape
@@ -908,9 +793,9 @@ def _fold_max(parts: Sequence[np.ndarray], codes: bool):
         return out, np.zeros_like(out, dtype=np.uint8) if codes else None
     out, code = parts[0], None
     for k, part in enumerate(parts[1:], 1):
-        new = np.maximum(out, part, out=_like(part))
+        new = np.maximum(out, part)
         if codes:
-            changed = np.not_equal(new, out, out=_like(new, np.bool_))
+            changed = np.not_equal(new, out)
             if code is None:
                 code = changed.view(np.uint8)
             else:
@@ -935,7 +820,7 @@ def _pool(a: np.ndarray, size: int, codes: bool):
     if not codes:
         return out, None
     keep = None
-    nan = np.isnan(out, out=_like(out, np.bool_))
+    nan = np.isnan(out)
     if nan.any():
         keep = np.logical_not(nan, out=nan)
     return out, (cols, rows, keep)
@@ -949,7 +834,7 @@ def _unpool(g: np.ndarray, picks, shape, layout, size: int) -> np.ndarray:
     n, c, h, w = shape
     gx = _empty(shape, g.dtype, layout)
     gx_windows = gx.reshape(n, c, h // size, size, w // size, size)  # a view: it splits h and w
-    row, pick = _like(rows, np.bool_), _like(rows, np.bool_)
+    row, pick = np.empty_like(rows, np.bool_), np.empty_like(rows, np.bool_)
     for i in range(size):
         np.equal(rows, i, out=row)
         if keep is not None:
@@ -1058,7 +943,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     if training:
         mean = x3.mean(axis=(0, 2))
         # centred copy, scaled in place into xhat below
-        xhat = np.subtract(x3, mean[:, None], out=x3 if overwrite_x else _like(x3))
+        xhat = np.subtract(x3, mean[:, None], out=x3 if overwrite_x else None)
         var = np.einsum("ncp,ncp->c", xhat, xhat) / m
         _update_running(running_mean, running_var, mean, var, m, momentum)
         inv_std = 1.0 / np.sqrt(var + eps)
@@ -1076,7 +961,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         out_data *= np.abs(mag)[:, None, None]
         out_data += add[:, None, None]
     else:
-        out_data = np.multiply(v, mag[:, None], out=_like(v, np.result_type(v, mag)))
+        out_data = v * mag[:, None]
         out_data += add[:, None]
         out_data = out_data.reshape(shape)
         if pool > 1:
@@ -1094,7 +979,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         if training:  # s*g - s*(ggamma/m)*xhat - s*gbeta/m, in xhat: this node runs once
             dtype = np.result_type(xh, ggamma)
             gx = np.multiply(xh, (ggamma / m)[:, None],
-                             out=xh if xh.dtype == dtype else _like(xh, dtype))
+                             out=xh if xh.dtype == dtype else None)
             gx += (gbeta / m)[:, None]
             np.subtract(g3, gx, out=gx)
             gx *= s
@@ -1113,6 +998,8 @@ def _window_columns(planes: np.ndarray, kh: int, kw: int, stride: int, pool: int
     Returns cols (C*kh*kw, pool, pool, N, Ho/pool, Wo/pool): cols[:, i, j,
     n, a, b] is the column of output pixel (n, pool*a + i, pool*b + j), so
     the columns of each window position are one contiguous block per row.
+    At pool 1 they are the plain im2col columns, with which the convolution
+    and both of its gradients are single 2-D GEMMs (Chellapilla et al., 2006).
     """
     c, n, hp, wp = planes.shape
     hq = ((hp - kh) // stride + 1) // pool
@@ -1220,7 +1107,7 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
         gq = g.transpose(1, 0, 2, 3).reshape(f, n * q)
         gbeta = gq.sum(axis=1, dtype=np.float64)
         flat_codes = codes.reshape(f, n * q)
-        mask, picked = _like(flat_codes, np.bool_), _like(gq)
+        mask, picked = np.empty_like(flat_codes, np.bool_), np.empty_like(gq)
         a = np.zeros((f, k))
         for i in range(pool):
             for j in range(pool):

@@ -66,6 +66,8 @@ class TrainConfig:
                              f"{self.tau_st}, {self.tau_tt}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
+        if self.fusion not in ("sum", "concat"):
+            raise ValueError(f"fusion must be sum or concat, got {self.fusion!r}")
         for name in ("steps", "pretrain_steps", "eval_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -8,7 +8,7 @@ import pytest
 from xferlearn.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint)
 from xferlearn.cli import CSV_FIELDS, main
 from xferlearn.config import Config, ConfigError, dump_config, load_config
-from xferlearn.data import synth_digits
+from xferlearn.data import synth_digits, write_idx
 from xferlearn.metrics import evaluate
 from xferlearn.layers import EmbeddingNetwork, synth_embedding_spec
 
@@ -65,7 +65,8 @@ class TestConfig:
         ("seeds", "a"), ("k_values", "2,x"), ("k_values", "0"), ("k_values", "-1"),
         ("head_widths", "0"), ("head_widths", "32,-1"), ("alpha", "nan"), ("beta", "inf"),
         ("tau_st", "nan"), ("tau_tt", "inf"), ("tau_tt", "0"), ("seeds", "0,-1"),
-        ("source_classes", "0,0,1"), ("target_classes", "3,4,3"),
+        ("source_classes", "0,0,1"), ("target_classes", "3,4,3"), ("experiment", "foo"),
+        ("fusion", "max"), ("methods", "full,bogus"), ("source_subsample", "-1"),
     ])
     def test_out_of_range_value_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -183,6 +184,9 @@ class TestCli:
         ("--seeds", "-1"),  # exited 1 from numpy's seeding after writing config.txt
         ("--source_classes", "0,0,1"),  # exited 1: "entropy: rows must sum to 1"
         ("--target_classes", "3,4,4"),
+        ("--fusion", "max"),  # exited 1: "unknown fusion", after every fine_tune run's output
+        ("--methods", "fine_tune,bogus"),  # raised after fine_tune's outputs were written
+        ("--source_subsample", "-1"),  # exited 1: "negative dimensions are not allowed"
     ])
     def test_bad_transfer_config_is_usage_error(self, tmp_path, capsys, flag, value):
         ckpt = tmp_path / "source.ckpt"
@@ -193,6 +197,24 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert flag[2:] in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "eval"])
+    def test_unknown_experiment_is_usage_error(self, tmp_path, capsys, command):
+        # a KeyError traceback from the image size once the IDX files were read
+        ds = synth_digits(2, (0, 1), image_size=8, seed=0)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(images, ds.images, labels, ds.labels)
+        ckpt = tmp_path / "source.ckpt"
+        ckpt.write_bytes(b"")  # never read: the config is checked first
+        out = tmp_path / "out"
+        code = main([command, "--experiment", "foo", "--output_dir", str(out),
+                     "--checkpoint", str(ckpt), "--source_images", str(images),
+                     "--source_labels", str(labels), "--test_images", str(images),
+                     "--test_labels", str(labels)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "experiment" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_uda_with_target_classes_outside_the_source_is_usage_error(self, tmp_path, capsys):

@@ -41,3 +41,11 @@ def test_the_float64_shadow_prints_small_deviations():
     # the float32 lines are the fingerprint itself
     assert [line for line in lines if " shadow " not in line] == _fingerprint(
         "--seeds", "0", "--steps", "1").splitlines()
+
+
+def test_seeds_take_refcheck_ranges_and_space_separated_lists():
+    args = ("--steps", "1", "--workloads", "finetune_k5")
+    ranged = _fingerprint("--seeds", "0-1,3", *args)
+    assert [line.split()[1] for line in ranged.splitlines()][::3] == [
+        "seed=0", "seed=1", "seed=3"]
+    assert _fingerprint("--seeds", "0", "1", "3", *args) == ranged

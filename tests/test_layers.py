@@ -1,7 +1,6 @@
 """Network assembly: shape pass, initialization determinism, taps, cloning."""
 
 import contextlib
-import json
 import os
 import subprocess
 import sys
@@ -418,47 +417,36 @@ class TestRunningStatsDtype:
             assert loaded.forward(x)[0].data.dtype == dtype
 
 
-_ARENA_PEAKS = """
-import json
+_STEP_PEAK = """
+import tracemalloc
 import numpy as np
 from xferlearn import layers, tensor
 from xferlearn.tensor import Tensor, backward
 
-take, live = tensor._Arena.take, [0]
-
-def counting_take(arena, nbytes):
-    block = take(arena, nbytes)
-    in_use = sum(n for a in tensor._ARENAS for n, _ in list(a.live.values()))
-    live[0] = max(live[0], in_use)
-    return block
-
-tensor._Arena.take = counting_take
 net = layers.EmbeddingNetwork(layers.digit_embedding_spec(n_classes=5), seed=0)
 x = Tensor(np.random.default_rng(0).normal(0, 1, (128, 1, 32, 32)))
+tracemalloc.start()
 logits, _ = net.forward(x)
 backward(tensor.log_softmax(logits).sum())
-print(json.dumps({"top": max(a.top for a in tensor._ARENAS), "live": live[0]}))
+print(tracemalloc.get_traced_memory()[1])
 """
 
 MIB = 1 << 20
 
 
 class TestTrainingMemory:
-    """Arena memory of one 128-image digit-net forward and backward in train mode.
+    """The most bytes that numpy holds at once (the ``tracemalloc`` peak) in
+    one 128-image digit-net forward and backward in train mode, beyond the
+    net and its input.
 
-    In a fresh process the arenas are cut the same way on every run, so both
-    numbers are exact: ``top``, the end of the highest block ever taken (the
-    pages the step touched), and ``live``, the most bytes in use at once.
-    With conv1, bn1 and pool1 run as conv2d then batchnorm2d(pool=2) they are
-    103878656 and 90701824: block 1's xhat (32 MiB, kept for BN1's backward)
-    is live at the peak, in conv2's backward.  With the three as one op
+    The bounds come from the memory arenas that the conv-block ops once
+    took their large arrays from: with conv1, bn1 and pool1 run as conv2d
+    then batchnorm2d(pool=2), the step touched 103878656 arena bytes and
+    held at most 90701824 at once, with block 1's xhat (32 MiB, kept for
+    BN1's backward) live at the peak, in conv2's backward.  Each bound is one of those two-op values
+    less one full-size block-1 map (32 MiB).  With the three as one op
     (batchnorm2d(pool=2) of a lazy conv1 output) no full-size block-1 map
-    exists, and they are
-    56819712 and 47161344; with conv2-4 on the shared-padding grid,
-    53628928 and 45588480; with their backward on kernel-row columns,
-    53628928 and 48459776 (conv2's input gradient holds its destination
-    block's kernel-row columns, 2.7 MiB, at the peak).  Each bound is the
-    two-op value less one full-size block-1 map (32 MiB).
+    exists; the peak was 49157354 bytes when the arenas were deleted.
     """
 
     def test_the_step_stays_below_the_two_op_peaks(self):
@@ -466,8 +454,8 @@ class TestTrainingMemory:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                           env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", _ARENA_PEAKS], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", _STEP_PEAK], env=env, check=True,
                              capture_output=True, text=True).stdout
-        peaks = json.loads(out)
-        assert peaks["top"] <= 103878656 - 32 * MIB, peaks
-        assert peaks["live"] <= 90701824 - 32 * MIB, peaks
+        peak = int(out)
+        assert peak <= 103878656 - 32 * MIB, peak
+        assert peak <= 90701824 - 32 * MIB, peak
