@@ -43,6 +43,8 @@ class Config(TrainConfig):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {', '.join(EXPERIMENTS)}, "
                              f"got {self.experiment!r}")
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"methods must be among {', '.join(METHODS)}, got {unknown}")
@@ -56,6 +58,8 @@ class Config(TrainConfig):
             ids = getattr(self, key)
             if len(set(ids)) < len(ids):
                 raise ValueError(f"{key} must not repeat a class id, got {ids}")
+        if not self.k_values:
+            raise ValueError("k_values must name at least one k")
         if any(k < 1 for k in self.k_values):
             raise ValueError(f"k_values must all be >= 1, got {self.k_values}")
 

@@ -99,7 +99,7 @@ def _cases(rng, corrupt=False):
         return lambda w: (T.conv2d(x, w, b, stride=2, padding=1) * c).sum(), rand(2, 3, 3, 3)
 
     def case_conv_w_shifted(r):
-        # stride 1 with C > 1: the weight gradient from the shared-padding grid
+        # stride 1 on a non-square map: the weight gradient with no subsample
         x = rand(2, 3, 5, 4)
         b = rand(2)
         c = rand(2, 2, 5, 4)

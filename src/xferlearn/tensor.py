@@ -435,22 +435,6 @@ def _planes(x: np.ndarray, padding: int) -> np.ndarray:
     return planes
 
 
-def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding, ho, wo):
-    """Adjoint of the im2col columns of _window_columns(_planes(x, padding),
-    kh, kw, stride, 1): scatter-add (C*kh*kw, N*Ho*Wo) columns back into
-    x_shape, as a channel-major array."""
-    n, c, h, w = x_shape
-    cols = cols.reshape(c, kh, kw, n, ho, wo)
-    out = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kh):
-        i_end = i + stride * ho
-        for j in range(kw):
-            j_end = j + stride * wo
-            out[:, :, i:i_end:stride, j:j_end:stride] += cols[:, i, j]
-    return np.ascontiguousarray(out[:, :, padding:padding + h,
-                                    padding:padding + w]).transpose(1, 0, 2, 3)
-
-
 # bytes of one destination column block of the input gradient (_grid_input_grad)
 _GRAD_BLOCK_BYTES = 1 << 20
 
@@ -586,9 +570,11 @@ def _grid_weight_grad(flat: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.nd
     the zeros at positions without an output pixel drop the rest.  Blocks
     are summed in order.  They are the blocks whose im2col columns fit half
     of _COLUMN_BUDGET, so every entry is the same dot product, and the same
-    sum over blocks, as one GEMM of each block's _grid_columns.  The
-    kernel-row columns are made at the backward's memory peak, on top of
-    both grids, and take about a kh-th of the im2col columns' bytes.
+    sum over blocks, as one GEMM of each block's _grid_columns; the bytes
+    are too wherever the BLAS sums a GEMM of kw*C rows as it does one of
+    kh*kw*C rows (not at C = 1 under two OpenBLAS threads).  The kernel-row
+    columns are made at the backward's memory peak, on top of both grids,
+    and take about a kh-th of the im2col columns' bytes.
     """
     c, f = flat.shape[0], ggrid.shape[0]
     kh, kw, wq, size = grid.kh, grid.kw, grid.wq, grid.size
@@ -655,16 +641,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
            lazy: bool = False) -> Tensor:
     """Cross-correlate x (N, C, H, W) with w (F, C, kh, kw) and add the bias.
 
-    At stride 1 with C > 1, x goes onto a shared-padding grid (_Grid) and
-    the forward builds its im2col columns per image block from it
-    (_block_forward).  The backward keeps only that grid: it takes the
-    weight gradient from the kernel-row columns of the same image blocks
-    (_grid_weight_grad), frees the grid, and makes the input gradient from
-    the output gradient's kernel-row columns (_grid_input_grad).  Otherwise
-    both are one im2col GEMM, and the backward keeps the columns.
+    x goes onto a shared-padding grid (_Grid) and the forward builds its
+    im2col columns per image block from it (_block_forward).  The backward
+    keeps only that grid: it takes the weight gradient from the kernel-row
+    columns of the same image blocks (_grid_weight_grad), frees the grid,
+    and makes the input gradient from the output gradient's kernel-row
+    columns (_grid_input_grad).  A strided conv is the stride-1 conv
+    subsampled, and its backward scatters g into a zero stride-1 gradient.
+    That is stride**2 times the work, but no model has a strided conv.
 
-    With ``lazy``, where x needs no gradient (the images), the output is a
-    _LazyConv: nothing is computed until its data is read, and
+    With ``lazy``, at stride 1 where x needs no gradient (the images), the
+    output is a _LazyConv: nothing is computed until its data is read, and
     ``batchnorm2d(..., training=True, pool=k)`` of it runs the conv, BN and
     the pool as one op from x's im2col columns (see _conv_bn_pool).  Only a
     caller that hands the output to one op and to nothing else may pass it.
@@ -678,51 +665,36 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"conv2d non-integral output for input {x.data.shape}, "
             f"kernel {w.data.shape}, stride {stride}, padding {padding}"
         )
-    if lazy and not (x.requires_grad or x.node is not None):
-        shape = (n, f, (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1)
-        return _LazyConv(x, w, bias, stride, padding, shape)
+    if lazy and stride == 1 and not (x.requires_grad or x.node is not None):
+        shape = (n, f, h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1)
+        return _LazyConv(x, w, bias, padding, shape)
     out, bwd = _conv(x, w, bias, stride, padding)
     return _make(out, "conv2d", (x, w, bias), bwd)
 
 
 def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int):
     """conv2d's output data, channel-major behind NCHW shapes, and its backward."""
-    n, c = x.data.shape[:2]
     f, _, kh, kw = w.data.shape
-    wmat = w.data.reshape(f, -1)
     need_gx = x.requires_grad or x.node is not None  # not an input leaf like the images
-    if stride == 1 and c > 1:
-        grid = _Grid(x.data.shape, kh, kw, padding)
-        flat = _shifted_grid(x.data, grid, padding)
-        out = _block_forward(flat, grid, wmat, bias.data)
-
-        def bwd(g):
-            nonlocal flat
-            gb = g.transpose(1, 0, 2, 3).reshape(f, -1).sum(axis=1)
-            ggrid = _shifted_grid(g, grid, 0)
-            gw = _grid_weight_grad(flat, ggrid, grid)
-            flat = None  # this node runs once: free the grid before the input gradient
-            if not need_gx:
-                return None, gw, gb
-            return _grid_input_grad(w.data, ggrid, grid), gw, gb
-
-        return out.transpose(1, 0, 2, 3), bwd
-
-    cols = _window_columns(_planes(x.data, padding), kh, kw, stride, 1)
-    ho, wo = cols.shape[-2:]
-    cols = cols.reshape(len(cols), -1)
-    out = wmat @ cols
-    out += bias.data[:, None]
-    out = out.reshape(f, n, ho, wo)
-    x_shape = x.data.shape
+    grid = _Grid(x.data.shape, kh, kw, padding)
+    flat = _shifted_grid(x.data, grid, padding)
+    out = _block_forward(flat, grid, w.data.reshape(f, -1), bias.data)
+    if stride > 1:
+        out = np.ascontiguousarray(out[:, :, ::stride, ::stride])
 
     def bwd(g):
-        gmat = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        gb = gmat.sum(axis=1)
-        gw = (gmat @ cols.T).reshape(w.data.shape)
+        nonlocal flat
+        if stride > 1:  # the stride-1 output's gradient: g at the pixels kept
+            full = np.zeros((f, grid.n, grid.ho, grid.wo), g.dtype)
+            full[:, :, ::stride, ::stride] = g.transpose(1, 0, 2, 3)
+            g = full.transpose(1, 0, 2, 3)
+        gb = g.transpose(1, 0, 2, 3).reshape(f, -1).sum(axis=1)
+        ggrid = _shifted_grid(g, grid, 0)
+        gw = _grid_weight_grad(flat, ggrid, grid)
+        flat = None  # this node runs once: free the grid before the input gradient
         if not need_gx:
             return None, gw, gb
-        return _col2im(wmat.T @ gmat, x_shape, kh, kw, stride, padding, ho, wo), gw, gb
+        return _grid_input_grad(w.data, ggrid, grid), gw, gb
 
     return out.transpose(1, 0, 2, 3), bwd
 
@@ -752,8 +724,8 @@ class _LazyConv(Tensor):
 
     __slots__ = ("conv", "_shape", "_value", "_backward")
 
-    def __init__(self, x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int, shape):
-        self.conv = (x, w, bias, stride, padding)
+    def __init__(self, x: Tensor, w: Tensor, bias: Tensor, padding: int, shape):
+        self.conv = (x, w, bias, padding)
         self._shape = shape
         self._value = None
         self.grad = None
@@ -771,7 +743,8 @@ class _LazyConv(Tensor):
     @property
     def data(self) -> np.ndarray:
         if self._value is None:
-            self._value, bwd = _conv(*self.conv)
+            x, w, bias, padding = self.conv
+            self._value, bwd = _conv(x, w, bias, 1, padding)
             if self.node is not None:
                 self._backward.append(bwd)
         return self._value
@@ -992,27 +965,25 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     return _make(out_data, "batchnorm2d", (x, gamma, beta), bwd)
 
 
-def _window_columns(planes: np.ndarray, kh: int, kw: int, stride: int, pool: int):
-    """im2col columns of planes (C, N, Hp, Wp) in pool-window order.
+def _window_columns(planes: np.ndarray, kh: int, kw: int, pool: int):
+    """Stride-1 im2col columns of planes (C, N, Hp, Wp) in pool-window order.
 
     Returns cols (C*kh*kw, pool, pool, N, Ho/pool, Wo/pool): cols[:, i, j,
     n, a, b] is the column of output pixel (n, pool*a + i, pool*b + j), so
-    the columns of each window position are one contiguous block per row.
-    At pool 1 they are the plain im2col columns, with which the convolution
-    and both of its gradients are single 2-D GEMMs (Chellapilla et al., 2006).
+    the columns of each window position are one contiguous block per row
+    (_conv_bn_pool).  At pool 1 they are the plain im2col columns, with
+    which the convolution is a single 2-D GEMM (Chellapilla et al., 2006).
     """
     c, n, hp, wp = planes.shape
-    hq = ((hp - kh) // stride + 1) // pool
-    wq = ((wp - kw) // stride + 1) // pool
-    step = stride * pool
+    hq, wq = (hp - kh + 1) // pool, (wp - kw + 1) // pool
     cols = _empty((c, kh, kw, pool, pool, n, hq, wq), planes.dtype)
     for ki in range(kh):
         for kj in range(kw):
             for i in range(pool):
                 for j in range(pool):
-                    r, s = stride * i + ki, stride * j + kj
-                    cols[:, ki, kj, i, j] = planes[:, :, r:r + step * hq:step,
-                                                   s:s + step * wq:step]
+                    r, s = i + ki, j + kj
+                    cols[:, ki, kj, i, j] = planes[:, :, r:r + pool * hq:pool,
+                                                   s:s + pool * wq:pool]
     return cols.reshape(c * kh * kw, pool, pool, n, hq, wq)
 
 
@@ -1052,7 +1023,7 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
     pooled bytes (see _monotone): gamma = 0, a non-finite gamma, w or beta,
     or a -0 beta.  Where it applies v is finite, so no window holds NaN.
     """
-    x, w, bias, stride, padding = z.conv
+    x, w, bias, padding = z.conv
     xd = x.data
     n = xd.shape[0]
     f, c, kh, kw = w.data.shape
@@ -1060,7 +1031,7 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
     limit = np.finfo(xd.dtype).max / 2  # then every centred column entry is finite
     if not (xd.max() <= limit and xd.min() >= -limit):  # False on NaN
         return None
-    cols = _window_columns(_planes(xd, padding), kh, kw, stride, pool)
+    cols = _window_columns(_planes(xd, padding), kh, kw, pool)
     _, _, _, _, hq, wq = cols.shape
     flat = cols.reshape(k, -1)
     m = flat.shape[1]

@@ -67,6 +67,7 @@ class TestConfig:
         ("tau_st", "nan"), ("tau_tt", "inf"), ("tau_tt", "0"), ("seeds", "0,-1"),
         ("source_classes", "0,0,1"), ("target_classes", "3,4,3"), ("experiment", "foo"),
         ("fusion", "max"), ("methods", "full,bogus"), ("source_subsample", "-1"),
+        ("methods", ""), ("k_values", ""),
     ])
     def test_out_of_range_value_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -187,6 +188,8 @@ class TestCli:
         ("--fusion", "max"),  # exited 1: "unknown fusion", after every fine_tune run's output
         ("--methods", "fine_tune,bogus"),  # raised after fine_tune's outputs were written
         ("--source_subsample", "-1"),  # exited 1: "negative dimensions are not allowed"
+        ("--methods", ""),  # exited 0 with header-only CSVs
+        ("--k_values", ""),
     ])
     def test_bad_transfer_config_is_usage_error(self, tmp_path, capsys, flag, value):
         ckpt = tmp_path / "source.ckpt"
