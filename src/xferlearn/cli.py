@@ -57,14 +57,6 @@ def _default_disc_taps(cfg: Config, disjoint: bool):
     return ("flat", "fc1") if disjoint else ("flat", "fc1", "fc2")
 
 
-def _resize_ds(ds, size):
-    images = D.resize_bilinear(ds.images, size)
-    if isinstance(ds, D.LabeledDataset):
-        return D.LabeledDataset(images=images, labels=ds.labels, name=ds.name,
-                                classes=ds.classes)
-    return D.UnlabeledDataset(images=images, name=ds.name)
-
-
 def _require(path: str, what: str) -> str:
     if not path:
         raise UsageError(f"missing required path for {what}")
@@ -73,53 +65,32 @@ def _require(path: str, what: str) -> str:
     return path
 
 
-def _load_source(cfg: Config) -> D.LabeledDataset:
+# data role -> (synth images per class, synth seed offset, synth domain shift, class filter)
+_ROLES = {"source": (200, 0, False, "source_classes"),
+          "target": (200, 100, True, "target_classes"),
+          "test": (50, 999, True, "target_classes")}
+
+
+def _load_data(cfg: Config, role: str) -> D.LabeledDataset:
+    """The labelled set of a data role: "source", "target" (the pool the
+    splits come from) or "test".  A class filter numbers its classes 0..C-1,
+    like the head's outputs."""
+    n, offset, shift, filter_key = _ROLES[role]
+    classes = getattr(cfg, filter_key)
     if cfg.experiment == "synth":
-        classes = cfg.source_classes or (0, 1, 2, 3, 4)
-        ds = D.synth_digits(200, classes, image_size=16, seed=cfg.seed)
-        # numbered 0..C-1 like the filtered IDX source: the head has C outputs
-        return D.filter_classes(ds, cfg.source_classes) if cfg.source_classes else ds
-    ds = D.load_idx(_require(cfg.source_images, "source images"),
-                    _require(cfg.source_labels, "source labels"), name="source")
-    if cfg.source_classes:
-        ds = D.filter_classes(ds, cfg.source_classes)
-    ds = _resize_ds(ds, _image_size(cfg))
-    if cfg.source_subsample and len(ds) > cfg.source_subsample:
+        ds = D.synth_digits(n, classes or (0, 1, 2, 3, 4), image_size=16,
+                            seed=cfg.seed + offset, domain_shift=shift)
+        return D.filter_classes(ds, classes) if classes else ds
+    ds = D.load_idx(_require(getattr(cfg, f"{role}_images"), f"{role} images"),
+                    _require(getattr(cfg, f"{role}_labels"), f"{role} labels"), name=role)
+    if classes:
+        ds = D.filter_classes(ds, classes)
+    ds = replace(ds, images=D.resize_bilinear(ds.images, _image_size(cfg)))
+    if role == "source" and cfg.source_subsample and len(ds) > cfg.source_subsample:
         rng = np.random.default_rng((cfg.seed, 41))
         idx = np.sort(rng.choice(len(ds), size=cfg.source_subsample, replace=False))
-        ds = D.LabeledDataset(images=ds.images[idx], labels=ds.labels[idx],
-                              name=ds.name, classes=ds.classes)
+        ds = replace(ds, images=ds.images[idx], labels=ds.labels[idx])
     return ds
-
-
-def _load_target_pool(cfg: Config) -> D.LabeledDataset:
-    if cfg.experiment == "synth":
-        classes = cfg.target_classes or (0, 1, 2, 3, 4)
-        pool = D.synth_digits(200, classes, image_size=16, seed=cfg.seed + 100,
-                              domain_shift=True)
-        if cfg.target_classes:
-            pool = D.filter_classes(pool, cfg.target_classes)
-        return pool
-    ds = D.load_idx(_require(cfg.target_images, "target images"),
-                    _require(cfg.target_labels, "target labels"), name="target")
-    if cfg.target_classes:
-        ds = D.filter_classes(ds, cfg.target_classes)
-    return _resize_ds(ds, _image_size(cfg))
-
-
-def _load_test(cfg: Config) -> D.LabeledDataset:
-    if cfg.experiment == "synth":
-        classes = cfg.target_classes or (0, 1, 2, 3, 4)
-        pool = D.synth_digits(50, classes, image_size=16, seed=cfg.seed + 999,
-                              domain_shift=True)
-        if cfg.target_classes:
-            pool = D.filter_classes(pool, cfg.target_classes)
-        return pool
-    ds = D.load_idx(_require(cfg.test_images, "test images"),
-                    _require(cfg.test_labels, "test labels"), name="test")
-    if cfg.target_classes:
-        ds = D.filter_classes(ds, cfg.target_classes)
-    return _resize_ds(ds, _image_size(cfg))
 
 
 def _in_source_order(ds: D.LabeledDataset, cfg: Config) -> D.LabeledDataset:
@@ -166,7 +137,7 @@ def _load_net(path, cfg: Config, n_classes: int) -> EmbeddingNetwork:
 
 def cmd_pretrain(cfg: Config) -> int:
     out = _prepare_outdir(cfg)
-    d1 = _load_source(cfg)
+    d1 = _load_data(cfg, "source")
     spec = _net_spec(cfg, n_classes=len(set(d1.classes)))
     net, record = trainer.pretrain_source(d1, spec, cfg)
     _write_metrics(out / "pretrain_metrics.csv", record.rows)
@@ -180,9 +151,9 @@ def cmd_pretrain(cfg: Config) -> int:
 def cmd_transfer(cfg: Config) -> int:
     out = _prepare_outdir(cfg)
     ckpt_path = _require(cfg.checkpoint, "source checkpoint")
-    d1 = _load_source(cfg)
-    pool = _load_target_pool(cfg)
-    test = _load_test(cfg)
+    d1 = _load_data(cfg, "source")
+    pool = _load_data(cfg, "target")
+    test = _load_data(cfg, "test")
     n_source = len(set(d1.classes))
     n_target = len(set(pool.classes))
     disjoint = (tuple(cfg.source_classes) != tuple(cfg.target_classes)
@@ -238,8 +209,8 @@ def cmd_transfer(cfg: Config) -> int:
 
 def cmd_uda(cfg: Config) -> int:
     ckpt_path = _require(cfg.checkpoint, "source checkpoint")
-    d1 = _load_source(cfg)
-    pool = _load_target_pool(cfg)
+    d1 = _load_data(cfg, "source")
+    pool = _load_data(cfg, "target")
     # adapt_unsupervised scores the target with the source head: one label space
     foreign = sorted(set(cfg.target_classes or pool.classes)
                      - set(cfg.source_classes or d1.classes))
@@ -247,7 +218,7 @@ def cmd_uda(cfg: Config) -> int:
         raise UsageError(f"uda needs the target classes among the source classes; "
                          f"{foreign} are not")
     out = _prepare_outdir(cfg)
-    test = _in_source_order(_load_test(cfg), cfg)
+    test = _in_source_order(_load_data(cfg, "test"), cfg)
     n_classes = len(set(d1.classes))
     rows = []
     for seed in cfg.seeds:
@@ -290,7 +261,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_eval(cfg: Config) -> int:
     ckpt_path = _require(cfg.checkpoint, "checkpoint")
-    test = _load_test(cfg)
+    test = _load_data(cfg, "test")
     n_classes = len(set(test.classes))
     net = _load_net(ckpt_path, cfg, n_classes)
     result = evaluate(net, test)

@@ -100,9 +100,6 @@ class MultiLayerDiscriminator:
             h = T.relu(self._linear(f"head{i}", h))
         return self._linear("head_out", h)
 
-    def __call__(self, taps):
-        return self.forward(taps)
-
     def state_dict(self) -> dict:
         return {name: t.data.copy() for name, t in self.params.items()}
 

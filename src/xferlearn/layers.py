@@ -22,12 +22,11 @@ class BuildError(ValueError):
 
 @dataclass
 class LayerSpec:
-    kind: str  # conv | maxpool | batchnorm | relu | leaky_relu | flatten | linear
+    kind: str  # conv | maxpool | batchnorm | relu | flatten | linear
     out_channels: int = 0
     kernel: int = 0
     stride: int = 1
     padding: int = 0
-    slope: float = 0.2  # leaky_relu only
 
 
 @dataclass
@@ -56,7 +55,7 @@ def infer_shapes(spec: NetworkSpec) -> dict:
             if h % ls.stride or w % ls.stride:
                 raise BuildError(f"layer {name}: pool dims {h}x{w} not divisible")
             shape = (c, h // ls.stride, w // ls.stride)
-        elif ls.kind in ("batchnorm", "relu", "leaky_relu"):
+        elif ls.kind in ("batchnorm", "relu"):
             pass
         elif ls.kind == "flatten":
             shape = (int(np.prod(shape)),)
@@ -186,8 +185,6 @@ class EmbeddingNetwork:
                 )
             elif ls.kind == "relu":
                 h = T.relu(h)
-            elif ls.kind == "leaky_relu":
-                h = T.leaky_relu(h, ls.slope)
             elif ls.kind == "flatten":
                 h = T.reshape(h, (h.shape[0], -1))
             elif ls.kind == "linear":
@@ -228,9 +225,6 @@ class EmbeddingNetwork:
         return (i == 0 and self.training and len(layers) > 1
                 and layers[1][1].kind == "batchnorm" and not self._exposed(layers[0][0], until)
                 and self._fuses_pool(1, until))
-
-    def __call__(self, x: Tensor):
-        return self.forward(x)
 
     def _state(self) -> dict:
         """Every parameter and running statistic by state key, uncopied."""

@@ -53,9 +53,9 @@ def domain_loss_E(d_src_logits: Tensor, d_tgt_logits: Tensor) -> Tensor:
     )
 
 
-def normalize_rows(x: Tensor, eps: float = 0.0) -> Tensor:
+def normalize_rows(x: Tensor) -> Tensor:
     norms = T.sqrt((x * x).sum(axis=-1, keepdims=True))
-    if (norms.data <= eps).any():
+    if (norms.data <= 0).any():
         raise ParameterError("zero-norm support vector")
     return x / norms
 
@@ -98,16 +98,13 @@ def entropy_transfer(queries: Tensor, support: Tensor, tau: float) -> Tensor:
     return T.entropy(probs) / float(n)
 
 
-def metric_ce(queries: Tensor, labels, protos: Tensor, tau: float = 1.0) -> Tensor:
+def metric_ce(queries: Tensor, labels, protos: Tensor) -> Tensor:
     """Cross entropy over similarity-to-centroid logits."""
     labels = np.asarray(labels)
     n_classes = protos.shape[0]
     if labels.max(initial=0) >= n_classes or labels.min(initial=0) < 0:
         raise ParameterError("label without a matching prototype")
-    sims = similarity(queries, protos)
-    if tau != 1.0:
-        sims = sims / float(tau)
-    return supervised_ce(sims, labels)
+    return supervised_ce(similarity(queries, protos), labels)
 
 
 def semantic_total(

@@ -777,44 +777,46 @@ def _fold_max(parts: Sequence[np.ndarray], codes: bool):
     return out, code
 
 
-def _pool(a: np.ndarray, size: int, codes: bool):
-    """Max of each non-overlapping size x size window of a (N, C, H, W).
+def _fold_windows(cols: Sequence[np.ndarray], codes: bool):
+    """Max of each k x k window, where cols[j][i] holds column j of its row i.
 
     Folds np.maximum over the columns of each window row, then over the
     rows, which gives the bytes of a row-major fold of the window.  With
-    codes, also the picks that _unpool reads: per window row the column of
-    its first maximum, per window the row, and the windows that hold no NaN
-    if some do.  Else the picks are None.
+    codes, also the picks that _unpool reads: one code per window, row * k
+    + col[row], the row-major index of its first maximum, or k * k where the
+    window holds NaN.  Else the codes are None.
     """
-    n, c, h, w = a.shape
-    windows = a.reshape(n, c, h // size, size, w // size, size)
-    row_max, cols = _fold_max([windows[..., j] for j in range(size)], codes)
-    out, rows = _fold_max([row_max[:, :, :, i] for i in range(size)], codes)
+    k = len(cols)
+    row_max, col = _fold_max(cols, codes)
+    out, row = _fold_max(list(row_max), codes)
     if not codes:
         return out, None
-    keep = None
-    nan = np.isnan(out)
-    if nan.any():
-        keep = np.logical_not(nan, out=nan)
-    return out, (cols, rows, keep)
+    code = np.multiply(row, k, dtype=np.min_scalar_type(k * k))  # uint8 up to k = 15
+    for i in range(k):
+        code += np.equal(row, i).view(np.uint8) * col[i]
+    code[np.isnan(out)] = k * k
+    return out, code
 
 
-def _unpool(g: np.ndarray, picks, shape, layout, size: int) -> np.ndarray:
-    """g (N, C, Ho, Wo) scattered onto each window's pick in a fresh zero
-    (N, C, H, W) array with its axes in memory in ``layout``.  Each window
-    position is one multiply of g by a pick mask of g's size."""
-    cols, rows, keep = picks
+def _pool(a: np.ndarray, size: int, codes: bool):
+    """Max of each non-overlapping size x size window of a (N, C, H, W), and
+    with codes its picks (see _fold_windows)."""
+    n, c, h, w = a.shape
+    windows = a.reshape(n, c, h // size, size, w // size, size)
+    return _fold_windows([np.moveaxis(windows[..., j], 3, 0) for j in range(size)], codes)
+
+
+def _unpool(g: np.ndarray, codes: np.ndarray, shape, layout, size: int) -> np.ndarray:
+    """g (N, C, Ho, Wo) scattered onto each window's pick (see _fold_windows)
+    in a fresh zero (N, C, H, W) array with its axes in memory in ``layout``.
+    Each window position is one multiply of g by a pick mask of g's size."""
     n, c, h, w = shape
     gx = _empty(shape, g.dtype, layout)
     gx_windows = gx.reshape(n, c, h // size, size, w // size, size)  # a view: it splits h and w
-    row, pick = np.empty_like(rows, np.bool_), np.empty_like(rows, np.bool_)
+    pick = np.empty_like(codes, np.bool_)
     for i in range(size):
-        np.equal(rows, i, out=row)
-        if keep is not None:
-            row &= keep
         for j in range(size):
-            np.equal(cols[:, :, :, i], j, out=pick)
-            pick &= row
+            np.equal(codes, i * size + j, out=pick)
             np.multiply(g, pick, out=gx_windows[:, :, :, i, :, j])
     return gx
 
@@ -1004,9 +1006,9 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
     makes v = sign(gamma_f) xhat_fp by one GEMM per window position with W's
     rows scaled by sign(gamma_f) inv_std_f, max-pools it at once (channels
     with gamma < 0 pool their min, as in batchnorm2d) and writes
-    |gamma_f| max + beta_f.  It keeps the centred columns, one uint8 pick
-    code per window (row * pool + column of its first maximum in row-major
-    order) and K-sized vectors; the full-size map never exists.
+    |gamma_f| max + beta_f.  It keeps the centred columns, one pick code per
+    window (see _fold_windows) and K-sized vectors; the full-size map never
+    exists.
 
     The backward takes the gradient g of the pooled output.  With
     A_f = sum_q g_qf (x_pick(q) - mu), one GEMM of the picks' columns per
@@ -1054,7 +1056,8 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
     recording = _records((z, gamma, beta))
     q = hq * wq
     out = _empty((f, n, hq, wq), dtype)
-    codes = _empty((f, n, hq, wq), np.uint8) if recording else None
+    # made ahead of the blocks' temporaries (a lower peak RSS), in _fold_windows's type
+    codes = _empty((f, n, hq, wq), np.min_scalar_type(pool * pool)) if recording else None
     block = max(1, min(n, _MAP_BUDGET // (f * pool * pool * q * cols.itemsize)))
     v = _empty((pool, pool, f, block * q), dtype)
     for start in range(0, n, block):
@@ -1063,15 +1066,11 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
             for j in range(pool):
                 np.matmul(wv, cols[:, i, j, start:start + b].reshape(k, b * q),
                           out=v[i, j, :, :b * q])
-        row_max, col = _fold_max([v[:, j, :, :b * q] for j in range(pool)], recording)
-        top, row = _fold_max(list(row_max), recording)
+        top, code = _fold_windows([v[:, j, :, :b * q] for j in range(pool)], recording)
         dst = out[:, start:start + b]
         np.multiply(top.reshape(f, b, hq, wq), mag[:, None, None, None], out=dst)
         dst += add[:, None, None, None]
-        if recording:  # row * pool + col[row], with uint8 arithmetic only
-            code = np.multiply(row, pool, dtype=np.uint8)
-            for i in range(pool):
-                code += np.equal(row, i).view(np.uint8) * col[i]
+        if recording:
             codes[:, start:start + b] = code.reshape(f, b, hq, wq)
 
     def bwd(g):

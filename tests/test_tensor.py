@@ -528,20 +528,22 @@ class TestMaxpool:
 
     def test_saves_pick_codes_only_when_recording(self, monkeypatch):
         folds = []
-        fold_max = T._fold_max
+        fold_windows = T._fold_windows
 
-        def spy(parts, codes):
-            folds.append(codes)
-            return fold_max(parts, codes)
+        def spy(cols, codes):
+            out, code = fold_windows(cols, codes)
+            folds.append(code)
+            return out, code
 
-        monkeypatch.setattr(T, "_fold_max", spy)
+        monkeypatch.setattr(T, "_fold_windows", spy)
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4), requires_grad=True)
         with T.no_grad():
             T.maxpool2d(x)
         T.maxpool2d(Tensor(x.data))  # a leaf that needs no gradient
-        assert folds == [False] * 4
+        assert [code is None for code in folds] == [True, True]
         T.maxpool2d(x)
-        assert folds[4:] == [True, True]
+        assert len(folds) == 3 and folds[2].dtype == np.uint8 and folds[2].shape == (1, 1, 2, 2)
+        np.testing.assert_array_equal(folds[2], [[[[3, 3], [3, 3]]]])  # each window's bottom right
 
 
 class TestBatchnorm:
@@ -868,6 +870,64 @@ class TestConvBnPool:
                        for flag in (True, False))
         assert not isinstance(lazy, T._LazyConv) and lazy.node.op == "conv2d"
         _assert_bytes_equal((lazy.data,), (plain.data,))
+
+
+class TestPoolCodesPastOneByte:
+    """A 17 x 17 pool has 289 positions per window, more than a uint8 code
+    can name; the maxima (and the minima that negative gamma pools) sit in the
+    last window rows, whose codes are the largest."""
+
+    @staticmethod
+    def _spiked(n, c, h, w):
+        rng = np.random.default_rng(17)
+        x = rng.uniform(0, 1, (n, c, h, w))
+        for i, (ni, ci, a, b) in enumerate(np.ndindex(n, c, h // 17, w // 17)):
+            row = 17 * a + 15 + i % 2
+            x[ni, ci, row, 17 * b + i % 17] = 5.0
+            x[ni, ci, row, 17 * b + (i + 3) % 17] = -5.0
+        return x
+
+    def test_maxpool2d_routes_to_the_first_maximum_and_none_through_nan(self):
+        x = self._spiked(2, 2, 17, 34)
+        x[1, 0, 3, 20] = np.nan
+        g = np.random.default_rng(0).normal(0, 1, (2, 2, 1, 2))
+        for layout in LAYOUTS:
+            with use_float64():
+                xt = Tensor(layout(x), requires_grad=True)
+                out = T.maxpool2d(xt, 17, 17)
+                backward((out * Tensor(layout(g))).sum())
+            np.testing.assert_array_equal(out.data, naive_maxpool(x, 17))
+            np.testing.assert_array_equal(xt.grad, naive_maxpool_grad(x, g, 17))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm2d_pool_matches_naive_loops(self, training):
+        x = self._spiked(2, 2, 17, 34)
+        gamma, beta = np.array([1.5, -0.5]), np.array([0.25, -1.0])
+        rm, rv = np.array([0.1, -0.2]), np.array([0.8, 1.3])
+        g = np.random.default_rng(1).normal(0, 1, (2, 2, 1, 2))
+        bn, want_rm, want_rv, *_ = naive_batchnorm(x, gamma, beta, rm, rv, training,
+                                                  np.zeros_like(x))
+        grads = naive_batchnorm(x, gamma, beta, rm, rv, training,
+                                naive_maxpool_grad(bn, g, 17))[3:]
+        with use_float64():
+            got = _bn_pool_pair(x, gamma, beta, rm, rv, training, g, 17, True)
+        want = (naive_maxpool(bn, 17), want_rm, want_rv) + grads
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-9)
+
+    def test_lazy_conv_op_matches_conv_then_bn_pool_in_float64(self):
+        x = self._spiked(2, 1, 17, 34)
+        wk = np.random.default_rng(2).uniform(-0.01, 0.01, (2, 1, 3, 3))
+        wk[:, 0, 1, 1] = [1.0, 0.5]  # nearly the identity: the spikes stay the extremes
+        b, gamma, beta = np.array([0.3, -0.1]), np.array([1.5, -0.5]), np.array([0.25, -1.0])
+        g = np.random.default_rng(3).normal(0, 1, (2, 2, 1, 2))
+        with use_float64():
+            got, want = (_conv_bn_pool_pair(x, wk, b, gamma, beta, g, 1, 17, op)
+                         for op in (True, False))
+        assert not got[4].any()  # the op applied: its bias gradient is exactly 0
+        for name, a, e in zip(("out", "running_mean", "running_var", "w", "b", "gamma",
+                               "beta"), got, want):
+            np.testing.assert_allclose(a, e, rtol=1e-8, atol=1e-9, err_msg=name)
 
 
 def _bn(training):
