@@ -30,14 +30,12 @@ import argparse
 import hashlib
 import sys
 
-from xferlearn import data, layers, metrics, tensor, trainer
+from xferlearn import data, layers, losses, metrics, tensor, trainer
 
 # after xferlearn: importing refcheck puts this tree's src/ first on sys.path
 from refcheck import seed_list  # noqa: E402
 
 WORKLOADS = ("finetune_k5", "joint_k5", "pretrain", "uda")
-TERMS = ("loss_sup", "loss_dt_d", "loss_dt_e", "loss_st_src", "loss_st_sup",
-         "loss_st_unsup", "loss_total")
 IMAGE_SIZE, SHOTS, PER_CLASS, TEST_PER_CLASS = 32, 5, 40, 51
 SOURCE_CLASSES, TARGET_CLASSES = tuple(range(5)), tuple(range(5, 10))
 
@@ -110,7 +108,7 @@ def main(argv=None) -> int:
             net, record, test = run(workload, seed, args.steps)
             tag = f"{workload} seed={seed}"
             for row in record.rows:
-                terms = " ".join(f"{t}={float(row[t]).hex()}" for t in TERMS)
+                terms = " ".join(f"{t}={float(row[t]).hex()}" for t in losses.TERMS)
                 if row["eval_acc"] != "":
                     terms += f" eval_acc={row['eval_acc']!r}"
                 print(f"{tag} step={row['step']} {terms}")
@@ -121,7 +119,7 @@ def main(argv=None) -> int:
                     _, exact, _ = run(workload, seed, args.steps)
                 for row, want in zip(record.rows, exact.rows):
                     terms = " ".join(f"{t}={deviation(float(row[t]), float(want[t])):.2e}"
-                                     for t in TERMS)
+                                     for t in losses.TERMS)
                     print(f"{tag} step={row['step']} shadow {terms}")
     return 0
 

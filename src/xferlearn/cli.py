@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as D
-from . import trainer
+from . import losses, trainer
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import Config, ConfigError, dump_config, load_config
 from .gradcheck import TOLERANCE, run_suite
@@ -26,8 +26,7 @@ from .layers import (EmbeddingNetwork, ablation_embedding_spec,
                      digit_embedding_spec, synth_embedding_spec)
 from .metrics import aggregate, evaluate
 
-CSV_FIELDS = ["step", "loss_sup", "loss_dt_d", "loss_dt_e", "loss_st_src",
-              "loss_st_sup", "loss_st_unsup", "loss_total", "eval_acc"]
+CSV_FIELDS = ["step", *losses.TERMS, "eval_acc"]
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -46,15 +45,6 @@ def _net_spec(cfg: Config, n_classes: int):
 
 def _image_size(cfg: Config) -> int:
     return {"digits": 32, "ablation": 28, "synth": 16}[cfg.experiment]
-
-
-def _default_disc_taps(cfg: Config, disjoint: bool):
-    if cfg.disc_taps:
-        return tuple(cfg.disc_taps)
-    if cfg.experiment == "digits":
-        # label spaces differ: second- and third-last activations
-        return ("pool4_flat", "fc1") if disjoint else ("pool4_flat", "fc1", "fc2")
-    return ("flat", "fc1") if disjoint else ("flat", "fc1", "fc2")
 
 
 def _require(path: str, what: str) -> str:
@@ -106,9 +96,9 @@ def _in_source_order(ds: D.LabeledDataset, cfg: Config) -> D.LabeledDataset:
     return D.LabeledDataset(images=ds.images, labels=labels.astype(np.int64), name=ds.name)
 
 
-def _write_metrics(path: Path, rows) -> None:
+def _write_csv(path: Path, fields, rows) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_FIELDS)
+        writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -140,7 +130,7 @@ def cmd_pretrain(cfg: Config) -> int:
     d1 = _load_data(cfg, "source")
     spec = _net_spec(cfg, n_classes=len(set(d1.classes)))
     net, record = trainer.pretrain_source(d1, spec, cfg)
-    _write_metrics(out / "pretrain_metrics.csv", record.rows)
+    _write_csv(out / "pretrain_metrics.csv", CSV_FIELDS, record.rows)
     _save_net(out / "source.ckpt", net, cfg, step=cfg.pretrain_steps)
     acc = evaluate(net, d1).accuracy
     print(f"pretrain done: source train accuracy {acc:.4f}, "
@@ -162,8 +152,7 @@ def cmd_transfer(cfg: Config) -> int:
     for method in cfg.methods:
         for k in cfg.k_values:
             for seed in cfg.seeds:
-                run_cfg = replace(cfg, seed=seed,
-                                  disc_taps=_default_disc_taps(cfg, disjoint))
+                run_cfg = replace(cfg, seed=seed)
                 d2, d3 = D.make_splits(pool, k, seed)
                 source_net = _load_net(ckpt_path, cfg, n_source)
                 if method == "target_only":
@@ -179,14 +168,11 @@ def cmd_transfer(cfg: Config) -> int:
                                                       reinit_head=disjoint)
                 acc = evaluate(net, test).accuracy
                 tag = f"{method}_k{k}_seed{seed}"
-                _write_metrics(out / f"metrics_{tag}.csv", record.rows)
+                _write_csv(out / f"metrics_{tag}.csv", CSV_FIELDS, record.rows)
                 _save_net(out / f"{tag}.ckpt", net, run_cfg, step=run_cfg.steps)
                 per_run.append({"method": method, "k": k, "seed": seed, "accuracy": acc})
                 print(f"{tag}: test accuracy {acc:.4f}")
-    with open(out / "runs.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["method", "k", "seed", "accuracy"])
-        writer.writeheader()
-        writer.writerows(per_run)
+    _write_csv(out / "runs.csv", ["method", "k", "seed", "accuracy"], per_run)
     agg_rows = []
     for method in cfg.methods:
         for k in cfg.k_values:
@@ -199,10 +185,7 @@ def cmd_transfer(cfg: Config) -> int:
             else:
                 agg_rows.append({"method": method, "k": k, "mean": accs[0],
                                  "stderr": "", "n_seeds": 1})
-    with open(out / "aggregate.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["method", "k", "mean", "stderr", "n_seeds"])
-        writer.writeheader()
-        writer.writerows(agg_rows)
+    _write_csv(out / "aggregate.csv", ["method", "k", "mean", "stderr", "n_seeds"], agg_rows)
     print(f"aggregate table: {out / 'aggregate.csv'}")
     return EXIT_OK
 
@@ -222,8 +205,7 @@ def cmd_uda(cfg: Config) -> int:
     n_classes = len(set(d1.classes))
     rows = []
     for seed in cfg.seeds:
-        run_cfg = replace(cfg, seed=seed,
-                          disc_taps=_default_disc_taps(cfg, disjoint=False))
+        run_cfg = replace(cfg, seed=seed)
         source_net = _load_net(ckpt_path, cfg, n_classes)
         source_acc = evaluate(source_net, test).accuracy
         rng = np.random.default_rng((seed, 53))
@@ -231,14 +213,11 @@ def cmd_uda(cfg: Config) -> int:
         d3 = D.UnlabeledDataset(images=pool.images[idx], name="uda-target")
         net, record = trainer.adapt_unsupervised(source_net, d1, d3, run_cfg)
         adapted_acc = evaluate(net, test).accuracy
-        _write_metrics(out / f"uda_metrics_seed{seed}.csv", record.rows)
+        _write_csv(out / f"uda_metrics_seed{seed}.csv", CSV_FIELDS, record.rows)
         _save_net(out / f"uda_seed{seed}.ckpt", net, run_cfg, step=run_cfg.steps)
         rows.append({"seed": seed, "source_only": source_acc, "adapted": adapted_acc})
         print(f"seed {seed}: source_only {source_acc:.4f} adapted {adapted_acc:.4f}")
-    with open(out / "uda.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=["seed", "source_only", "adapted"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "uda.csv", ["seed", "source_only", "adapted"], rows)
     if len(rows) >= 2:
         src = aggregate([r["source_only"] for r in rows])
         ada = aggregate([r["adapted"] for r in rows])

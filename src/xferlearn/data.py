@@ -75,8 +75,8 @@ def _read_header(buf: bytes, path: str):
     return magic, dims, 4 + 4 * ndim
 
 
-def load_idx(images_path, labels_path=None, name: str = ""):
-    """Parse IDX image (and optional label) files into a dataset."""
+def load_idx(images_path, labels_path, name: str = "") -> LabeledDataset:
+    """Parse IDX image and label files into a dataset."""
     with open(images_path, "rb") as f:
         buf = f.read()
     magic, dims, offset = _read_header(buf, str(images_path))
@@ -87,9 +87,6 @@ def load_idx(images_path, labels_path=None, name: str = ""):
     if len(buf) != expected:
         raise IdxParseError(f"{images_path}: expected {expected} bytes, got {len(buf)}")
     images = np.frombuffer(buf, dtype=np.uint8, offset=offset).reshape(n, 1, h, w)
-
-    if labels_path is None:
-        return UnlabeledDataset(images=images, name=name)
 
     with open(labels_path, "rb") as f:
         lbuf = f.read()

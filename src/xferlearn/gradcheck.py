@@ -271,7 +271,8 @@ def _cases(rng, corrupt=False):
         unl = rand(4, 5)
 
         def f(x):
-            total, *_ = losses.semantic_total(src, x, labels, unl)
+            total, *_ = losses.semantic_total(src, x, labels, unl, tau_st=2.0, tau_tt=1.0,
+                                              n_classes=3)
             return total
 
         return f, rand(6, 5)

@@ -89,15 +89,15 @@ def state_arrays(state: dict, own: dict) -> dict:
 
 
 class EmbeddingNetwork:
-    def __init__(self, spec: NetworkSpec, seed: int = 0, param_prefix: str = ""):
+    def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
         self.shapes = infer_shapes(spec)
         self.params: dict[str, Tensor] = {}
         self.running_stats: dict[str, tuple] = {}  # bn layer -> (mean, var), params' dtype
         self.training = True
-        self._init_params(seed, param_prefix)
+        self._init_params(seed)
 
-    def _init_params(self, seed: int, prefix: str) -> None:
+    def _init_params(self, seed: int) -> None:
         rng = np.random.default_rng(seed)
         shape = tuple(self.spec.input_shape)
         for name, ls in self.spec.layers:
@@ -106,26 +106,21 @@ class EmbeddingNetwork:
                 fan_in = c_in * ls.kernel * ls.kernel
                 bound = 1.0 / np.sqrt(fan_in)
                 w = rng.uniform(-bound, bound, (ls.out_channels, c_in, ls.kernel, ls.kernel))
-                self.params[f"{prefix}{name}.w"] = Tensor(w, requires_grad=True)
-                self.params[f"{prefix}{name}.b"] = Tensor(
-                    np.zeros(ls.out_channels), requires_grad=True
-                )
+                self.params[f"{name}.w"] = Tensor(w, requires_grad=True)
+                self.params[f"{name}.b"] = Tensor(np.zeros(ls.out_channels), requires_grad=True)
             elif ls.kind == "batchnorm":
                 c = shape[0]
-                self.params[f"{prefix}{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
-                self.params[f"{prefix}{name}.beta"] = Tensor(np.zeros(c), requires_grad=True)
+                self.params[f"{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
+                self.params[f"{name}.beta"] = Tensor(np.zeros(c), requires_grad=True)
                 dtype = T.current_dtype()
                 self.running_stats[name] = (np.zeros(c, dtype), np.ones(c, dtype))
             elif ls.kind == "linear":
                 fan_in = shape[0]
                 bound = 1.0 / np.sqrt(fan_in)
                 w = rng.uniform(-bound, bound, (fan_in, ls.out_channels))
-                self.params[f"{prefix}{name}.w"] = Tensor(w, requires_grad=True)
-                self.params[f"{prefix}{name}.b"] = Tensor(
-                    np.zeros(ls.out_channels), requires_grad=True
-                )
+                self.params[f"{name}.w"] = Tensor(w, requires_grad=True)
+                self.params[f"{name}.b"] = Tensor(np.zeros(ls.out_channels), requires_grad=True)
             shape = self.shapes[name]
-        self.prefix = prefix
 
     def train(self) -> None:
         self.training = True
@@ -155,8 +150,8 @@ class EmbeddingNetwork:
             if ls.kind == "conv":
                 h = T.conv2d(
                     h,
-                    self.params[f"{self.prefix}{name}.w"],
-                    self.params[f"{self.prefix}{name}.b"],
+                    self.params[f"{name}.w"],
+                    self.params[f"{name}.b"],
                     stride=ls.stride,
                     padding=ls.padding,
                     lazy=self._lazy_conv(i, until),
@@ -176,8 +171,8 @@ class EmbeddingNetwork:
                                            and not self._exposed(layers[i - 1][0], until))
                 h = T.batchnorm2d(
                     h,
-                    self.params[f"{self.prefix}{name}.gamma"],
-                    self.params[f"{self.prefix}{name}.beta"],
+                    self.params[f"{name}.gamma"],
+                    self.params[f"{name}.beta"],
                     mean,
                     var,
                     training=self.training,
@@ -188,9 +183,7 @@ class EmbeddingNetwork:
             elif ls.kind == "flatten":
                 h = T.reshape(h, (h.shape[0], -1))
             elif ls.kind == "linear":
-                h = T.matmul(h, self.params[f"{self.prefix}{name}.w"]) + self.params[
-                    f"{self.prefix}{name}.b"
-                ]
+                h = T.matmul(h, self.params[f"{name}.w"]) + self.params[f"{name}.b"]
             if name in self.spec.taps:
                 taps.append((name, h))
             if name == until:
@@ -230,8 +223,8 @@ class EmbeddingNetwork:
         """Every parameter and running statistic by state key, uncopied."""
         out = {name: t.data for name, t in self.params.items()}
         for name, (mean, var) in self.running_stats.items():
-            out[f"{self.prefix}{name}.running_mean"] = mean
-            out[f"{self.prefix}{name}.running_var"] = var
+            out[f"{name}.running_mean"] = mean
+            out[f"{name}.running_var"] = var
         return out
 
     def state_dict(self) -> dict:
@@ -243,8 +236,8 @@ class EmbeddingNetwork:
         for name, t in self.params.items():
             t.data = loaded[name]
         for name, (mean, var) in self.running_stats.items():
-            mean[...] = loaded[f"{self.prefix}{name}.running_mean"]
-            var[...] = loaded[f"{self.prefix}{name}.running_var"]
+            mean[...] = loaded[f"{name}.running_mean"]
+            var[...] = loaded[f"{name}.running_var"]
 
 
 def clone_into_target(source: EmbeddingNetwork, head_classes: int | None = None,
@@ -264,10 +257,10 @@ def clone_into_target(source: EmbeddingNetwork, head_classes: int | None = None,
     )
     if head_classes is not None:
         head_spec.out_channels = head_classes
-    target = EmbeddingNetwork(spec, seed=head_seed, param_prefix=source.prefix)
+    target = EmbeddingNetwork(spec, seed=head_seed)
     state = source.state_dict()
     if reinit_head:
-        for key in (f"{source.prefix}{head_name}.w", f"{source.prefix}{head_name}.b"):
+        for key in (f"{head_name}.w", f"{head_name}.b"):
             state[key] = target.params[key].data.copy()
     target.load_state_dict(state)
     return target

@@ -8,7 +8,7 @@ All losses are mean-reduced over their batch and reported in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,10 @@ class LossReport:
     st_sup: float = 0.0
     st_unsup: float = 0.0
     total: float = 0.0
+
+
+# the column of each LossReport field in a metrics row, in field order
+TERMS = tuple(f"loss_{f.name}" for f in fields(LossReport))
 
 
 def supervised_ce(logits: Tensor, labels) -> Tensor:
@@ -84,7 +88,7 @@ def prototypes(embeddings: Tensor, labels, n_classes: int) -> Tensor:
         idx = np.flatnonzero(labels == c)
         if idx.size == 0:
             raise ParameterError(f"class {c} has no support examples")
-        rows.append(T.index_select(embeddings, idx, axis=0).mean(axis=0, keepdims=True))
+        rows.append(T.index_select(embeddings, idx).mean(axis=0, keepdims=True))
     return T.concat(rows, axis=0)
 
 
@@ -107,37 +111,21 @@ def metric_ce(queries: Tensor, labels, protos: Tensor) -> Tensor:
     return supervised_ce(similarity(queries, protos), labels)
 
 
-def semantic_total(
-    src_support: Tensor,
-    tgt_labeled: Tensor,
-    tgt_labels,
-    tgt_unlabeled: Tensor | None,
-    tau_st: float = 2.0,
-    tau_tt: float = 1.0,
-    n_classes: int | None = None,
-    detach_prototypes: bool = False,
-):
+def semantic_total(src_support: Tensor, tgt_labeled: Tensor, tgt_labels,
+                   tgt_unlabeled: Tensor, tau_st: float, tau_tt: float, n_classes: int,
+                   detach_prototypes: bool = False):
     """Combined semantic loss and its three components.
 
-    Returns (total, st_src, st_sup, st_unsup); missing unlabeled batch
-    drops the two entropy terms that need it.  With ``detach_prototypes``
+    Returns (total, st_src, st_sup, st_unsup).  With ``detach_prototypes``
     the target prototypes are means of a detached copy of ``tgt_labeled``,
     so no gradient reaches it through them.
     """
-    if n_classes is None:
-        n_classes = int(np.asarray(tgt_labels).max()) + 1
     support = tgt_labeled.detach() if detach_prototypes else tgt_labeled
     protos = prototypes(support, tgt_labels, n_classes)
     st_sup = metric_ce(tgt_labeled, tgt_labels, protos)
-    if tgt_unlabeled is not None and tgt_unlabeled.shape[0] > 0:
-        st_src = entropy_transfer(tgt_unlabeled, src_support, tau_st)
-        st_unsup = entropy_transfer(tgt_unlabeled, protos, tau_tt)
-        total = st_src + st_sup + st_unsup
-    else:
-        st_src = Tensor(0.0)
-        st_unsup = Tensor(0.0)
-        total = st_sup
-    return total, st_src, st_sup, st_unsup
+    st_src = entropy_transfer(tgt_unlabeled, src_support, tau_st)
+    st_unsup = entropy_transfer(tgt_unlabeled, protos, tau_tt)
+    return st_src + st_sup + st_unsup, st_src, st_sup, st_unsup
 
 
 def total_objective(l_sup: Tensor, l_dt_e: Tensor, l_st: Tensor,

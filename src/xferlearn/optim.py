@@ -8,13 +8,11 @@ from .tensor import Tensor
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip: float | None = None):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+    def __init__(self, params: list[Tensor], lr: float = 1e-3, clip: float | None = None):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip = clip
         self.step_count = 0
         self.m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]

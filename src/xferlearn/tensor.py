@@ -31,6 +31,8 @@ _COLUMN_BUDGET = 8 << 20
 # bytes of the signed xhat of one image block in the conv-BN-pool op
 # (_conv_bn_pool): its GEMM output, pool folds and codes stay in L2 cache
 _MAP_BUDGET = 1 << 20
+# batchnorm2d's running-statistics momentum and variance epsilon
+_BN_MOMENTUM, _BN_EPS = 0.1, 1e-5
 
 
 def _reuse_freed_memory() -> None:
@@ -364,15 +366,15 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), "concat", tensors, bwd)
 
 
-def index_select(a: Tensor, indices, axis: int = 0) -> Tensor:
+def index_select(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices)
 
     def bwd(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, (slice(None),) * axis + (idx,), g)
+        np.add.at(out, idx, g)
         return (out,)
 
-    return _make(np.take(a.data, idx, axis=axis), "index_select", (a,), bwd)
+    return _make(np.take(a.data, idx, axis=0), "index_select", (a,), bwd)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -783,8 +785,8 @@ def _fold_windows(cols: Sequence[np.ndarray], codes: bool):
     Folds np.maximum over the columns of each window row, then over the
     rows, which gives the bytes of a row-major fold of the window.  With
     codes, also the picks that _unpool reads: one code per window, row * k
-    + col[row], the row-major index of its first maximum, or k * k where the
-    window holds NaN.  Else the codes are None.
+    + col[row], the row-major index of its first maximum (_pool marks the
+    windows that hold NaN).  Else the codes are None.
     """
     k = len(cols)
     row_max, col = _fold_max(cols, codes)
@@ -794,16 +796,19 @@ def _fold_windows(cols: Sequence[np.ndarray], codes: bool):
     code = np.multiply(row, k, dtype=np.min_scalar_type(k * k))  # uint8 up to k = 15
     for i in range(k):
         code += np.equal(row, i).view(np.uint8) * col[i]
-    code[np.isnan(out)] = k * k
     return out, code
 
 
 def _pool(a: np.ndarray, size: int, codes: bool):
     """Max of each non-overlapping size x size window of a (N, C, H, W), and
-    with codes its picks (see _fold_windows)."""
+    with codes its picks (see _fold_windows), size * size where the window
+    holds NaN."""
     n, c, h, w = a.shape
     windows = a.reshape(n, c, h // size, size, w // size, size)
-    return _fold_windows([np.moveaxis(windows[..., j], 3, 0) for j in range(size)], codes)
+    out, code = _fold_windows([np.moveaxis(windows[..., j], 3, 0) for j in range(size)], codes)
+    if codes:
+        code[np.isnan(out)] = size * size
+    return out, code
 
 
 def _unpool(g: np.ndarray, codes: np.ndarray, shape, layout, size: int) -> np.ndarray:
@@ -856,18 +861,18 @@ def _monotone(mag: np.ndarray, add: np.ndarray) -> bool:
                 and not (np.signbit(add) & (add == 0)).any())
 
 
-def _update_running(running_mean, running_var, mean, var, m: int, momentum: float) -> None:
+def _update_running(running_mean, running_var, mean, var, m: int) -> None:
     """Move the running statistics towards a batch's, in place."""
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean
+    running_mean *= 1.0 - _BN_MOMENTUM
+    running_mean += _BN_MOMENTUM * mean
     # running var uses the unbiased estimate, matching common practice
-    running_var *= 1.0 - momentum
-    running_var += momentum * var * m / max(m - 1, 1)
+    running_var *= 1.0 - _BN_MOMENTUM
+    running_var += _BN_MOMENTUM * var * m / max(m - 1, 1)
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, training: bool, momentum: float = 0.1,
-                eps: float = 1e-5, pool: int = 1, overwrite_x: bool = False) -> Tensor:
+                running_var: np.ndarray, training: bool, pool: int = 1,
+                overwrite_x: bool = False) -> Tensor:
     """Per-channel batch normalization over an N x C x H x W tensor.
 
     Training mode normalizes by the batch statistics (two-pass variance) and
@@ -900,7 +905,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     if training and n < 2:
         raise ParameterError("batchnorm2d needs batch size >= 2 in train mode")
     if training and pool > 1 and isinstance(x, _LazyConv):
-        out = _conv_bn_pool(x, gamma, beta, running_mean, running_var, momentum, eps, pool)
+        out = _conv_bn_pool(x, gamma, beta, running_mean, running_var, pool)
         if out is not None:
             return out
     m = n * h * w
@@ -908,7 +913,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     if training:
         mag, add = gamma.data, beta.data
     else:
-        inv_std = 1.0 / np.sqrt(running_var + eps)
+        inv_std = 1.0 / np.sqrt(running_var + _BN_EPS)
         mag = gamma.data * inv_std  # the scale
         add = beta.data - running_mean * mag  # the shift
     fused = pool > 1 and _monotone(mag, add)
@@ -920,8 +925,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         # centred copy, scaled in place into xhat below
         xhat = np.subtract(x3, mean[:, None], out=x3 if overwrite_x else None)
         var = np.einsum("ncp,ncp->c", xhat, xhat) / m
-        _update_running(running_mean, running_var, mean, var, m, momentum)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        _update_running(running_mean, running_var, mean, var, m)
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         # times sign, if any: xhat then holds -xhat where the map falls
         xhat *= (inv_std if sign is None else inv_std * sign.astype(inv_std.dtype))[:, None]
         saved = v = xhat
@@ -990,8 +995,7 @@ def _window_columns(planes: np.ndarray, kh: int, kw: int, pool: int):
 
 
 def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                  running_var: np.ndarray, momentum: float, eps: float,
-                  pool: int) -> Tensor | None:
+                  running_var: np.ndarray, pool: int) -> Tensor | None:
     """batchnorm2d(z, ..., training=True, pool=pool) of the uncomputed conv
     output z, from the im2col columns of the conv's input x; None where it
     does not apply (see below), and then nothing is changed.
@@ -1042,12 +1046,12 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
     cov = (centred @ centred.T) / m
     wk = w.data.reshape(f, k).astype(np.float64)
     var = np.einsum("fk,kl,fl->f", wk, cov, wk)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
     gamma64 = gamma.data.astype(np.float64)
     if not (np.isfinite(cov).all() and np.isfinite(bias.data).all()
             and _monotone(gamma64 * inv_std, beta.data)):
         return None
-    _update_running(running_mean, running_var, wk @ mu + bias.data, var, m, momentum)
+    _update_running(running_mean, running_var, wk @ mu + bias.data, var, m)
     np.copyto(flat, centred)
     del centred  # 8 bytes a column entry: free it before the map blocks
     dtype = xd.dtype
@@ -1109,16 +1113,14 @@ def softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     return _make(out_data, "softmax", (x,), bwd)
 
 
-def log_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
-    if temperature <= 0:
-        raise ParameterError(f"softmax temperature must be > 0, got {temperature}")
-    z = (x.data - x.data.max(axis=-1, keepdims=True)) / temperature
+def log_softmax(x: Tensor) -> Tensor:
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out_data = z - lse
     p = np.exp(out_data)
 
     def bwd(g):
-        return ((g - p * g.sum(axis=-1, keepdims=True)) / temperature,)
+        return (g - p * g.sum(axis=-1, keepdims=True),)
 
     return _make(out_data, "log_softmax", (x,), bwd)
 
@@ -1199,7 +1201,7 @@ def backward(loss: Tensor) -> None:
         node.backward_fn = None
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:
+def grad_check(f, x: Tensor) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Run inside ``use_float64()`` for meaningful results.  Points where the
@@ -1212,6 +1214,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:
     backward(loss)
     analytic = x.grad.copy()
 
+    eps = 1e-4  # central-difference step
     numeric = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
     nflat = numeric.reshape(-1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -88,17 +88,8 @@ class TrainRecord:
     wall_clock: float = 0.0
 
     def log(self, step: int, report: losses.LossReport, eval_acc=None) -> None:
-        self.rows.append({
-            "step": step,
-            "loss_sup": report.sup,
-            "loss_dt_d": report.dt_d,
-            "loss_dt_e": report.dt_e,
-            "loss_st_src": report.st_src,
-            "loss_st_sup": report.st_sup,
-            "loss_st_unsup": report.st_unsup,
-            "loss_total": report.total,
-            "eval_acc": "" if eval_acc is None else eval_acc,
-        })
+        self.rows.append({"step": step, **dict(zip(losses.TERMS, astuple(report))),
+                          "eval_acc": "" if eval_acc is None else eval_acc})
 
 
 def _check_finite(report: losses.LossReport, step: int) -> None:
@@ -306,9 +297,13 @@ def _adapt(target_net: EmbeddingNetwork, source: SourceTaps, d3: UnlabeledDatase
 
 
 def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDataset,
-                d3: UnlabeledDataset, config: TrainConfig, head_classes: int | None = None,
-                reinit_head: bool = False):
+                d3: UnlabeledDataset, config: TrainConfig, reinit_head: bool = False):
     """Joint adaptation: supervised + adversarial + semantic transfer.
+
+    The head has one output per class of D2.  Without ``disc_taps`` the
+    discriminator reads every tap of the source net, but the head's when
+    the head is new (``reinit_head``, or a changed class count): its fresh
+    logits are not an adapted feature.
 
     With alpha == beta == 0 this is plain fine-tuning on D2: it runs
     ``run_baseline("fine_tune", ...)`` itself, so the trajectory is the
@@ -316,10 +311,13 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
     """
     if config.alpha == 0 and config.beta == 0:
         return run_baseline("fine_tune", d2, config, source_net=source_net,
-                            head_classes=head_classes, reinit_head=reinit_head)
-    n_target_classes = head_classes or len(set(d2.classes))
+                            reinit_head=reinit_head)
+    n_target_classes = len(set(d2.classes))
     target_net = _target(source_net, config, n_target_classes, reinit_head)
-    tap_names = config.disc_taps or tuple(source_net.spec.taps)
+    head_name, head = source_net.spec.layers[-1]
+    new_head = reinit_head or head.out_channels != n_target_classes
+    tap_names = config.disc_taps or tuple(
+        name for name in source_net.spec.taps if not (new_head and name == head_name))
     source = SourceTaps(source_net, d1, (*tap_names, config.embed_layer))
     for name in tap_names:
         src_w, tgt_w = (int(np.prod(net.shapes[name])) for net in (source_net, target_net))
@@ -346,10 +344,10 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
 
 def run_baseline(kind: str, d2: LabeledDataset, config: TrainConfig,
                  source_net: EmbeddingNetwork | None = None,
-                 net_spec: NetworkSpec | None = None,
-                 head_classes: int | None = None, reinit_head: bool = False):
-    """Supervised-only baselines: target_only (from scratch) or fine_tune."""
-    n_classes = head_classes or len(set(d2.classes))
+                 net_spec: NetworkSpec | None = None, reinit_head: bool = False):
+    """Supervised-only baselines: target_only (from scratch) or fine_tune,
+    with one output per class of D2."""
+    n_classes = len(set(d2.classes))
     if kind == "target_only":
         if net_spec is None:
             raise ValueError("target_only needs a network spec")
@@ -377,9 +375,8 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
     """
     target_net = _target(source_net, config)
     head_name = target_net.spec.layers[-1][0]
-    for n, t in target_net.params.items():
-        if n.startswith(f"{target_net.prefix}{head_name}."):
-            t.requires_grad = False
+    target_net.params[f"{head_name}.w"].requires_grad = False
+    target_net.params[f"{head_name}.b"].requires_grad = False
     tap_names = config.disc_taps or tuple(source_net.spec.taps)
     source = SourceTaps(source_net, d1, tap_names)
 

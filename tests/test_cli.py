@@ -1,6 +1,8 @@
 """Config parsing, checkpoint persistence, CLI subcommands and exit codes."""
 
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +143,12 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes() + b"xx")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(p)
+
+
+def test_metrics_columns_are_the_benchmark_terms():
+    """perfbench reads each step's loss terms from a metrics row by these names."""
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    assert CSV_FIELDS[1:-1] == json.loads(reference.read_text())["terms"]
 
 
 SYNTH_ARGS = ["--experiment", "synth", "--pretrain_steps", "30", "--steps", "20",

@@ -40,25 +40,17 @@ class TestIdxIO:
         lmagic, ln = struct.unpack(">II", lp.read_bytes()[:8])
         assert (lmagic, ln) == (2049, 3)
 
-    def test_images_only_gives_unlabeled(self, tmp_path):
-        ds = small_dataset(n=4)
-        ip = tmp_path / "i.idx"
-        write_idx(ip, ds.images)
-        un = load_idx(ip)
-        assert not hasattr(un, "labels")
-        assert len(un) == 4
-
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.idx"
         p.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + bytes(4))
         with pytest.raises(IdxParseError, match="magic"):
-            load_idx(p)
+            load_idx(p, tmp_path / "never-opened.idx")
 
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "trunc.idx"
         p.write_bytes(struct.pack(">IIII", 2051, 2, 4, 4) + bytes(10))
         with pytest.raises(IdxParseError, match="bytes"):
-            load_idx(p)
+            load_idx(p, tmp_path / "never-opened.idx")
 
     def test_label_count_mismatch_rejected(self, tmp_path):
         ds = small_dataset(n=4)

@@ -198,7 +198,8 @@ class TestSemanticTotal:
         rng = np.random.default_rng(9)
         src, lab, labels, unl = self._setup(rng)
         with use_float64():
-            total, a, b, c = semantic_total(src, lab, labels, unl, n_classes=4)
+            total, a, b, c = semantic_total(src, lab, labels, unl, tau_st=2.0, tau_tt=1.0,
+                                            n_classes=4)
         assert abs(total.item() - (a.item() + b.item() + c.item())) <= 1e-9
 
     def test_components_match_direct_calls(self):
@@ -212,22 +213,14 @@ class TestSemanticTotal:
             assert abs(b.item() - metric_ce(lab, labels, protos).item()) <= 1e-9
             assert abs(c.item() - entropy_transfer(unl, protos, 1.0).item()) <= 1e-9
 
-    def test_missing_unlabeled_batch_keeps_only_supervised_term(self):
-        rng = np.random.default_rng(11)
-        src, lab, labels, _ = self._setup(rng)
-        with use_float64():
-            total, a, b, c = semantic_total(src, lab, labels, None, n_classes=4)
-        assert a.item() == 0.0 and c.item() == 0.0
-        assert abs(total.item() - b.item()) <= 1e-12
-
     def test_detached_prototypes_pass_st_unsup_no_gradient_to_the_labeled_batch(self):
         rng = np.random.default_rng(12)
         src, lab, labels, unl = self._setup(rng)
         lab.requires_grad = unl.requires_grad = True
         with use_float64():
-            plain = semantic_total(src, lab, labels, unl, n_classes=4)
-            detached = semantic_total(src, lab, labels, unl, n_classes=4,
-                                      detach_prototypes=True)
+            plain = semantic_total(src, lab, labels, unl, tau_st=2.0, tau_tt=1.0, n_classes=4)
+            detached = semantic_total(src, lab, labels, unl, tau_st=2.0, tau_tt=1.0,
+                                      n_classes=4, detach_prototypes=True)
             assert [t.item() for t in detached] == [t.item() for t in plain]
             backward(detached[3])
             assert lab.grad is None or not lab.grad.any()

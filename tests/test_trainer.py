@@ -145,8 +145,7 @@ class TestAdaptJoint:
         net, _, d1 = source_setup
         d2, d3, test = target_splits
         cfg = quick_config(steps=60)
-        adapted, record = adapt_joint(net, d1, d2, d3, cfg,
-                                      head_classes=2, reinit_head=True)
+        adapted, record = adapt_joint(net, d1, d2, d3, cfg, reinit_head=True)
         acc = evaluate(adapted, test).accuracy
         assert acc >= 0.7
         assert all(np.isfinite(row["loss_total"]) for row in record.rows)
@@ -156,8 +155,7 @@ class TestAdaptJoint:
         d2, d3, _ = target_splits
         before = {n: t.data.copy() for n, t in net.params.items()}
         stats_before = {n: (m.copy(), v.copy()) for n, (m, v) in net.running_stats.items()}
-        adapt_joint(net, d1, d2, d3, quick_config(steps=5),
-                    head_classes=2, reinit_head=True)
+        adapt_joint(net, d1, d2, d3, quick_config(steps=5), reinit_head=True)
         for n, t in net.params.items():
             np.testing.assert_array_equal(before[n], t.data)
         for n, (m, v) in net.running_stats.items():
@@ -168,8 +166,8 @@ class TestAdaptJoint:
         net, _, d1 = source_setup
         d2, d3, _ = target_splits
         cfg = quick_config(steps=8)
-        a, ra = adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
-        b, rb = adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
+        a, ra = adapt_joint(net, d1, d2, d3, cfg, reinit_head=True)
+        b, rb = adapt_joint(net, d1, d2, d3, cfg, reinit_head=True)
         assert ra.rows == rb.rows
         for name in a.params:
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
@@ -177,8 +175,7 @@ class TestAdaptJoint:
     def test_all_loss_terms_populated(self, source_setup, target_splits):
         net, _, d1 = source_setup
         d2, d3, _ = target_splits
-        _, record = adapt_joint(net, d1, d2, d3, quick_config(steps=3),
-                                head_classes=2, reinit_head=True)
+        _, record = adapt_joint(net, d1, d2, d3, quick_config(steps=3), reinit_head=True)
         row = record.rows[-1]
         for key in ("loss_sup", "loss_dt_d", "loss_dt_e", "loss_st_src",
                     "loss_st_sup", "loss_st_unsup"):
@@ -190,7 +187,7 @@ class TestAdaptJoint:
         d2, d3, _ = target_splits
         (a, ra), (b, rb) = [
             adapt_joint(net, d1, d2, d3, quick_config(steps=2, stop_grad_prototypes=stop),
-                        head_classes=2, reinit_head=True) for stop in (False, True)]
+                        reinit_head=True) for stop in (False, True)]
         assert ra.rows[0] == rb.rows[0]
         assert any((p.data != b.params[name].data).any() for name, p in a.params.items())
 
@@ -199,9 +196,8 @@ class TestAdaptJoint:
         d2, _, _ = target_splits
         d3 = target_splits[1]
         cfg = quick_config(steps=12, alpha=0.0, beta=0.0)
-        joint, rj = adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
-        base, rb = run_baseline("fine_tune", d2, cfg, source_net=net,
-                                head_classes=2, reinit_head=True)
+        joint, rj = adapt_joint(net, d1, d2, d3, cfg, reinit_head=True)
+        base, rb = run_baseline("fine_tune", d2, cfg, source_net=net, reinit_head=True)
         for name in joint.params:
             np.testing.assert_array_equal(joint.params[name].data, base.params[name].data)
         assert [r["loss_total"] for r in rj.rows] == [r["loss_total"] for r in rb.rows]
@@ -212,7 +208,7 @@ class TestBaselines:
         net, _, _ = source_setup
         d2, _, _ = target_splits
         tuned, _ = run_baseline("fine_tune", d2, quick_config(steps=60),
-                                source_net=net, head_classes=2, reinit_head=True)
+                                source_net=net, reinit_head=True)
         assert evaluate(tuned, d2).accuracy == 1.0
 
     def test_target_only_needs_spec(self, target_splits):
@@ -289,7 +285,7 @@ class TestAdversarialStep:
         net, _, d1 = source_setup
         d2, d3, _ = target_splits
         step = _forwards_per_step(monkeypatch, net, lambda cfg: adapt_joint(
-            net, d1, d2, d3, cfg, head_classes=2, reinit_head=True))
+            net, d1, d2, d3, cfg, reinit_head=True))
         # the prototype pass cached every source image: x_unl, then the full
         # D2 batch, through the target net and nothing through the source net
         assert step == [("target", 64), ("target", len(d2))]
@@ -308,13 +304,13 @@ class TestAdversarialStep:
             return out
 
         monkeypatch.setattr(MultiLayerDiscriminator, "forward", recording)
-        a, ra = adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
+        a, ra = adapt_joint(net, d1, d2, d3, cfg, reinit_head=True)
         # per step: D scores the source and the detached target batch, then
         # the encoder half scores the source batch and the target batch
         assert scored == [True, True, False, True] * 3
         # the same run with the encoder half's source scoring recorded
         monkeypatch.setattr(trainer, "no_grad", contextlib.contextmanager(lambda: (yield)))
-        b, rb = adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
+        b, rb = adapt_joint(net, d1, d2, d3, cfg, reinit_head=True)
         assert scored[12:] == [True] * 12
         assert ra.rows == rb.rows
         for name, p in a.params.items():
@@ -338,8 +334,7 @@ class TestAdversarialStep:
                 super().__init__(op, inputs, counted)
 
         def run():
-            return adapt_joint(net, d1, d2, d3, quick_config(steps=2), head_classes=2,
-                               reinit_head=True)
+            return adapt_joint(net, d1, d2, d3, quick_config(steps=2), reinit_head=True)
 
         monkeypatch.setattr(tensor, "GraphNode", CountingNode)
         a, ra = run()
@@ -384,7 +379,7 @@ class TestAdversarialStep:
         calls = []
         monkeypatch.setattr(trainer, "adversarial_step", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match=rf"'{bad}'.*\['flat', 'fc1', 'fc2'\]"):
-            adapt_joint(net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)
+            adapt_joint(net, d1, d2, d3, cfg, reinit_head=True)
         with pytest.raises(ValueError, match=rf"'{bad}'.*\['flat', 'fc1', 'fc2'\]"):
             adapt_unsupervised(net, d1, _shifted_unlabeled(), cfg)
         assert calls == []
@@ -394,7 +389,7 @@ class TestAdversarialStep:
         d2, d3, _ = target_splits
         with pytest.raises(ValueError, match=r"'conv2'.*\['flat', 'fc1', 'fc2'\]"):
             adapt_joint(net, d1, d2, d3, quick_config(steps=1, embed_layer="conv2"),
-                        head_classes=2, reinit_head=True)
+                        reinit_head=True)
 
     def test_zero_alpha_target_forward_records_no_graph(self, monkeypatch, source_setup):
         net, _, d1 = source_setup
@@ -467,14 +462,35 @@ class TestAdversarialStep:
         net, _, d1 = source_setup  # 3 source classes; the target head gets 2
         d2, d3, _ = target_splits
         monkeypatch.setattr(trainer, "_build_discriminator", lambda *a: pytest.fail("built"))
-        for taps in ((), ("flat", "fc2")):
-            def run():
-                with pytest.raises(ValueError, match=r"tap 'fc2' is 3 wide in the source "
-                                                     r"net but 2 in the target net"):
-                    adapt_joint(net, d1, d2, d3, quick_config(steps=1, disc_taps=taps),
-                                head_classes=2, reinit_head=True)
 
-            assert _forwards(monkeypatch, net, run) == []
+        def run():
+            with pytest.raises(ValueError, match=r"tap 'fc2' is 3 wide in the source "
+                                                 r"net but 2 in the target net"):
+                adapt_joint(net, d1, d2, d3, quick_config(steps=1, disc_taps=("flat", "fc2")),
+                            reinit_head=True)
+
+        assert _forwards(monkeypatch, net, run) == []
+
+    @pytest.mark.parametrize("source_classes, reinit_head, want", [
+        (3, False, ("flat", "fc1")),  # the head's width changes
+        (2, True, ("flat", "fc1")),  # a re-initialised head of the same width
+        (2, False, ("flat", "fc1", "fc2")),  # the source head, carried over
+    ])
+    def test_joint_default_taps_leave_out_a_new_head(self, monkeypatch, target_splits,
+                                                      source_classes, reinit_head, want):
+        d2, d3, _ = target_splits  # 2 target classes
+        d1 = synth_digits(20, range(source_classes), seed=0)
+        net = EmbeddingNetwork(synth_embedding_spec(n_classes=source_classes), seed=0)
+        built = []
+
+        def build(net, taps, cfg, real=trainer._build_discriminator):
+            built.append(taps)
+            return real(net, taps, cfg)
+
+        monkeypatch.setattr(trainer, "_build_discriminator", build)
+        adapt_joint(net, d1, d2, d3, quick_config(steps=1, disc_taps=()),
+                    reinit_head=reinit_head)
+        assert built == [want]
 
     def test_joint_step_updates_bn_running_stats_once_per_batch(
             self, monkeypatch, source_setup, target_splits):
@@ -489,8 +505,7 @@ class TestAdversarialStep:
             return forward(self, x, **kwargs)
 
         monkeypatch.setattr(EmbeddingNetwork, "forward", recording)
-        adapted, _ = adapt_joint(net, d1, d2, d3, quick_config(steps=1),
-                                 head_classes=2, reinit_head=True)
+        adapted, _ = adapt_joint(net, d1, d2, d3, quick_config(steps=1), reinit_head=True)
         monkeypatch.setattr(EmbeddingNetwork, "forward", forward)
         x_unl, x_d2 = inputs
 
@@ -529,8 +544,7 @@ class TestAdversarialStep:
         monkeypatch.setattr(losses, term, diverging)
         field = "st_src" if term == "entropy_transfer" else "dt_d"
         with pytest.raises(TrainDivergence, match=f"'{field}' became non-finite at step 3"):
-            adapt_joint(net, d1, d2, d3, quick_config(steps=5),
-                        head_classes=2, reinit_head=True)
+            adapt_joint(net, d1, d2, d3, quick_config(steps=5), reinit_head=True)
 
     def test_fine_tune_divergence_names_the_step(self, monkeypatch, source_setup,
                                                  target_splits):
@@ -538,8 +552,7 @@ class TestAdversarialStep:
         d2, _, _ = target_splits
         monkeypatch.setattr(losses, "supervised_ce", lambda logits, labels: Tensor(np.inf))
         with pytest.raises(TrainDivergence, match="'sup' became non-finite at step 1"):
-            run_baseline("fine_tune", d2, quick_config(steps=2), source_net=net,
-                         head_classes=2, reinit_head=True)
+            run_baseline("fine_tune", d2, quick_config(steps=2), source_net=net, reinit_head=True)
 
 
 class TestStepLoopSeam:
@@ -554,9 +567,9 @@ class TestStepLoopSeam:
         "target_only": ([], lambda net, d1, d2, d3, cfg: run_baseline(
             "target_only", d2, cfg, net_spec=synth_embedding_spec(n_classes=2))),
         "fine_tune": (["clone"], lambda net, d1, d2, d3, cfg: run_baseline(
-            "fine_tune", d2, cfg, source_net=net, head_classes=2, reinit_head=True)),
+            "fine_tune", d2, cfg, source_net=net, reinit_head=True)),
         "adapt_joint": (["clone", "prototypes"], lambda net, d1, d2, d3, cfg: adapt_joint(
-            net, d1, d2, d3, cfg, head_classes=2, reinit_head=True)),
+            net, d1, d2, d3, cfg, reinit_head=True)),
         "adapt_unsupervised": (["clone"], lambda net, d1, d2, d3, cfg: adapt_unsupervised(
             net, d1, _shifted_unlabeled(), cfg)),
     }
