@@ -138,8 +138,15 @@ def cmd_pretrain(cfg: Config) -> int:
     return EXIT_OK
 
 
+def _check_taps(cfg: Config, n_source: int, **kwargs) -> None:
+    """trainer.discriminator_taps on the source net, raising a UsageError."""
+    try:
+        trainer.discriminator_taps(_net_spec(cfg, n_source), cfg, **kwargs)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+
+
 def cmd_transfer(cfg: Config) -> int:
-    out = _prepare_outdir(cfg)
     ckpt_path = _require(cfg.checkpoint, "source checkpoint")
     d1 = _load_data(cfg, "source")
     pool = _load_data(cfg, "target")
@@ -148,6 +155,15 @@ def cmd_transfer(cfg: Config) -> int:
     n_target = len(set(pool.classes))
     disjoint = (tuple(cfg.source_classes) != tuple(cfg.target_classes)
                 or cfg.experiment == "digits")
+    # what would stop a later run stops the command before any output
+    if {"full", "adv_only"} & set(cfg.methods):
+        _check_taps(cfg, n_source, head_classes=n_target, reinit_head=disjoint, embed=True)
+    for k in cfg.k_values:
+        try:
+            D.check_split(pool, k)
+        except D.SplitError as e:
+            raise UsageError(f"k_values: {e}") from e
+    out = _prepare_outdir(cfg)
     per_run = []
     for method in cfg.methods:
         for k in cfg.k_values:
@@ -200,9 +216,10 @@ def cmd_uda(cfg: Config) -> int:
     if foreign:
         raise UsageError(f"uda needs the target classes among the source classes; "
                          f"{foreign} are not")
-    out = _prepare_outdir(cfg)
-    test = _in_source_order(_load_data(cfg, "test"), cfg)
     n_classes = len(set(d1.classes))
+    _check_taps(cfg, n_classes)
+    test = _in_source_order(_load_data(cfg, "test"), cfg)
+    out = _prepare_outdir(cfg)
     rows = []
     for seed in cfg.seeds:
         run_cfg = replace(cfg, seed=seed)

@@ -130,21 +130,30 @@ def filter_classes(ds: LabeledDataset, classes) -> LabeledDataset:
     mask = np.isin(ds.labels, classes)
     if not mask.any():
         raise SplitError(f"no examples with classes {classes} in {ds.name!r}")
-    remap = {c: i for i, c in enumerate(classes)}
-    labels = np.array([remap[c] for c in ds.labels[mask]], dtype=np.int64)
+    labels = np.searchsorted(classes, ds.labels[mask]).astype(np.int64, copy=False)
     return LabeledDataset(images=ds.images[mask], labels=labels,
                           name=ds.name, classes=tuple(range(len(classes))))
 
 
+def check_split(pool: LabeledDataset, k: int) -> None:
+    """Raise SplitError unless ``make_splits`` can take k examples of every
+    class of ``pool`` and leave a D3."""
+    classes = sorted(set(pool.classes))
+    for c in classes:
+        count = np.count_nonzero(pool.labels == c)
+        if count < k:
+            raise SplitError(f"class {c} has {count} examples, needs >= {k}")
+    if k * len(classes) >= len(pool):
+        raise SplitError(f"{k} examples of each class leave no unlabeled examples "
+                         f"in {pool.name!r}")
+
+
 def make_splits(pool: LabeledDataset, k: int, seed: int) -> tuple:
     """Seeded k-per-class subsample: returns (D2 labeled, D3 unlabeled rest)."""
+    check_split(pool, k)
     rng = np.random.default_rng(seed)
-    chosen = []
-    for c in sorted(set(pool.classes)):
-        idx = np.flatnonzero(pool.labels == c)
-        if idx.size < k:
-            raise SplitError(f"class {c} has {idx.size} examples, needs >= {k}")
-        chosen.append(rng.choice(idx, size=k, replace=False))
+    chosen = [rng.choice(np.flatnonzero(pool.labels == c), size=k, replace=False)
+              for c in sorted(set(pool.classes))]
     d2_idx = np.sort(np.concatenate(chosen))
     rest = np.setdiff1d(np.arange(len(pool)), d2_idx)
     d2 = LabeledDataset(images=pool.images[d2_idx], labels=pool.labels[d2_idx],
@@ -197,31 +206,38 @@ def synth_digits(n_per_class: int, classes, image_size: int = 16, seed: int = 0,
     rng = np.random.default_rng(seed)
     grid = np.linspace(-1, 1, image_size)
     yy, xx = np.meshgrid(grid, grid, indexing="ij")
-    templates = {}
-    for c in classes:
+    templates = np.empty((len(classes), image_size, image_size))
+    for template, c in zip(templates, classes):
         r = np.random.default_rng(1000 + c)  # templates fixed across seeds
         pattern = np.zeros((image_size, image_size))
         for _ in range(3):
             cy, cx = r.uniform(-0.6, 0.6, 2)
             s = r.uniform(0.15, 0.35)
             pattern += np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s * s)))
-        pattern = pattern / pattern.max()
-        templates[c] = pattern
+        template[...] = pattern / pattern.max()
 
-    images = np.empty((n_per_class * len(classes), 1, image_size, image_size), dtype=np.uint8)
-    labels = np.empty(n_per_class * len(classes), dtype=np.int64)
-    i = 0
-    for c in classes:
-        for _ in range(n_per_class):
-            img = templates[c] + rng.normal(0, 0.08, (image_size, image_size))
-            dy, dx = rng.integers(-1, 2, 2)
-            img = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
-            if domain_shift:
-                img = 0.3 + 0.55 * img  # brightness/contrast shift
-                img = np.roll(img, 2, axis=1)
-            images[i, 0] = (img.clip(0, 1) * 255).astype(np.uint8)
-            labels[i] = c
-            i += 1
+    # only the draws run per image, in the order that draws one image at a
+    # time: a generator's stream depends on its sequence of calls
+    n = n_per_class * len(classes)
+    noise = np.empty((n, image_size, image_size))
+    shifts = np.empty((n, 2), dtype=np.int64)
+    for i in range(n):
+        noise[i] = rng.normal(0, 0.08, (image_size, image_size))
+        shifts[i] = rng.integers(-1, 2, 2)
+    noise.reshape(len(classes), n_per_class, image_size, image_size)[...] += templates[:, None]
+    if domain_shift:  # brightness/contrast shift; per pixel, so it may precede the rolls
+        noise *= 0.55
+        noise += 0.3
+    # rolling by (dy, dx), and by 2 more columns under the domain shift,
+    # puts pixel (y - dy, x - dx) at (y, x): one gather over the stack
+    pos = np.arange(image_size)
+    rows = (pos - shifts[:, :1]) % image_size
+    cols = (pos - shifts[:, 1:] - 2 * domain_shift) % image_size
+    img = noise[np.arange(n)[:, None, None], rows[:, :, None], cols[:, None, :]]
+    np.clip(img, 0, 1, out=img)
+    img *= 255
+    images = img.astype(np.uint8).reshape(n, 1, image_size, image_size)
+    labels = np.repeat(np.asarray(classes, dtype=np.int64), n_per_class)
     return LabeledDataset(images=images, labels=labels,
                           name="synth" + ("-shift" if domain_shift else ""),
                           classes=tuple(classes))

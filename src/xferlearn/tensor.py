@@ -610,6 +610,10 @@ def _grid_input_grad(w: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.ndarra
     at most _GRAD_BLOCK_BYTES each: a block is kh GEMMs of the flipped
     kernel's rows (C, kw*F) with the slices of the block's kernel-row
     columns, summed in kernel-row order while the block stays in cache.
+    Where C <= F the blocks are written into the first C rows of ``ggrid``,
+    which nothing reads afterwards, last block first: a block reads the
+    columns from ``back`` before its own to its end, so no block reads a
+    column that a block after it has overwritten.
     """
     f, c, kh, kw = w.shape
     n, p, wq = grid.n, grid.p, grid.wq
@@ -618,7 +622,8 @@ def _grid_input_grad(w: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.ndarra
     # row i: the kernel's row kh-1-i as (C, kw*F), columns (kw-1-j)*F + f
     wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(2, 1, 3, 0),
                               dtype=dtype).reshape(kh, c, kw * f)
-    gxp = _empty((c, length), dtype)
+    in_place = c <= f
+    gxp = ggrid[:c] if in_place else _empty((c, length), dtype)
     # equal blocks: a narrow last one would take the BLAS's small-matrix
     # kernel, whose bytes for a column depend on where the call ends
     blocks = -(-length // max(1, _GRAD_BLOCK_BYTES // (c * dtype.itemsize)))
@@ -626,15 +631,16 @@ def _grid_input_grad(w: np.ndarray, ggrid: np.ndarray, grid: _Grid) -> np.ndarra
     buf = _empty((kw * f * (width + (kh - 1) * wq),), dtype)
     term = _empty((c, width), dtype)
     back = (kh - 1) * wq + kw - 1  # a block reads the output gradient from this far before it
-    for start in range(0, length, width):
+    for start in reversed(range(0, length, width)):
         span = min(width, length - start)
         cols = _row_columns(ggrid, grid, start - back, span, buf)
         dst = gxp[:, start:start + span]
         np.matmul(wf[0], cols[:, :span], out=dst)
         for i in range(1, kh):
             dst += np.matmul(wf[i], cols[:, i * wq:i * wq + span], out=term[:, :span])
-    gx = gxp.reshape(c, n, grid.hq, wq)[:, :, p:p + grid.h, p:p + grid.w]
-    if not gx.flags.c_contiguous:  # padding rows or columns lie between the pixels
+    gx = gxp[:, :length].reshape(c, n, grid.hq, wq)[:, :, p:p + grid.h, p:p + grid.w]
+    # padding rows or columns lie between the pixels, or gx would keep ggrid alive
+    if not gx.flags.c_contiguous or in_place:
         gx = gx.copy()
     return gx.transpose(1, 0, 2, 3)
 

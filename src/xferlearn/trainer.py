@@ -164,10 +164,6 @@ class SourceTaps:
     """
 
     def __init__(self, source_net: EmbeddingNetwork, d1: LabeledDataset, names):
-        for name in names:
-            if name not in source_net.spec.taps:
-                raise ValueError(f"tap {name!r} not among the source net's taps "
-                                 f"{list(source_net.spec.taps)}")
         source_net.eval()
         self.net, self.d1 = source_net, d1
         self.rows = {name: np.empty((len(d1), int(np.prod(source_net.shapes[name]))),
@@ -207,6 +203,29 @@ def source_prototypes(source: SourceTaps, config: TrainConfig) -> Tensor:
             idx = rng.choice(idx, size=config.src_proto_per_class, replace=False)
         protos.append(source(idx)[config.embed_layer].data.mean(axis=0))
     return Tensor(np.stack(protos))
+
+
+def discriminator_taps(spec: NetworkSpec, config: TrainConfig, head_classes: int | None = None,
+                       reinit_head: bool = False, embed: bool = False) -> tuple:
+    """The discriminator's taps for adapting a source net of ``spec`` to a
+    head of ``head_classes`` outputs (None: the source head's width).
+
+    ``config.disc_taps``, or else every tap but a new head's (``reinit_head``
+    or a changed width): fresh logits are not an adapted feature.  Raises
+    ValueError where one of them, or with ``embed`` ``config.embed_layer``,
+    is not a tap of the net or is a head tap whose width changes.
+    """
+    head_name, head = spec.layers[-1]
+    resized = head_classes is not None and head_classes != head.out_channels
+    names = config.disc_taps or tuple(
+        name for name in spec.taps if not ((reinit_head or resized) and name == head_name))
+    for name in (*names, config.embed_layer) if embed else names:
+        if name not in spec.taps:
+            raise ValueError(f"tap {name!r} not among the source net's taps {list(spec.taps)}")
+        if resized and name == head_name:
+            raise ValueError(f"tap {name!r} is {head.out_channels} wide in the source net but "
+                             f"{head_classes} in the target net; leave it out")
+    return names
 
 
 def _build_discriminator(net: EmbeddingNetwork, tap_names, config: TrainConfig
@@ -300,10 +319,8 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
                 d3: UnlabeledDataset, config: TrainConfig, reinit_head: bool = False):
     """Joint adaptation: supervised + adversarial + semantic transfer.
 
-    The head has one output per class of D2.  Without ``disc_taps`` the
-    discriminator reads every tap of the source net, but the head's when
-    the head is new (``reinit_head``, or a changed class count): its fresh
-    logits are not an adapted feature.
+    The head has one output per class of D2; ``discriminator_taps`` picks
+    and checks the taps the discriminator reads.
 
     With alpha == beta == 0 this is plain fine-tuning on D2: it runs
     ``run_baseline("fine_tune", ...)`` itself, so the trajectory is the
@@ -313,17 +330,10 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
         return run_baseline("fine_tune", d2, config, source_net=source_net,
                             reinit_head=reinit_head)
     n_target_classes = len(set(d2.classes))
+    tap_names = discriminator_taps(source_net.spec, config, n_target_classes, reinit_head,
+                                   embed=True)
     target_net = _target(source_net, config, n_target_classes, reinit_head)
-    head_name, head = source_net.spec.layers[-1]
-    new_head = reinit_head or head.out_channels != n_target_classes
-    tap_names = config.disc_taps or tuple(
-        name for name in source_net.spec.taps if not (new_head and name == head_name))
     source = SourceTaps(source_net, d1, (*tap_names, config.embed_layer))
-    for name in tap_names:
-        src_w, tgt_w = (int(np.prod(net.shapes[name])) for net in (source_net, target_net))
-        if src_w != tgt_w:
-            raise ValueError(f"tap {name!r} is {src_w} wide in the source net but {tgt_w} "
-                             f"in the target net; leave it out of disc_taps")
     src_protos = source_prototypes(source, config)
     x_d2 = normalize_batch(d2.images)  # full-batch D2 every step
 
@@ -373,11 +383,11 @@ def adapt_unsupervised(source_net: EmbeddingNetwork, d1: LabeledDataset,
     The classifier head is copied from the source network and frozen; only
     the target encoder body and the discriminator train.
     """
+    tap_names = discriminator_taps(source_net.spec, config)
     target_net = _target(source_net, config)
     head_name = target_net.spec.layers[-1][0]
     target_net.params[f"{head_name}.w"].requires_grad = False
     target_net.params[f"{head_name}.b"].requires_grad = False
-    tap_names = config.disc_taps or tuple(source_net.spec.taps)
     source = SourceTaps(source_net, d1, tap_names)
 
     def encoder_objective(l_dt_e, unl_taps, report):

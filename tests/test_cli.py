@@ -161,6 +161,14 @@ def read_csv(path):
         return list(csv.DictReader(f))
 
 
+@pytest.fixture(scope="module")
+def two_step_source(tmp_path_factory):
+    """The checkpoint of a 2-step pretrain on the 5 synth source classes."""
+    pre = tmp_path_factory.mktemp("pre")
+    assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(pre), "--pretrain_steps", "2"]) == 0
+    return pre / "source.ckpt"
+
+
 class TestCli:
     def test_missing_config_path_is_usage_error(self, capsys):
         assert main(["pretrain", "--config", "/nonexistent/x.cfg"]) == 2
@@ -342,29 +350,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "truncated config snapshot" in err and "Traceback" not in err
 
-    def test_unknown_disc_tap_is_runtime_error(self, tmp_path, capsys):
-        pre = tmp_path / "pre"
-        assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(pre),
-                     "--pretrain_steps", "2"]) == 0
-        code = main(["uda", *SYNTH_ARGS, "--output_dir", str(tmp_path / "uda"),
-                     "--checkpoint", str(pre / "source.ckpt"), "--seeds", "0",
-                     "--disc_taps", "conv1"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "'conv1'" in err and "Traceback" not in err
-
-    def test_taps_of_different_widths_are_runtime_error(self, tmp_path, capsys):
-        pre = tmp_path / "pre"
-        assert main(["pretrain", *SYNTH_ARGS, "--output_dir", str(pre),
-                     "--pretrain_steps", "2", "--source_classes", "0,1,2"]) == 0
-        code = main(["transfer", *SYNTH_ARGS, "--output_dir", str(tmp_path / "tr"),
-                     "--checkpoint", str(pre / "source.ckpt"),
-                     "--source_classes", "0,1,2", "--target_classes", "3,4",
-                     "--methods", "full", "--k_values", "3", "--seeds", "0",
-                     "--disc_taps", "flat,fc1,fc2"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "'fc2' is 3 wide" in err and "Traceback" not in err
+    @pytest.mark.parametrize("command, flags, named", [
+        # each exited 1 after the runs before the failing one had written
+        # their checkpoints and metrics, or after config.txt and seeds.txt
+        ("transfer", ["--methods", "target_only,fine_tune,full", "--disc_taps", "bogus"],
+         "'bogus'"),
+        ("transfer", ["--embed_layer", "conv9"], "'conv9'"),
+        ("transfer", ["--disc_taps", "fc2", "--target_classes", "0,1"],
+         "'fc2' is 5 wide in the source net but 2"),
+        ("transfer", ["--k_values", "2,500"], "needs >= 500"),
+        ("uda", ["--disc_taps", "nope"], "'nope'"),
+    ], ids=["disc_taps", "embed_layer", "resized_head_tap", "k_values", "uda_disc_taps"])
+    def test_config_that_cannot_fit_the_net_or_data_is_usage_error(
+            self, tmp_path, capsys, two_step_source, command, flags, named):
+        out = tmp_path / command
+        code = main([command, *SYNTH_ARGS, "--output_dir", str(out),
+                     "--checkpoint", str(two_step_source), "--seeds", "0", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_gradcheck_clean_passes(self, capsys):
         assert main(["gradcheck", "--instances", "2", "--seed", "0"]) == 0

@@ -82,6 +82,15 @@ class TestFilterAndSplits:
         # class 5 -> 0, class 9 -> 1
         assert (out.labels[ds.labels[np.isin(ds.labels, [5, 9])] == 5] == 0).all()
 
+    def test_filter_labels_equal_a_dict_remap(self):
+        ds = small_dataset(n=50, classes=(8, 2, 6, 4, 0))
+        keep = [6, 0, 8]  # unsorted
+        remap = {c: i for i, c in enumerate(sorted(keep))}
+        out = filter_classes(ds, keep)
+        want = np.array([remap[c] for c in ds.labels if c in remap], dtype=np.int64)
+        assert out.labels.dtype == want.dtype and out.labels.tobytes() == want.tobytes()
+        assert out.classes == (0, 1, 2)
+
     def test_filter_preserves_image_bytes(self):
         ds = small_dataset(n=30, classes=(0, 1, 2))
         out = filter_classes(ds, [1])
@@ -122,6 +131,11 @@ class TestFilterAndSplits:
         with pytest.raises(SplitError, match="class"):
             make_splits(ds, k=3, seed=0)
 
+    def test_split_leaving_no_unlabeled_rest_rejected(self):
+        ds = small_dataset(n=6, classes=(0, 1, 2))
+        with pytest.raises(SplitError, match="no unlabeled"):
+            make_splits(ds, k=2, seed=0)
+
 
 class TestBatching:
     def test_normalize_range_endpoints(self):
@@ -152,7 +166,57 @@ class TestResize:
         assert out[:, 0].max() <= 16 and out[:, -1].min() >= 239
 
 
+def per_image_synth_digits(n_per_class, classes, image_size=16, seed=0, domain_shift=False):
+    """The fixture as one loop over images: the reference that synth_digits's
+    array passes must reproduce byte for byte."""
+    classes = sorted(classes)
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(-1, 1, image_size)
+    yy, xx = np.meshgrid(grid, grid, indexing="ij")
+    templates = {}
+    for c in classes:
+        r = np.random.default_rng(1000 + c)
+        pattern = np.zeros((image_size, image_size))
+        for _ in range(3):
+            cy, cx = r.uniform(-0.6, 0.6, 2)
+            s = r.uniform(0.15, 0.35)
+            pattern += np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * s * s)))
+        templates[c] = pattern / pattern.max()
+    images = np.empty((n_per_class * len(classes), 1, image_size, image_size), dtype=np.uint8)
+    labels = np.empty(n_per_class * len(classes), dtype=np.int64)
+    i = 0
+    for c in classes:
+        for _ in range(n_per_class):
+            img = templates[c] + rng.normal(0, 0.08, (image_size, image_size))
+            dy, dx = rng.integers(-1, 2, 2)
+            img = np.roll(np.roll(img, dy, axis=0), dx, axis=1)
+            if domain_shift:
+                img = 0.3 + 0.55 * img
+                img = np.roll(img, 2, axis=1)
+            images[i, 0] = (img.clip(0, 1) * 255).astype(np.uint8)
+            labels[i] = c
+            i += 1
+    return LabeledDataset(images=images, labels=labels,
+                          name="synth" + ("-shift" if domain_shift else ""),
+                          classes=tuple(classes))
+
+
 class TestSynthFixture:
+    @pytest.mark.parametrize("seed", [0, 41])
+    @pytest.mark.parametrize("classes", [[3], [4, 0, 2], [9, 1, 7, 5]],
+                             ids=["one_class", "unsorted", "unsorted_four"])
+    @pytest.mark.parametrize("domain_shift", [False, True], ids=["plain", "shift"])
+    @pytest.mark.parametrize("image_size", [16, 28, 32])
+    def test_bytes_equal_the_per_image_loop(self, image_size, domain_shift, classes, seed):
+        got = synth_digits(7, classes, image_size=image_size, seed=seed,
+                           domain_shift=domain_shift)
+        want = per_image_synth_digits(7, classes, image_size=image_size, seed=seed,
+                                      domain_shift=domain_shift)
+        for a, b in ((got.images, want.images), (got.labels, want.labels)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+        assert (got.name, got.classes) == (want.name, want.classes)
+
     def test_deterministic_per_seed(self):
         a = synth_digits(5, range(4), seed=3)
         b = synth_digits(5, range(4), seed=3)

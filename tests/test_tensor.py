@@ -383,10 +383,12 @@ class TestGridInputGradient:
     """The stride-1 input gradient: per destination column block, kh GEMMs of the flipped
     kernel's rows with the output gradient's kernel-row columns."""
 
+    # F >= C writes the gradient into the output gradient's grid
+    @pytest.mark.parametrize("f", [2, 6], ids=["own_buffer", "in_place"])
     @pytest.mark.parametrize("padding", [0, 1, 3], ids=["p0", "p1", "p3_over_padded"])
-    def test_several_destination_blocks_match_the_naive_loops(self, monkeypatch, padding):
+    def test_several_destination_blocks_match_the_naive_loops(self, monkeypatch, padding, f):
         rng = np.random.default_rng(10 + padding)
-        x, w = rng.normal(0, 1, (3, 4, 5, 6)), rng.normal(0, 1, (2, 4, 3, 3))
+        x, w = rng.normal(0, 1, (3, 4, 5, 6)), rng.normal(0, 1, (f, 4, 3, 3))
         grid = T._Grid(x.shape, 3, 3, padding)
         # destination blocks of 13 float64 columns of 4 channels, the last
         # one narrower; the first reaches back over the start of the grid
@@ -400,7 +402,7 @@ class TestGridInputGradient:
             return out
 
         monkeypatch.setattr(T, "_empty", nan_filled)
-        g = rng.normal(0, 1, (3, 2, grid.ho, grid.wo))
+        g = rng.normal(0, 1, (3, f, grid.ho, grid.wo))
         with use_float64():
             gx = T._grid_input_grad(w, T._shifted_grid(g, grid, 0), grid)
         assert is_channel_major(gx)
@@ -426,18 +428,19 @@ class TestGridInputGradient:
         grid = T._Grid((n, c, size, size), 3, 3, 1)
         ggrid = T._shifted_grid(rng.standard_normal((n, f, size, size), dtype=np.float32),
                                 grid, 0)
-        gxp = c * n * grid.size * 4  # the gradient on the grid, 17x17 columns an image
-        gx = n * c * size * size * 4  # the valid pixels copied out of it
+        gx = n * c * size * size * 4  # the valid pixels copied out of the grid
         tracemalloc.start()
         try:
             T._grid_input_grad(w, ggrid, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the kernel-row columns of a destination block are kw*F/C times its
-        # bytes plus (kh-1)*wq columns; one more block holds a GEMM's term
+        # the gradient is made in the output gradient's grid, so no grid-sized
+        # array is allocated; the kernel-row columns of a destination block
+        # are kw*F/C times its bytes plus (kh-1)*wq columns, and one more
+        # block holds a GEMM's term
         rows = 3 * f * 4 * (T._GRAD_BLOCK_BYTES // (c * 4) + 2 * grid.wq)
-        assert peak - gxp - gx <= rows + T._GRAD_BLOCK_BYTES + (64 << 10)
+        assert peak - gx <= rows + T._GRAD_BLOCK_BYTES + (64 << 10)
 
 
 class TestConvOracleProperties:
