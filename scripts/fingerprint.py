@@ -5,7 +5,9 @@ For each workload and seed it builds the inputs the way the benchmark in
 perfbench/ does (the 5-class digit net, 32x32 synth_digits, 5 shots of
 target classes 5-9), trains for a few steps through the public trainer API
 and prints every loss row as float.hex (with its eval_acc, if any), the SHA-256 of the final
-state_dict and the evaluation accuracy.  finetune_k5 and joint_k5 are the
+state_dict, the SHA-256 of the test set's logits from eval-mode forwards
+without a graph, in blocks of ``metrics.EVAL_BLOCK`` images as ``evaluate``
+runs them, and the evaluation accuracy.  finetune_k5 and joint_k5 are the
 benchmark's workloads; pretrain (pretrain_source on the source classes,
 evaluating every 2 steps) and uda (adapt_unsupervised on the source
 classes in the shifted domain, taps pool4_flat, fc1 and fc2) cover the
@@ -45,6 +47,17 @@ def state_sha256(net) -> str:
     for key, arr in sorted(net.state_dict().items()):
         digest.update(f"{key} {arr.dtype.str} {arr.shape}\n".encode())
         digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def eval_logits_sha256(net, test) -> str:
+    """Leaves net in eval mode."""
+    net.eval()
+    digest = hashlib.sha256()
+    with tensor.no_grad():
+        for start in range(0, len(test), metrics.EVAL_BLOCK):
+            images = test.images[start:start + metrics.EVAL_BLOCK]
+            digest.update(net.forward(data.normalize_batch(images))[0].data.tobytes())
     return digest.hexdigest()
 
 
@@ -113,6 +126,7 @@ def main(argv=None) -> int:
                     terms += f" eval_acc={row['eval_acc']!r}"
                 print(f"{tag} step={row['step']} {terms}")
             print(f"{tag} state_sha256={state_sha256(net)}")
+            print(f"{tag} eval_logits_sha256={eval_logits_sha256(net, test)}")
             print(f"{tag} eval_acc={metrics.evaluate(net, test).accuracy!r}")
             if args.shadow:
                 with tensor.use_float64():

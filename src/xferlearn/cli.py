@@ -115,11 +115,14 @@ def _save_net(path: Path, net: EmbeddingNetwork, cfg: Config, step: int = 0) -> 
     save_checkpoint(path, net.state_dict(), config_text=dump_config(cfg), step=step)
 
 
-def _load_net(path, cfg: Config, n_classes: int) -> EmbeddingNetwork:
-    ckpt = load_checkpoint(path)
+def _net_from(state: dict, cfg: Config, n_classes: int) -> EmbeddingNetwork:
     net = EmbeddingNetwork(_net_spec(cfg, n_classes), seed=0)
-    net.load_state_dict(ckpt.tensors)
+    net.load_state_dict(state)
     return net
+
+
+def _load_net(path, cfg: Config, n_classes: int) -> EmbeddingNetwork:
+    return _net_from(load_checkpoint(path).tensors, cfg, n_classes)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -147,7 +150,9 @@ def _check_taps(cfg: Config, n_source: int, **kwargs) -> None:
 
 
 def cmd_transfer(cfg: Config) -> int:
-    ckpt_path = _require(cfg.checkpoint, "source checkpoint")
+    # target_only trains from scratch; every other method adapts the source net
+    uses_source = bool({"fine_tune", "full", "adv_only"} & set(cfg.methods))
+    ckpt_path = _require(cfg.checkpoint, "source checkpoint") if uses_source else None
     d1 = _load_data(cfg, "source")
     pool = _load_data(cfg, "target")
     test = _load_data(cfg, "test")
@@ -163,6 +168,8 @@ def cmd_transfer(cfg: Config) -> int:
             D.check_split(pool, k)
         except D.SplitError as e:
             raise UsageError(f"k_values: {e}") from e
+    # read and checked once; each run adapts a fresh net, since adapting freezes it
+    source_state = _load_net(ckpt_path, cfg, n_source).state_dict() if uses_source else None
     out = _prepare_outdir(cfg)
     per_run = []
     for method in cfg.methods:
@@ -170,18 +177,17 @@ def cmd_transfer(cfg: Config) -> int:
             for seed in cfg.seeds:
                 run_cfg = replace(cfg, seed=seed)
                 d2, d3 = D.make_splits(pool, k, seed)
-                source_net = _load_net(ckpt_path, cfg, n_source)
                 if method == "target_only":
                     net, record = trainer.run_baseline(
                         "target_only", d2, run_cfg, net_spec=_net_spec(cfg, n_target))
                 elif method == "fine_tune":
                     net, record = trainer.run_baseline(
-                        "fine_tune", d2, run_cfg, source_net=source_net,
-                        reinit_head=disjoint)
+                        "fine_tune", d2, run_cfg,
+                        source_net=_net_from(source_state, cfg, n_source), reinit_head=disjoint)
                 else:  # full or adv_only
                     mcfg = replace(run_cfg, beta=0.0) if method == "adv_only" else run_cfg
-                    net, record = trainer.adapt_joint(source_net, d1, d2, d3, mcfg,
-                                                      reinit_head=disjoint)
+                    net, record = trainer.adapt_joint(_net_from(source_state, cfg, n_source),
+                                                      d1, d2, d3, mcfg, reinit_head=disjoint)
                 acc = evaluate(net, test).accuracy
                 tag = f"{method}_k{k}_seed{seed}"
                 _write_csv(out / f"metrics_{tag}.csv", CSV_FIELDS, record.rows)

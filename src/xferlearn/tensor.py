@@ -28,8 +28,8 @@ _RECORDING = True  # False inside no_grad()
 # im2col bytes per image block of a stride-1 conv forward: a block's columns
 # stay near the caches, where numpy's copies run about twice as fast
 _COLUMN_BUDGET = 8 << 20
-# bytes of the signed xhat of one image block in the conv-BN-pool op
-# (_conv_bn_pool): its GEMM output, pool folds and codes stay in L2 cache
+# bytes of the window products of one image block in the conv-pool ops
+# (_pooled_products): its GEMM output, pool folds and codes stay in L2 cache
 _MAP_BUDGET = 1 << 20
 # batchnorm2d's running-statistics momentum and variance epsilon
 _BN_MOMENTUM, _BN_EPS = 0.1, 1e-5
@@ -199,7 +199,7 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _records(inputs: Sequence[Tensor]) -> bool:
+def records(inputs: Sequence[Tensor]) -> bool:
     """Whether an op on these inputs records a graph node."""
     return _RECORDING and any(t.requires_grad or t.node is not None for t in inputs)
 
@@ -210,7 +210,7 @@ def _make(data, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
 
 def _record(out: Tensor, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     """Give out a graph node if an op on these inputs records one."""
-    if _records(inputs):
+    if records(inputs):
         out.requires_grad = True
         out.node = GraphNode(op, [t if t.node is None else t.node for t in inputs], backward_fn)
     return out
@@ -297,7 +297,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     # gradient at exactly 0 is 0
-    mask = a.data > 0 if _records((a,)) else None
+    mask = a.data > 0 if records((a,)) else None
 
     def bwd(g):
         return (np.multiply(g, mask, out=np.empty_like(g)),)  # in g's memory order
@@ -539,7 +539,8 @@ def _row_columns(a: np.ndarray, grid: _Grid, first: int, span: int, buf: np.ndar
     return rows.reshape(-1, width)
 
 
-def _block_forward(flat: np.ndarray, grid: _Grid, wmat: np.ndarray, bias: np.ndarray):
+def _block_forward(flat: np.ndarray, grid: _Grid, wmat: np.ndarray, bias: np.ndarray,
+                   pool: int = 1):
     """Stride-1 convolution of the input on the grid (C, length): (F, N, Ho, Wo), bias added.
 
     Images go in blocks whose columns fit _COLUMN_BUDGET (_grid_columns),
@@ -548,17 +549,27 @@ def _block_forward(flat: np.ndarray, grid: _Grid, wmat: np.ndarray, bias: np.nda
     its weight row with its im2col column, so the bytes equal one
     whole-batch im2col GEMM's wherever the BLAS runs the same kernel for
     both.
+
+    With ``pool=k`` it returns the max of each k x k window of the
+    products, bias added, (F, N, Ho/k, Wo/k): each block's valid pixels,
+    a strided view of its product that splits into windows without a
+    copy, are pooled (_pool) before the bias add.  fl(d + b) is monotone
+    in d, so for a finite bias that is the pooled conv output byte for
+    byte, up to the sign of a zero maximum (see _conv_pool).
     """
     f = wmat.shape[0]
     dtype = np.result_type(flat, wmat)
-    out = _empty((f, grid.n, grid.ho, grid.wo), dtype)
+    out = _empty((f, grid.n, grid.ho // pool, grid.wo // pool), dtype)
     prod = None
     bias = bias[:, None, None, None]
     for start, b, cols in _grid_columns(flat, grid, _COLUMN_BUDGET):
         if prod is None:  # sized by the first block, the largest
             prod = _empty((f, b, grid.hq, grid.wq), dtype)
         np.matmul(wmat, cols, out=prod.reshape(f, -1)[:, :cols.shape[1]])
-        np.add(prod[:, :b, :grid.ho, :grid.wo], bias, out=out[:, start:start + b])
+        valid = prod[:, :b, :grid.ho, :grid.wo]
+        if pool > 1:
+            valid = _pool(valid, pool, False)[0]
+        np.add(valid, bias, out=out[:, start:start + b])
     return out
 
 
@@ -660,8 +671,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     With ``lazy``, at stride 1 where x needs no gradient (the images), the
     output is a _LazyConv: nothing is computed until its data is read, and
-    ``batchnorm2d(..., training=True, pool=k)`` of it runs the conv, BN and
-    the pool as one op from x's im2col columns (see _conv_bn_pool).  Only a
+    ``batchnorm2d(..., pool=k)`` of it runs the conv, BN and the pool as
+    one op (_conv_bn_pool in training, _conv_pool in eval mode).  Only a
     caller that hands the output to one op and to nothing else may pass it.
     """
     n, c, h, wd = x.data.shape
@@ -723,11 +734,11 @@ class _LazyConv(Tensor):
     """conv2d's output on an input that needs no gradient, not yet computed.
 
     Reading ``data`` computes it, once (_conv).  Until then
-    batchnorm2d(..., pool=k) in training can run the conv, BN and the pool
-    from the input's columns instead (_conv_bn_pool), and its gradient for
-    this output is then a _ConvGrad.  The graph node is the conv's own: it
-    hands on a _ConvGrad as the weight and bias gradients, and an array
-    gradient to the backward of the computed conv.
+    batchnorm2d(..., pool=k) can run the conv, BN and the pool as one op
+    instead: _conv_bn_pool in training, whose gradient for this output is
+    then a _ConvGrad, and _conv_pool in eval mode.  The graph node is the
+    conv's own: it hands on a _ConvGrad as the weight and bias gradients,
+    and an array gradient to the backward of the computed conv.
     """
 
     __slots__ = ("conv", "_shape", "_value", "_backward")
@@ -849,7 +860,7 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     if size != stride:
         raise ShapeError("maxpool2d supports size == stride only")
     _check_pool(x.data.shape, size)
-    out_data, picks = _pool(x.data, size, _records((x,)))
+    out_data, picks = _pool(x.data, size, records((x,)))
     shape = x.data.shape
     layout = np.argsort(x.data.strides, kind="stable")[::-1]  # x's axes, outermost first
 
@@ -865,6 +876,14 @@ def _monotone(mag: np.ndarray, add: np.ndarray) -> bool:
     extreme is NaN: mag finite and nonzero, add finite and not -0."""
     return bool(np.isfinite(mag).all() and (mag != 0).all() and np.isfinite(add).all()
                 and not (np.signbit(add) & (add == 0)).any())
+
+
+def _scale_shift(pooled: np.ndarray, mag: np.ndarray, add: np.ndarray) -> np.ndarray:
+    """BN of a pooled (N, C, Ho, Wo) map of sign(mag) * v: |mag| * pooled + add."""
+    out = pooled.astype(np.result_type(pooled, mag), copy=False)
+    out *= np.abs(mag)[:, None, None]
+    out += add[:, None, None]
+    return out
 
 
 def _update_running(running_mean, running_var, mean, var, m: int) -> None:
@@ -898,9 +917,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     full-size output instead.  The backward scatters g onto the picks, as
     maxpool2d's does, and then runs BN's in the saved xhat.
 
-    In training with ``pool=k``, an uncomputed conv output (conv2d's
-    ``lazy``) is normalized and pooled from its input's columns
-    (_conv_bn_pool) where that op applies, and is never computed.
+    With ``pool=k``, an uncomputed conv output (conv2d's ``lazy``) is
+    never computed where one op applies.  In training it is normalized and
+    pooled from its input's columns (_conv_bn_pool).  In eval mode, where
+    the BN-pool above applies, the bias is finite and no graph is
+    recorded, the conv is max-pooled as it is made and BN applied to the
+    pooled map (_conv_pool), with the two ops' bytes.
 
     ``overwrite_x`` lets train mode centre x's own data into xhat; only a
     caller that owns x and reads it no more may pass it.
@@ -914,8 +936,6 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         out = _conv_bn_pool(x, gamma, beta, running_mean, running_var, pool)
         if out is not None:
             return out
-    m = n * h * w
-    x3 = x.data.reshape(n, c, h * w)
     if training:
         mag, add = gamma.data, beta.data
     else:
@@ -926,6 +946,13 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     # -1 where the map falls: those channels are pooled by their min, as the max of -v.
     # The op multiplies by it rather than negating, which keeps a NaN's bytes.
     sign = np.sign(mag) if fused and (mag < 0).any() else None
+    if (fused and not training and isinstance(x, _LazyConv)
+            and not records((x, gamma, beta))):
+        pooled = _conv_pool(x, sign, pool)
+        if pooled is not None:
+            return Tensor(_scale_shift(pooled.transpose(1, 0, 2, 3), mag, add))
+    m = n * h * w
+    x3 = x.data.reshape(n, c, h * w)
     if training:
         mean = x3.mean(axis=(0, 2))
         # centred copy, scaled in place into xhat below
@@ -942,16 +969,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     picks = None
     shape = x.data.shape
     if fused:
-        pooled, picks = _pool(v.reshape(shape), pool, _records((x, gamma, beta)))
-        out_data = pooled.astype(np.result_type(pooled, mag), copy=False)
-        out_data *= np.abs(mag)[:, None, None]
-        out_data += add[:, None, None]
+        pooled, picks = _pool(v.reshape(shape), pool, records((x, gamma, beta)))
+        out_data = _scale_shift(pooled, mag, add)
     else:
         out_data = v * mag[:, None]
         out_data += add[:, None]
         out_data = out_data.reshape(shape)
         if pool > 1:
-            out_data, picks = _pool(out_data, pool, _records((x, gamma, beta)))
+            out_data, picks = _pool(out_data, pool, records((x, gamma, beta)))
     layout = np.argsort(x.data.strides, kind="stable")[::-1]
 
     def bwd(g):
@@ -1000,6 +1025,65 @@ def _window_columns(planes: np.ndarray, kh: int, kw: int, pool: int):
     return cols.reshape(c * kh * kw, pool, pool, n, hq, wq)
 
 
+def _pooled_products(wmat: np.ndarray, cols: np.ndarray, codes: bool):
+    """The window max of wmat (F, K) times window columns (_window_columns),
+    one block of images at a time.
+
+    Each block of images whose products fit _MAP_BUDGET takes one GEMM per
+    window position and is pooled at once (_fold_windows), so its products
+    stay in cache.  Yields (first image, images, window max (F, images *
+    Ho/pool * Wo/pool), pick codes or None); the buffer is reused, so a
+    block's products are gone when the next is yielded.
+    """
+    k, pool, _, n, hq, wq = cols.shape
+    f, q = wmat.shape[0], hq * wq
+    block = max(1, min(n, _MAP_BUDGET // (f * pool * pool * q * cols.itemsize)))
+    v = _empty((pool, pool, f, block * q), np.result_type(wmat, cols))
+    for start in range(0, n, block):
+        b = min(block, n - start)
+        for i in range(pool):
+            for j in range(pool):
+                np.matmul(wmat, cols[:, i, j, start:start + b].reshape(k, b * q),
+                          out=v[i, j, :, :b * q])
+        top, code = _fold_windows([v[:, j, :, :b * q] for j in range(pool)], codes)
+        yield start, b, top, code
+
+
+def _conv_pool(z: _LazyConv, sign: np.ndarray | None, pool: int) -> np.ndarray | None:
+    """The max of each pool x pool window of sign * z, per channel, for the
+    uncomputed conv output z, as (F, N, Ho/pool, Wo/pool); None where the
+    bias is not finite, and then nothing is computed.
+
+    Scaling W's rows and the bias by sign = ±1 scales every product and
+    sum by it, exactly, and fl(d + b) is monotone in d.  So the window max
+    of sign * (W.x + b) is sign * b added to the window max of the scaled
+    products: the op pools the raw products and adds the bias to the
+    pooled map.  The NaNs are the products' own, where the bias is finite,
+    and a zero maximum may take the other sign, which BN's shift (not -0,
+    see _monotone) removes.  At C = 1 the products come from the window
+    columns of the images, one GEMM per window position per image block
+    (_pooled_products); at C > 1 from the grid's GEMMs (_block_forward).
+    """
+    x, w, bias, padding = z.conv
+    b = bias.data
+    if not np.isfinite(b).all():
+        return None
+    f, c, kh, kw = w.data.shape
+    wmat = w.data.reshape(f, -1)
+    if sign is not None:
+        wmat = wmat * sign.astype(wmat.dtype)[:, None]
+        b = b * sign.astype(b.dtype)
+    if c > 1:
+        grid = _Grid(x.data.shape, kh, kw, padding)
+        return _block_forward(_shifted_grid(x.data, grid, padding), grid, wmat, b, pool)
+    cols = _window_columns(_planes(x.data, padding), kh, kw, pool)
+    n, hq, wq = cols.shape[3:]
+    out = _empty((f, n, hq, wq), np.result_type(cols, wmat))
+    for start, nb, top, _ in _pooled_products(wmat, cols, False):
+        np.add(top.reshape(f, nb, hq, wq), b[:, None, None, None], out=out[:, start:start + nb])
+    return out
+
+
 def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                   running_var: np.ndarray, pool: int) -> Tensor | None:
     """batchnorm2d(z, ..., training=True, pool=pool) of the uncomputed conv
@@ -1014,11 +1098,11 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
     output is needed for the statistics.  The forward centres the columns
     in place and, for each block of images whose map fits _MAP_BUDGET,
     makes v = sign(gamma_f) xhat_fp by one GEMM per window position with W's
-    rows scaled by sign(gamma_f) inv_std_f, max-pools it at once (channels
-    with gamma < 0 pool their min, as in batchnorm2d) and writes
-    |gamma_f| max + beta_f.  It keeps the centred columns, one pick code per
-    window (see _fold_windows) and K-sized vectors; the full-size map never
-    exists.
+    rows scaled by sign(gamma_f) inv_std_f, max-pools it at once
+    (_pooled_products; channels with gamma < 0 pool their min, as in
+    batchnorm2d) and writes |gamma_f| max + beta_f.  It keeps the centred
+    columns, one pick code per window (see _fold_windows) and K-sized
+    vectors; the full-size map never exists.
 
     The backward takes the gradient g of the pooled output.  With
     A_f = sum_q g_qf (x_pick(q) - mu), one GEMM of the picks' columns per
@@ -1063,20 +1147,12 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
     dtype = xd.dtype
     wv = (wk * (np.sign(gamma64) * inv_std)[:, None]).astype(dtype)
     mag, add = np.abs(gamma.data).astype(dtype), beta.data.astype(dtype)
-    recording = _records((z, gamma, beta))
+    recording = records((z, gamma, beta))
     q = hq * wq
     out = _empty((f, n, hq, wq), dtype)
     # made ahead of the blocks' temporaries (a lower peak RSS), in _fold_windows's type
     codes = _empty((f, n, hq, wq), np.min_scalar_type(pool * pool)) if recording else None
-    block = max(1, min(n, _MAP_BUDGET // (f * pool * pool * q * cols.itemsize)))
-    v = _empty((pool, pool, f, block * q), dtype)
-    for start in range(0, n, block):
-        b = min(block, n - start)
-        for i in range(pool):
-            for j in range(pool):
-                np.matmul(wv, cols[:, i, j, start:start + b].reshape(k, b * q),
-                          out=v[i, j, :, :b * q])
-        top, code = _fold_windows([v[:, j, :, :b * q] for j in range(pool)], recording)
+    for start, b, top, code in _pooled_products(wv, cols, recording):
         dst = out[:, start:start + b]
         np.multiply(top.reshape(f, b, hq, wq), mag[:, None, None, None], out=dst)
         dst += add[:, None, None, None]

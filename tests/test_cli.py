@@ -252,6 +252,26 @@ class TestCli:
                      "--checkpoint", str(tmp_path / "missing.ckpt")])
         assert code == 2
 
+    def test_target_only_transfer_never_reads_the_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "source.ckpt"
+        ckpt.write_bytes(b"")  # exited 1 with "bad magic b''": every run loaded it
+        out = tmp_path / "tr"
+        code = main(["transfer", *SYNTH_ARGS, "--output_dir", str(out), "--checkpoint", str(ckpt),
+                     "--methods", "target_only", "--seeds", "0", "--k_values", "3"])
+        assert code == 0
+        assert (out / "runs.csv").exists()
+
+    def test_an_unreadable_checkpoint_stops_transfer_before_any_output(self, tmp_path, capsys):
+        ckpt = tmp_path / "source.ckpt"
+        ckpt.write_bytes(b"")
+        out = tmp_path / "tr"
+        code = main(["transfer", *SYNTH_ARGS, "--output_dir", str(out), "--checkpoint", str(ckpt),
+                     "--methods", "fine_tune", "--seeds", "0", "--k_values", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "magic" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_pretrain_then_transfer_then_eval(self, tmp_path, capsys):
         pre = tmp_path / "pre"
         code = main(["pretrain", *SYNTH_ARGS, "--output_dir", str(pre),

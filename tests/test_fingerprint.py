@@ -20,13 +20,16 @@ def test_two_runs_print_identical_fingerprints():
     args = ("--seeds", "3", "--steps", "2")
     first = _fingerprint(*args)
     lines = first.splitlines()
-    # per workload: two loss rows, the state digest and the accuracy
-    assert len(lines) == 16
+    # per workload: two loss rows, the state digest, the eval logits' digest and the accuracy
+    assert len(lines) == 20
     assert [line.split()[0] for line in lines] == [
-        w for w in ("finetune_k5", "joint_k5", "pretrain", "uda") for _ in range(4)]
-    assert "loss_dt_d=0x" in lines[4] and "state_sha256=" in lines[6]
+        w for w in ("finetune_k5", "joint_k5", "pretrain", "uda") for _ in range(5)]
+    assert "loss_dt_d=0x" in lines[5] and "state_sha256=" in lines[7]
+    logits = [line.split()[2] for line in lines if "eval_logits_sha256=" in line]
+    assert [i for i, line in enumerate(lines) if "eval_logits_sha256=" in line] == [3, 8, 13, 18]
+    assert all(len(digest.split("=")[1]) == 64 for digest in logits)
     # the final accuracy of each run, and pretraining's evaluation at step 2
-    assert [i for i, line in enumerate(lines) if "eval_acc=" in line] == [3, 7, 9, 11, 15]
+    assert [i for i, line in enumerate(lines) if "eval_acc=" in line] == [4, 9, 11, 14, 19]
     assert _fingerprint(*args) == first
 
 
@@ -46,6 +49,6 @@ def test_the_float64_shadow_prints_small_deviations():
 def test_seeds_take_refcheck_ranges_and_space_separated_lists():
     args = ("--steps", "1", "--workloads", "finetune_k5")
     ranged = _fingerprint("--seeds", "0-1,3", *args)
-    assert [line.split()[1] for line in ranged.splitlines()][::3] == [
+    assert [line.split()[1] for line in ranged.splitlines()][::4] == [
         "seed=0", "seed=1", "seed=3"]
     assert _fingerprint("--seeds", "0", "1", "3", *args) == ranged

@@ -4,6 +4,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,20 @@ def _block_calls(monkeypatch):
     return calls
 
 
+def _away_from_init(net, rng):
+    """Set gamma of both signs, nonzero conv biases and betas, and running
+    statistics away from the identity."""
+    for name, p in net.params.items():
+        if name.endswith(".gamma"):
+            p.data = (rng.uniform(0.3, 2, p.data.shape)
+                      * rng.choice([-1, 1], p.data.shape)).astype(p.data.dtype)
+        elif name.endswith((".b", ".beta")):
+            p.data = rng.normal(0, 0.5, p.data.shape).astype(p.data.dtype)
+    for mean, var in net.running_stats.values():
+        mean[...] = rng.normal(0, 0.3, mean.shape)
+        var[...] = rng.uniform(0.5, 2, var.shape)
+
+
 def _no_conv_block_op(monkeypatch):
     """Compute conv1's output before batchnorm2d(pool=) from here on."""
     monkeypatch.setattr(EmbeddingNetwork, "_lazy_conv", lambda self, i, until: False)
@@ -279,11 +294,13 @@ def _step(net, x, until=None):
 
 class TestBatchnormPoolFusion:
     """In training, forward hands conv1's output on the images to bn1 uncomputed,
-    and T.batchnorm2d runs conv1, bn1 and pool1 as one op; it applies the max
-    pool after every BN inside T.batchnorm2d and lets it centre the conv
-    output in place, unless a tap or ``until`` hands out an output the
-    fusion would not make or would overwrite.  The byte-for-byte checks of the BN-pool fusion turn the
-    block op off, so that every block's BN-pool is compared with the two ops."""
+    and T.batchnorm2d runs conv1, bn1 and pool1 as one op; in eval mode without
+    a graph it does so for every block.  Forward applies the max pool after
+    every BN inside T.batchnorm2d and lets it centre the conv output in
+    place, unless a tap or ``until`` hands out an output the fusion would
+    not make or would overwrite.  The byte-for-byte checks of the BN-pool
+    fusion turn the block op off, so that every block's BN-pool is compared
+    with the two ops."""
 
     X = np.random.default_rng(4).normal(0, 1, (4, 1, 32, 32))
 
@@ -294,8 +311,12 @@ class TestBatchnormPoolFusion:
         assert calls == [LAZY_CONV] + [BN_POOL_IN_PLACE, CONV] * 3 + [BN_POOL_IN_PLACE]
         calls.clear()
         net.eval()
-        net.forward(Tensor(self.X))
+        net.forward(Tensor(self.X))  # a recorded graph keeps the two ops
         assert calls == [CONV, BN_POOL_IN_PLACE] * 4
+        calls.clear()
+        with T.no_grad():  # as evaluate and SourceTaps forward
+            net.forward(Tensor(self.X))
+        assert calls == [LAZY_CONV, BN_POOL_IN_PLACE] * 4
 
     @pytest.mark.parametrize("taps, until, want", [
         (("conv2", "bn3", "fc1"), None,
@@ -366,6 +387,29 @@ class TestBatchnormPoolFusion:
             results.append(_step(net, x) + [a.tobytes() for pair in net.running_stats.values()
                                             for a in pair])
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("spec", [
+        digit_embedding_spec(taps=("relu1", "pool2", "relu3", "pool4_flat", "fc1", "fc2")),
+        synth_embedding_spec(n_classes=3, taps=("relu1", "flat", "fc1", "fc2"))])
+    def test_an_eval_forward_gives_the_same_bytes_with_and_without_a_graph(self, monkeypatch,
+                                                                           spec):
+        calls = _block_calls(monkeypatch)
+        rng = np.random.default_rng(8)
+        net = EmbeddingNetwork(spec, seed=4)
+        _away_from_init(net, rng)
+        net.eval()
+        blocks = len(net.running_stats)
+        c, h, w = spec.input_shape
+        for n in (7, 32):
+            x = Tensor(rng.normal(0, 1, (n, c, h, w)))
+            results = []
+            for ctx in (contextlib.nullcontext, T.no_grad):
+                calls.clear()
+                with ctx():
+                    out, taps = net.forward(x)
+                results.append([out.data.tobytes()] + [t.data.tobytes() for _, t in taps])
+            assert calls == [LAZY_CONV, BN_POOL_IN_PLACE] * blocks  # the graph-free forward
+            assert len(results[1]) == len(spec.taps) + 1 and results[0] == results[1]
 
     @pytest.mark.parametrize("spec", [digit_embedding_spec(), synth_embedding_spec(n_classes=3)])
     def test_the_block_op_matches_the_two_ops_in_float64(self, monkeypatch, spec):
@@ -459,3 +503,41 @@ class TestTrainingMemory:
         peak = int(out)
         assert peak <= 103878656 - 32 * MIB, peak
         assert peak <= 90701824 - 32 * MIB, peak
+
+
+class TestEvalMemory:
+    """The most bytes that numpy holds at once (the ``tracemalloc`` peak) in
+    one 32-image digit-net eval forward without a graph, as ``evaluate``
+    runs it, from each conv block's conv2d call to the end of its BN-pool,
+    beyond what the block starts with."""
+
+    def test_conv1_never_makes_its_full_size_map(self, monkeypatch):
+        net = EmbeddingNetwork(digit_embedding_spec(), seed=0)
+        net.eval()
+        x = Tensor(np.random.default_rng(0).normal(0, 1, (32, 1, 32, 32)))
+        conv2d, batchnorm2d, starts, peaks = T.conv2d, T.batchnorm2d, [], []
+
+        def block_starts(*args, **kwargs):
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return conv2d(*args, **kwargs)
+
+        def block_ends(*args, **kwargs):
+            out = batchnorm2d(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+            return out
+
+        monkeypatch.setattr(T, "conv2d", block_starts)
+        monkeypatch.setattr(T, "batchnorm2d", block_ends)
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                net.forward(x)
+        finally:
+            tracemalloc.stop()
+        conv1_map = 32 * 64 * 32 * 32 * 4  # 8 MiB
+        # the op holds the 9-wide window columns (1.1 MiB), one 1 MiB block of
+        # window products with its folds, and the pooled map (2 MiB): 5.1 MiB
+        # at most; conv then BN-pool held the map and the grid's GEMM output,
+        # about 17 MiB
+        assert len(peaks) == 4 and peaks[0] < conv1_map, peaks

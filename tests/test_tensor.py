@@ -875,6 +875,91 @@ class TestConvBnPool:
         _assert_bytes_equal((lazy.data,), (plain.data,))
 
 
+def _eval_conv_bn_pool(x, w, b, gamma, beta, rm, rv, padding, size, op, graph=False):
+    """batchnorm2d(training=False, pool=size) of conv2d's output, lazy (op) or
+    computed, and whether the conv output was never computed; with ``graph``
+    the conv weight needs a gradient, so the forward records a graph."""
+    z = T.conv2d(Tensor(x), Tensor(w, requires_grad=graph), Tensor(b), padding=padding, lazy=op)
+    out = T.batchnorm2d(z, Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), training=False,
+                        pool=size)
+    return out, isinstance(z, T._LazyConv) and z._value is None
+
+
+def _eval_inputs(seed, n, c, f, h, w, size, padding=1):
+    x, wk, b, gamma, beta, _ = _conv_bn_pool_inputs(seed, n=n, c=c, f=f, h=h, w=w, size=size,
+                                                    padding=padding)
+    rng = np.random.default_rng(seed + 1)
+    rm, rv = rng.normal(0, 0.5, f), rng.uniform(0.5, 2, f)
+    return [a.astype(np.float32) for a in (x, wk, b, gamma, beta, rm, rv)]
+
+
+class TestEvalConvPool:
+    """batchnorm2d(conv2d(x, w, b, lazy=True), ..., training=False, pool=k)
+    without a graph runs the conv, BN and the pool as one op (_conv_pool)
+    that never computes the conv output, with the bytes of conv2d then
+    batchnorm2d(training=False, pool=k); where it does not apply, it
+    computes the conv output and runs the two ops."""
+
+    @pytest.mark.parametrize("c, n, size, h, w, map_budget, column_budget", [
+        (1, 7, 2, 8, 6, None, None),  # C = 1, one map block
+        (1, 7, 2, 8, 6, 3 * 10 * 4 * 12 * 4, None),  # map blocks of 3, 3 and 1 images in float32
+        (1, 1, 2, 8, 6, None, None),
+        (3, 7, 2, 8, 6, None, None),  # C > 1, one column block
+        (3, 7, 2, 8, 6, None, 2 * 27 * 9 * 7 * 4),  # column blocks of 2, 2, 2 and 1 in float32
+        (1, 3, 17, 17, 34, 1 << 12, None),  # 17 x 17 windows
+        (3, 3, 17, 17, 34, None, 1 << 12),
+    ])
+    @pytest.mark.parametrize("seed, dtype", [(0, np.float32), (1, np.float32), (2, np.float64)])
+    def test_bytes_equal_conv_then_bn_pool(self, monkeypatch, c, n, size, h, w, map_budget,
+                                           column_budget, seed, dtype):
+        if map_budget:
+            monkeypatch.setattr(T, "_MAP_BUDGET", map_budget)
+        if column_budget:
+            monkeypatch.setattr(T, "_COLUMN_BUDGET", column_budget)
+        inputs = [a.astype(dtype) for a in _eval_inputs(seed, n, c, 10, h, w, size)]
+        x, wk, b, gamma, beta, rm, rv = inputs
+        assert (gamma < 0).any() and (gamma > 0).any() and b.all()
+        with use_float64() if dtype == np.float64 else contextlib.nullcontext():
+            (got, applied), (want, _) = (_eval_conv_bn_pool(*inputs, 1, size, op)
+                                         for op in (True, False))
+        assert applied and got.node is None and got.data.dtype == dtype
+        _assert_bytes_equal((got.data,), (want.data,))
+        assert is_channel_major(got.data)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_nan_and_inf_inputs_keep_the_two_ops_bytes(self, c):
+        x, wk, b, gamma, beta, rm, rv = _eval_inputs(2, 3, c, 10, 8, 6, 2)
+        x[0, 0, 2, 3] = np.nan
+        x[1, c - 1, 5, 0] = np.inf
+        x[2, 0, 0, 4] = -np.inf
+        with np.errstate(all="ignore"):
+            (got, applied), (want, _) = (
+                _eval_conv_bn_pool(x, wk, b, gamma, beta, rm, rv, 1, 2, op) for op in (True, False))
+        assert applied and np.isnan(want.data).any()
+        _assert_bytes_equal((got.data,), (want.data,))
+
+    @pytest.mark.parametrize("case", ["zero_gamma", "negative_zero_beta", "inf_bias", "nan_bias",
+                                      "graph"])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_falls_back_to_conv_then_bn_pool(self, case, c):
+        x, wk, b, gamma, beta, rm, rv = _eval_inputs(3, 3, c, 10, 8, 6, 2)
+        if case == "zero_gamma":
+            gamma[3] = 0.0
+        elif case == "negative_zero_beta":  # the shift beta - mean * scale is -0
+            gamma[5], beta[5], rm[5] = 1.0, -0.0, 0.0
+        elif case == "inf_bias":
+            b[0] = np.inf
+        elif case == "nan_bias":
+            b[4] = np.nan
+        graph = case == "graph"
+        with np.errstate(all="ignore"):
+            (got, applied), (want, _) = (
+                _eval_conv_bn_pool(x, wk, b, gamma, beta, rm, rv, 1, 2, op, graph)
+                for op in (True, False))
+        assert not applied and (got.node is not None) == graph
+        _assert_bytes_equal((got.data,), (want.data,))
+
+
 class TestPoolCodesPastOneByte:
     """A 17 x 17 pool has 289 positions per window, more than a uint8 code
     can name; the maxima (and the minima that negative gamma pools) sit in the
