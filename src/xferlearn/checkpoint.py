@@ -64,6 +64,8 @@ def load_checkpoint(path) -> Checkpoint:
             pos += 2
             name = buf[pos : pos + nlen].decode("utf-8")
             pos += nlen
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor {name!r} named twice")
             (rank,) = struct.unpack_from("<B", buf, pos)
             pos += 1
             shape = struct.unpack_from(f"<{rank}I", buf, pos) if rank else ()

@@ -71,8 +71,10 @@ def _read_header(buf: bytes, path: str):
     ndim = magic & 0xFF
     if magic >> 8 != 0x000008:
         raise IdxParseError(f"{path}: bad magic 0x{magic:08x}")
-    dims = struct.unpack(f">{ndim}I", buf[4 : 4 + 4 * ndim])
-    return magic, dims, 4 + 4 * ndim
+    offset = 4 + 4 * ndim
+    if len(buf) < offset:
+        raise IdxParseError(f"{path}: truncated header")
+    return magic, struct.unpack(f">{ndim}I", buf[4:offset]), offset
 
 
 def load_idx(images_path, labels_path, name: str = "") -> LabeledDataset:

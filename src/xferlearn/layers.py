@@ -162,13 +162,7 @@ class EmbeddingNetwork:
                 pooled = False
             elif ls.kind == "batchnorm":
                 mean, var = self.running_stats[name]
-                fuse = {}
-                if self._fuses_pool(i, until):
-                    pooled = True
-                    fuse["pool"] = layers[i + 1][1].kernel
-                    # a conv output that nothing else reads may be centred in place
-                    fuse["overwrite_x"] = (i > 0 and layers[i - 1][1].kind == "conv"
-                                           and not self._exposed(layers[i - 1][0], until))
+                pooled = self._fuses_pool(i, until)
                 h = T.batchnorm2d(
                     h,
                     self.params[f"{name}.gamma"],
@@ -176,7 +170,7 @@ class EmbeddingNetwork:
                     mean,
                     var,
                     training=self.training,
-                    **fuse,
+                    pool=layers[i + 1][1].kernel if pooled else 1,
                 )
             elif ls.kind == "relu":
                 h = T.relu(h)
@@ -205,30 +199,13 @@ class EmbeddingNetwork:
         return nxt.kind == "maxpool" and nxt.kernel == nxt.stride
 
     def _lazy_conv(self, i: int, until: str | None) -> bool:
-        """Whether conv layer i may hand its output uncomputed (T.conv2d's
-        ``lazy``) to the batchnorm after it, where that batchnorm applies the
-        pool and is the conv output's only reader, the output being neither
-        a tap nor the ``until`` target.  T.conv2d and T.batchnorm2d then run
-        conv, BN and pool as one op where they can: on input that needs no
-        gradient.
-
-        In training only the first layer offers it, on the images.  A later
-        conv's input needs no gradient only in a graph-free forward, and the
-        training op's bytes differ from the two ops', so it is not offered
-        there: a forward gives the same bytes with and without a graph.  In
-        eval mode the op gives the two ops' bytes and makes no full-size
-        map, so every such conv offers it where its block records no graph
-        (``evaluate``, ``SourceTaps``); a recorded eval forward keeps the
-        two ops, which its backward needs."""
+        """Whether conv layer i's only reader is the batchnorm after it, where
+        that batchnorm applies the pool: the conv output is neither a tap nor
+        the ``until`` target (T.conv2d's ``lazy``).  T.conv2d and
+        T.batchnorm2d decide from there how the block runs."""
         layers = self.spec.layers
-        if not (i + 1 < len(layers) and layers[i + 1][1].kind == "batchnorm"
-                and not self._exposed(layers[i][0], until) and self._fuses_pool(i + 1, until)):
-            return False
-        if self.training:
-            return i == 0
-        conv, bn = layers[i][0], layers[i + 1][0]
-        return not T.records([self.params[f"{conv}.w"], self.params[f"{conv}.b"],
-                              self.params[f"{bn}.gamma"], self.params[f"{bn}.beta"]])
+        return (i + 1 < len(layers) and layers[i + 1][1].kind == "batchnorm"
+                and not self._exposed(layers[i][0], until) and self._fuses_pool(i + 1, until))
 
     def _state(self) -> dict:
         """Every parameter and running statistic by state key, uncopied."""

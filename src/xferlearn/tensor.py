@@ -199,9 +199,14 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def records(inputs: Sequence[Tensor]) -> bool:
+def _needs_grad(t: Tensor) -> bool:
+    """Whether the backward must reach t: not an input leaf like the images."""
+    return t.requires_grad or t.node is not None
+
+
+def _records(inputs: Sequence[Tensor]) -> bool:
     """Whether an op on these inputs records a graph node."""
-    return _RECORDING and any(t.requires_grad or t.node is not None for t in inputs)
+    return _RECORDING and any(_needs_grad(t) for t in inputs)
 
 
 def _make(data, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
@@ -210,7 +215,7 @@ def _make(data, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
 
 def _record(out: Tensor, op: str, inputs: Sequence[Tensor], backward_fn) -> Tensor:
     """Give out a graph node if an op on these inputs records one."""
-    if records(inputs):
+    if _records(inputs):
         out.requires_grad = True
         out.node = GraphNode(op, [t if t.node is None else t.node for t in inputs], backward_fn)
     return out
@@ -297,7 +302,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     # gradient at exactly 0 is 0
-    mask = a.data > 0 if records((a,)) else None
+    mask = a.data > 0 if _records((a,)) else None
 
     def bwd(g):
         return (np.multiply(g, mask, out=np.empty_like(g)),)  # in g's memory order
@@ -669,11 +674,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     subsampled, and its backward scatters g into a zero stride-1 gradient.
     That is stride**2 times the work, but no model has a strided conv.
 
-    With ``lazy``, at stride 1 where x needs no gradient (the images), the
-    output is a _LazyConv: nothing is computed until its data is read, and
-    ``batchnorm2d(..., pool=k)`` of it runs the conv, BN and the pool as
-    one op (_conv_bn_pool in training, _conv_pool in eval mode).  Only a
-    caller that hands the output to one op and to nothing else may pass it.
+    ``lazy`` tells that one op reads the output and nothing else.  At
+    stride 1 the output is then a _LazyConv, which that op may overwrite.
+    Where x needs a gradient it is computed here, as without ``lazy``; else
+    it is left uncomputed, and batchnorm2d(..., pool=k) of it may run the
+    conv, BN and the pool as one op (_conv_bn_pool, _conv_pool).
     """
     n, c, h, wd = x.data.shape
     f, cw, kh, kw = w.data.shape
@@ -684,7 +689,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"conv2d non-integral output for input {x.data.shape}, "
             f"kernel {w.data.shape}, stride {stride}, padding {padding}"
         )
-    if lazy and stride == 1 and not (x.requires_grad or x.node is not None):
+    if lazy and stride == 1:
         shape = (n, f, h + 2 * padding - kh + 1, wd + 2 * padding - kw + 1)
         return _LazyConv(x, w, bias, padding, shape)
     out, bwd = _conv(x, w, bias, stride, padding)
@@ -694,7 +699,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int):
     """conv2d's output data, channel-major behind NCHW shapes, and its backward."""
     f, _, kh, kw = w.data.shape
-    need_gx = x.requires_grad or x.node is not None  # not an input leaf like the images
+    need_gx = _needs_grad(x)
     grid = _Grid(x.data.shape, kh, kw, padding)
     flat = _shifted_grid(x.data, grid, padding)
     out = _block_forward(flat, grid, w.data.reshape(f, -1), bias.data)
@@ -719,10 +724,10 @@ def _conv(x: Tensor, w: Tensor, bias: Tensor, stride: int, padding: int):
 
 
 class _ConvGrad:
-    """The gradient of a _LazyConv's output, given as the conv's weight and
-    bias gradients: all that the conv's backward would make of it, since
-    its input needs no gradient.  It has no sum, so a lazy output that two
-    ops read fails in the backward instead of adding wrongly."""
+    """The gradient of an uncomputed _LazyConv, given as the conv's weight
+    and bias gradients: all that the conv's backward would make of it,
+    since its input needs no gradient.  It has no sum, so a lazy output that
+    two ops read fails in the backward instead of adding wrongly."""
 
     __slots__ = ("w", "b")
 
@@ -731,14 +736,18 @@ class _ConvGrad:
 
 
 class _LazyConv(Tensor):
-    """conv2d's output on an input that needs no gradient, not yet computed.
+    """A stride-1 conv2d output that one op reads and nothing else (conv2d's
+    ``lazy``), so that op may centre it in place.
 
-    Reading ``data`` computes it, once (_conv).  Until then
-    batchnorm2d(..., pool=k) can run the conv, BN and the pool as one op
-    instead: _conv_bn_pool in training, whose gradient for this output is
-    then a _ConvGrad, and _conv_pool in eval mode.  The graph node is the
-    conv's own: it hands on a _ConvGrad as the weight and bias gradients,
-    and an array gradient to the backward of the computed conv.
+    ``conv`` holds the conv's input, weight, bias and padding until the
+    output is computed (_conv), once: in conv2d where the input needs a
+    gradient, else when ``data`` is first read.  Computing it drops ``conv``,
+    so the input is freed where a plain conv2d frees it.  An uncomputed
+    output is what batchnorm2d(..., pool=k) can run as one op with the conv:
+    _conv_bn_pool in training, whose gradient for this output is then a
+    _ConvGrad, and _conv_pool in eval mode.  The graph node is the conv's
+    own: it hands on a _ConvGrad as the weight and bias gradients, and an
+    array gradient to the backward of the computed conv.
     """
 
     __slots__ = ("conv", "_shape", "_value", "_backward")
@@ -750,7 +759,7 @@ class _LazyConv(Tensor):
         self.grad = None
         self.requires_grad = False
         self.node = None
-        computed = self._backward = []  # the computed conv's backward, once data is read
+        computed = self._backward = []  # the computed conv's backward
 
         def bwd(g):
             if isinstance(g, _ConvGrad):
@@ -758,14 +767,20 @@ class _LazyConv(Tensor):
             return computed[0](g)
 
         _record(self, "conv2d", (x, w, bias), bwd)
+        if _needs_grad(x):
+            self._compute()
+
+    def _compute(self) -> None:
+        x, w, bias, padding = self.conv
+        self._value, bwd = _conv(x, w, bias, 1, padding)
+        self.conv = None
+        if self.node is not None:
+            self._backward.append(bwd)
 
     @property
     def data(self) -> np.ndarray:
-        if self._value is None:
-            x, w, bias, padding = self.conv
-            self._value, bwd = _conv(x, w, bias, 1, padding)
-            if self.node is not None:
-                self._backward.append(bwd)
+        if self.conv is not None:
+            self._compute()
         return self._value
 
     @property
@@ -860,7 +875,7 @@ def maxpool2d(x: Tensor, size: int = 2, stride: int = 2) -> Tensor:
     if size != stride:
         raise ShapeError("maxpool2d supports size == stride only")
     _check_pool(x.data.shape, size)
-    out_data, picks = _pool(x.data, size, records((x,)))
+    out_data, picks = _pool(x.data, size, _records((x,)))
     shape = x.data.shape
     layout = np.argsort(x.data.strides, kind="stable")[::-1]  # x's axes, outermost first
 
@@ -896,8 +911,7 @@ def _update_running(running_mean, running_var, mean, var, m: int) -> None:
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, training: bool, pool: int = 1,
-                overwrite_x: bool = False) -> Tensor:
+                running_var: np.ndarray, training: bool, pool: int = 1) -> Tensor:
     """Per-channel batch normalization over an N x C x H x W tensor.
 
     Training mode normalizes by the batch statistics (two-pass variance) and
@@ -917,22 +931,21 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     full-size output instead.  The backward scatters g onto the picks, as
     maxpool2d's does, and then runs BN's in the saved xhat.
 
-    With ``pool=k``, an uncomputed conv output (conv2d's ``lazy``) is
-    never computed where one op applies.  In training it is normalized and
-    pooled from its input's columns (_conv_bn_pool).  In eval mode, where
-    the BN-pool above applies, the bias is finite and no graph is
-    recorded, the conv is max-pooled as it is made and BN applied to the
-    pooled map (_conv_pool), with the two ops' bytes.
-
-    ``overwrite_x`` lets train mode centre x's own data into xhat; only a
-    caller that owns x and reads it no more may pass it.
+    A _LazyConv x has no other reader (conv2d's ``lazy``), so train mode
+    centres its data in place into xhat.  With ``pool=k``, an uncomputed
+    one runs as one op with the conv where one applies: in training at C = 1
+    (_conv_bn_pool), and in eval mode without a graph where the BN-pool
+    above applies (_conv_pool, with the two ops' bytes).  Elsewhere reading
+    its data computes it, and the op runs on it as on any input.
     """
     n, c, h, w = x.shape
     if pool > 1:
         _check_pool(x.shape, pool)
     if training and n < 2:
         raise ParameterError("batchnorm2d needs batch size >= 2 in train mode")
-    if training and pool > 1 and isinstance(x, _LazyConv):
+    lazy = isinstance(x, _LazyConv)
+    deferred = lazy and pool > 1 and x.conv is not None
+    if training and deferred:
         out = _conv_bn_pool(x, gamma, beta, running_mean, running_var, pool)
         if out is not None:
             return out
@@ -946,8 +959,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     # -1 where the map falls: those channels are pooled by their min, as the max of -v.
     # The op multiplies by it rather than negating, which keeps a NaN's bytes.
     sign = np.sign(mag) if fused and (mag < 0).any() else None
-    if (fused and not training and isinstance(x, _LazyConv)
-            and not records((x, gamma, beta))):
+    if fused and not training and deferred and not _records((x, gamma, beta)):
         pooled = _conv_pool(x, sign, pool)
         if pooled is not None:
             return Tensor(_scale_shift(pooled.transpose(1, 0, 2, 3), mag, add))
@@ -956,7 +968,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     if training:
         mean = x3.mean(axis=(0, 2))
         # centred copy, scaled in place into xhat below
-        xhat = np.subtract(x3, mean[:, None], out=x3 if overwrite_x else None)
+        xhat = np.subtract(x3, mean[:, None], out=x3 if lazy else None)
         var = np.einsum("ncp,ncp->c", xhat, xhat) / m
         _update_running(running_mean, running_var, mean, var, m)
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
@@ -969,14 +981,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     picks = None
     shape = x.data.shape
     if fused:
-        pooled, picks = _pool(v.reshape(shape), pool, records((x, gamma, beta)))
+        pooled, picks = _pool(v.reshape(shape), pool, _records((x, gamma, beta)))
         out_data = _scale_shift(pooled, mag, add)
     else:
         out_data = v * mag[:, None]
         out_data += add[:, None]
         out_data = out_data.reshape(shape)
         if pool > 1:
-            out_data, picks = _pool(out_data, pool, records((x, gamma, beta)))
+            out_data, picks = _pool(out_data, pool, _records((x, gamma, beta)))
     layout = np.argsort(x.data.strides, kind="stable")[::-1]
 
     def bwd(g):
@@ -1087,8 +1099,9 @@ def _conv_pool(z: _LazyConv, sign: np.ndarray | None, pool: int) -> np.ndarray |
 def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                   running_var: np.ndarray, pool: int) -> Tensor | None:
     """batchnorm2d(z, ..., training=True, pool=pool) of the uncomputed conv
-    output z, from the im2col columns of the conv's input x; None where it
-    does not apply (see below), and then nothing is changed.
+    output z of one-channel images, from the im2col columns of the conv's
+    input x; None where it does not apply (see below), and then nothing is
+    changed.
 
     Each conv output is y_fp = w_f.x_p + b_f, with x_p the K-wide column of
     pixel p (K = C*kh*kw) and P the number of pixels.  With mu the mean
@@ -1113,16 +1126,20 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
       g_b       = 0 exactly, since the bias cancels in xhat,
     with the last two as z's gradient (a _ConvGrad).
 
-    It does not apply, and batchnorm2d computes z, where an image is not
+    It does not apply, and batchnorm2d computes z, where x has more than one
+    channel: the float64 columns and S are sized for K = 9, and at C = 64
+    they would be far larger than the map.  Nor where an image is not
     finite or is so large that a centred column would overflow, S or the
     bias is not finite, or v -> v |gamma| inv_std + beta would not keep the
     pooled bytes (see _monotone): gamma = 0, a non-finite gamma, w or beta,
     or a -0 beta.  Where it applies v is finite, so no window holds NaN.
     """
     x, w, bias, padding = z.conv
+    f, c, kh, kw = w.data.shape
+    if c > 1:
+        return None
     xd = x.data
     n = xd.shape[0]
-    f, c, kh, kw = w.data.shape
     k = c * kh * kw
     limit = np.finfo(xd.dtype).max / 2  # then every centred column entry is finite
     if not (xd.max() <= limit and xd.min() >= -limit):  # False on NaN
@@ -1147,7 +1164,7 @@ def _conv_bn_pool(z: _LazyConv, gamma: Tensor, beta: Tensor, running_mean: np.nd
     dtype = xd.dtype
     wv = (wk * (np.sign(gamma64) * inv_std)[:, None]).astype(dtype)
     mag, add = np.abs(gamma.data).astype(dtype), beta.data.astype(dtype)
-    recording = records((z, gamma, beta))
+    recording = _records((z, gamma, beta))
     q = hq * wq
     out = _empty((f, n, hq, wq), dtype)
     # made ahead of the blocks' temporaries (a lower peak RSS), in _fold_windows's type

@@ -130,6 +130,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
 
+    def test_a_tensor_named_twice_rejected(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, {"a": np.ones(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float32)})
+        p.write_bytes(p.read_bytes().replace(b"\x01\x00b", b"\x01\x00a"))
+        with pytest.raises(CheckpointError, match="'a' named twice"):
+            load_checkpoint(p)
+
     def test_truncated_config_snapshot_named(self, tmp_path):
         p = tmp_path / "t.ckpt"
         save_checkpoint(p, {"a": np.ones(2, dtype=np.float32)}, config_text="alpha=0.1\n")
@@ -369,6 +376,27 @@ class TestCli:
         assert main(["eval", "--experiment", "synth", "--checkpoint", str(p)]) == 1
         err = capsys.readouterr().err
         assert "truncated config snapshot" in err and "Traceback" not in err
+
+    def test_eval_checkpoint_with_a_tensor_named_twice_is_runtime_error(self, tmp_path, capsys):
+        # the later copy was kept, and eval exited 0 with a zero head
+        state = EmbeddingNetwork(synth_embedding_spec(n_classes=5), seed=0).state_dict()
+        state["fc2.x"] = np.zeros_like(state["fc2.w"])
+        p = tmp_path / "twice.ckpt"
+        save_checkpoint(p, state)
+        p.write_bytes(p.read_bytes().replace(b"fc2.x", b"fc2.w"))
+        assert main(["eval", "--experiment", "synth", "--checkpoint", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "'fc2.w' named twice" in err and "Traceback" not in err
+
+    def test_eval_on_a_truncated_idx_header_is_runtime_error(self, tmp_path, capsys):
+        images = tmp_path / "images.idx"
+        images.write_bytes(bytes([0, 0, 8, 3, 0, 0]))  # a struct.error traceback
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(b"")  # never read: the test set is loaded first
+        assert main(["eval", "--checkpoint", str(ckpt), "--test_images", str(images),
+                     "--test_labels", str(images)]) == 1
+        err = capsys.readouterr().err
+        assert "truncated header" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command, flags, named", [
         # each exited 1 after the runs before the failing one had written

@@ -52,6 +52,15 @@ class TestIdxIO:
         with pytest.raises(IdxParseError, match="bytes"):
             load_idx(p, tmp_path / "never-opened.idx")
 
+    @pytest.mark.parametrize("header", [bytes([0, 0, 8, 3, 0, 0]),
+                                        struct.pack(">III", 2051, 2, 4)],
+                             ids=["inside_a_dim", "a_dim_missing"])
+    def test_truncated_dims_rejected(self, tmp_path, header):
+        p = tmp_path / "short.idx"
+        p.write_bytes(header)
+        with pytest.raises(IdxParseError, match="truncated header$"):
+            load_idx(p, tmp_path / "never-opened.idx")
+
     def test_label_count_mismatch_rejected(self, tmp_path):
         ds = small_dataset(n=4)
         ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"

@@ -238,20 +238,29 @@ class TestPoolBeforeRelu:
 
 
 def _block_calls(monkeypatch):
-    """("conv2d", whether the output is left uncomputed) for every T.conv2d
-    call from here on, and ("batchnorm2d", pool, overwrite_x) for every
-    T.batchnorm2d: a lazy conv and the BN-pool after it are the block op."""
+    """("conv2d", what it returned) for every T.conv2d call from here on:
+    "plain", a _LazyConv "computed" inside conv2d, or a "lazy" one left
+    uncomputed; and ("batchnorm2d", pool, whether its input reached it
+    uncomputed and stayed so) for every T.batchnorm2d: a lazy conv and the
+    BN-pool that never computes it are the block op.  batchnorm2d centres
+    any _LazyConv in place."""
     calls = []
     conv2d, batchnorm2d = T.conv2d, T.batchnorm2d
 
+    def uncomputed(t):
+        return isinstance(t, T._LazyConv) and t.conv is not None
+
     def conv_spy(*args, **kwargs):
         out = conv2d(*args, **kwargs)
-        calls.append(("conv2d", isinstance(out, T._LazyConv)))
+        calls.append(("conv2d", "lazy" if uncomputed(out)
+                      else "computed" if isinstance(out, T._LazyConv) else "plain"))
         return out
 
-    def bn_spy(*args, **kwargs):
-        calls.append(("batchnorm2d", kwargs.get("pool", 1), kwargs.get("overwrite_x", False)))
-        return batchnorm2d(*args, **kwargs)
+    def bn_spy(x, *args, **kwargs):
+        op = uncomputed(x)
+        out = batchnorm2d(x, *args, **kwargs)
+        calls.append(("batchnorm2d", kwargs.get("pool", 1), op and uncomputed(x)))
+        return out
 
     monkeypatch.setattr(T, "conv2d", conv_spy)
     monkeypatch.setattr(T, "batchnorm2d", bn_spy)
@@ -277,8 +286,8 @@ def _no_conv_block_op(monkeypatch):
     monkeypatch.setattr(EmbeddingNetwork, "_lazy_conv", lambda self, i, until: False)
 
 
-CONV, LAZY_CONV = ("conv2d", False), ("conv2d", True)
-BN_POOL_IN_PLACE, BN_POOL, BN = ("batchnorm2d", 2, True), ("batchnorm2d", 2, False), (
+CONV, COMPUTED_CONV, LAZY_CONV = ("conv2d", "plain"), ("conv2d", "computed"), ("conv2d", "lazy")
+BLOCK_OP, BN_POOL, BN = ("batchnorm2d", 2, True), ("batchnorm2d", 2, False), (
     "batchnorm2d", 1, False)
 
 
@@ -293,14 +302,14 @@ def _step(net, x, until=None):
 
 
 class TestBatchnormPoolFusion:
-    """In training, forward hands conv1's output on the images to bn1 uncomputed,
-    and T.batchnorm2d runs conv1, bn1 and pool1 as one op; in eval mode without
-    a graph it does so for every block.  Forward applies the max pool after
-    every BN inside T.batchnorm2d and lets it centre the conv output in
-    place, unless a tap or ``until`` hands out an output the fusion would
-    not make or would overwrite.  The byte-for-byte checks of the BN-pool
-    fusion turn the block op off, so that every block's BN-pool is compared
-    with the two ops."""
+    """Forward applies the max pool after every BN inside T.batchnorm2d and
+    hands it the conv output as a _LazyConv, its only reader, unless a tap
+    or ``until`` hands out an output the fusion would not make or would
+    overwrite.  T.conv2d computes that output at once where its input needs
+    a gradient; else T.batchnorm2d runs conv, BN and pool as one op in
+    training on the images and in eval mode without a graph.  The
+    byte-for-byte checks of the BN-pool fusion turn the block op off, so
+    that every block's BN-pool is compared with the two ops."""
 
     X = np.random.default_rng(4).normal(0, 1, (4, 1, 32, 32))
 
@@ -308,24 +317,24 @@ class TestBatchnormPoolFusion:
         calls = _block_calls(monkeypatch)
         net = EmbeddingNetwork(digit_embedding_spec(), seed=0)
         net.forward(Tensor(self.X))
-        assert calls == [LAZY_CONV] + [BN_POOL_IN_PLACE, CONV] * 3 + [BN_POOL_IN_PLACE]
+        assert calls == [LAZY_CONV, BLOCK_OP] + [COMPUTED_CONV, BN_POOL] * 3
         calls.clear()
         net.eval()
         net.forward(Tensor(self.X))  # a recorded graph keeps the two ops
-        assert calls == [CONV, BN_POOL_IN_PLACE] * 4
+        assert calls == [LAZY_CONV, BN_POOL] + [COMPUTED_CONV, BN_POOL] * 3
         calls.clear()
         with T.no_grad():  # as evaluate and SourceTaps forward
             net.forward(Tensor(self.X))
-        assert calls == [LAZY_CONV, BN_POOL_IN_PLACE] * 4
+        assert calls == [LAZY_CONV, BLOCK_OP] * 4
 
     @pytest.mark.parametrize("taps, until, want", [
         (("conv2", "bn3", "fc1"), None,
-         [LAZY_CONV, BN_POOL_IN_PLACE, CONV, BN_POOL, CONV, BN, CONV, BN_POOL_IN_PLACE]),
-        (("fc1",), "bn2", [LAZY_CONV, BN_POOL_IN_PLACE, CONV, BN]),
-        (("conv2",), "pool2", [LAZY_CONV, BN_POOL_IN_PLACE, CONV, BN_POOL]),
-        (("bn1", "pool2"), "pool2", [CONV, BN, CONV, BN_POOL_IN_PLACE]),
+         [LAZY_CONV, BLOCK_OP, CONV, BN_POOL, CONV, BN, COMPUTED_CONV, BN_POOL]),
+        (("fc1",), "bn2", [LAZY_CONV, BLOCK_OP, CONV, BN]),
+        (("conv2",), "pool2", [LAZY_CONV, BLOCK_OP, CONV, BN_POOL]),
+        (("bn1", "pool2"), "pool2", [CONV, BN, COMPUTED_CONV, BN_POOL]),
         (("conv1",), "pool1", [CONV, BN_POOL]),
-        (("fc1",), "pool1", [LAZY_CONV, BN_POOL_IN_PLACE]),
+        (("fc1",), "pool1", [LAZY_CONV, BLOCK_OP]),
     ])
     def test_exposed_layers_are_not_fused_or_overwritten(self, monkeypatch, taps, until, want):
         calls = _block_calls(monkeypatch)
@@ -341,7 +350,7 @@ class TestBatchnormPoolFusion:
         calls = _block_calls(monkeypatch)
         x = Tensor(self.X, requires_grad=True)
         _step(EmbeddingNetwork(digit_embedding_spec(), seed=1), x)
-        assert calls == [CONV, BN_POOL_IN_PLACE] * 4
+        assert calls == [COMPUTED_CONV, BN_POOL] * 4
         assert x.grad is not None and np.abs(x.grad).max() > 0
 
     def test_a_graph_free_training_forward_gives_the_recorded_bytes(self, monkeypatch):
@@ -353,8 +362,10 @@ class TestBatchnormPoolFusion:
                 out, taps = net.forward(Tensor(self.X))
             results.append([out.data.tobytes()] + [t.data.tobytes() for _, t in taps]
                            + [a.tobytes() for pair in net.running_stats.values() for a in pair])
-        assert calls[8:] == calls[:8] == [LAZY_CONV] + [BN_POOL_IN_PLACE, CONV] * 3 + [
-            BN_POOL_IN_PLACE]
+        assert calls[:8] == [LAZY_CONV, BLOCK_OP] + [COMPUTED_CONV, BN_POOL] * 3
+        # without a graph conv2-4 reach their BN uncomputed, and at 64 channels
+        # it computes them and runs the two ops
+        assert calls[8:] == [LAZY_CONV, BLOCK_OP] + [LAZY_CONV, BN_POOL] * 3
         assert results[0] == results[1]
 
     def test_a_tapped_conv_output_keeps_its_bytes(self):
@@ -408,7 +419,7 @@ class TestBatchnormPoolFusion:
                 with ctx():
                     out, taps = net.forward(x)
                 results.append([out.data.tobytes()] + [t.data.tobytes() for _, t in taps])
-            assert calls == [LAZY_CONV, BN_POOL_IN_PLACE] * blocks  # the graph-free forward
+            assert calls == [LAZY_CONV, BLOCK_OP] * blocks  # the graph-free forward
             assert len(results[1]) == len(spec.taps) + 1 and results[0] == results[1]
 
     @pytest.mark.parametrize("spec", [digit_embedding_spec(), synth_embedding_spec(n_classes=3)])
@@ -429,6 +440,28 @@ class TestBatchnormPoolFusion:
         assert not np.any(results[0][2])  # conv1.b: the bias cancels in BN
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def test_a_training_forward_calls_conv2d_as_the_benchmark_traces_it(monkeypatch):
+    """perfbench/spans.py wraps T.conv2d by name: it counts the calls, takes
+    a conv's work from its output shape, charges the call's time to the conv
+    forward and wraps the backward of the node it returns."""
+    calls, conv2d = [], T.conv2d
+
+    def spy(x, w, *args, **kwargs):
+        out = conv2d(x, w, *args, **kwargs)
+        calls.append((x.shape, w.shape, out.shape, out.node,
+                      isinstance(out, T._LazyConv) and out.conv is not None))
+        return out
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    EmbeddingNetwork(digit_embedding_spec(), seed=0).forward(Tensor(TestBatchnormPoolFusion.X))
+    assert [(x[2], w[:2]) for x, w, *_ in calls] == [(32, (64, 1)), (16, (64, 64)),
+                                                     (8, (64, 64)), (4, (64, 64))]
+    for i, (x, w, out, node, uncomputed) in enumerate(calls):
+        assert out == (x[0], w[0], x[2], x[3])  # 3x3 kernels, padding 1
+        assert node.op == "conv2d" and len(node.inputs) == 3
+        assert uncomputed == (i == 0)  # conv2-4 are computed inside the call
 
 
 class TestRunningStatsDtype:

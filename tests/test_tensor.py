@@ -712,21 +712,24 @@ class TestBatchnormPool:
             assert np.isnan(out[1, 2, 1, 2])
             assert (gx[0, 0, :2, :2] == 0).all() and (gx[1, 2, 2:, 4:] == 0).all()
 
-    def test_overwrite_x_writes_only_x(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(0, 1, (4, 3, 4, 4)).astype(np.float32)
-        gamma, beta = np.array([1.0, -1.0, 0.5], np.float32), np.zeros(3, np.float32)
-        g = rng.normal(0, 1, (4, 3, 2, 2)).astype(np.float32)
-        want = _bn_pool_pair(x, gamma, beta, np.zeros(3, np.float32), np.ones(3, np.float32),
-                             True, g, 2, True, channel_major)
-        xt, gt, bt = Tensor(channel_major(x), requires_grad=True), Tensor(gamma), Tensor(beta)
-        rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
-        out = T.batchnorm2d(xt, gt, bt, rm, rv, training=True, pool=2, overwrite_x=True)
-        assert not np.array_equal(xt.data, x)  # x's own memory now holds xhat
+    def test_a_lazy_conv_output_is_centred_in_place(self):
+        x, wk, b, gamma, beta, g = (a.astype(np.float32)
+                                    for a in _conv_bn_pool_inputs(9, c=3, f=5))
+        want = _conv_bn_pool_pair(x, wk, b, gamma, beta, g, 1, 2, False, x_grad=True)
+        xt = Tensor(x, requires_grad=True)
+        wt, bt, gt, bet = (Tensor(a, requires_grad=True) for a in (wk, b, gamma, beta))
+        z = T.conv2d(xt, wt, bt, padding=1, lazy=True)
+        conv = z.data.copy()
+        rm, rv = np.full(5, 0.25, np.float32), np.full(5, 1.5, np.float32)
+        out = T.batchnorm2d(z, gt, bet, rm, rv, training=True, pool=2)
+        # z's own memory now holds xhat, times sign(gamma): centred per channel
+        assert not np.array_equal(z.data, conv)
+        np.testing.assert_allclose(z.data.mean(axis=(0, 2, 3)), 0, atol=1e-5)
         backward((out * Tensor(g)).sum())
-        _assert_bytes_equal((out.data, rm, rv, xt.grad), want[:4])
+        _assert_bytes_equal((out.data, rm, rv, wt.grad, bt.grad, gt.grad, bet.grad, xt.grad),
+                            want)
         np.testing.assert_array_equal(gt.data, gamma)
-        np.testing.assert_array_equal(bt.data, beta)
+        np.testing.assert_array_equal(bet.data, beta)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError):
@@ -737,14 +740,14 @@ class TestBatchnormPool:
 def _conv_bn_pool_pair(x, w, b, gamma, beta, g, padding, size, op, x_grad=False,
                        training=True):
     """Output, running statistics and the w/b/gamma/beta (and x) gradients of
-    sum(g * pooled BN of the conv), by batchnorm2d(pool=size, overwrite_x=True)
-    of a lazy conv output (op) or of a computed one."""
+    sum(g * pooled BN of the conv), by batchnorm2d(pool=size) of a lazy conv
+    output (op) or of a plain one."""
     xt = Tensor(x, requires_grad=x_grad)
     wt, bt, gt, bet = (Tensor(a, requires_grad=True) for a in (w, b, gamma, beta))
     rm = np.full(len(b), 0.25, T.current_dtype())
     rv = np.full(len(b), 1.5, T.current_dtype())
     out = T.batchnorm2d(T.conv2d(xt, wt, bt, padding=padding, lazy=op), gt, bet, rm, rv,
-                        training=training, pool=size, overwrite_x=True)
+                        training=training, pool=size)
     backward((out * Tensor(g)).sum())
     grads = (wt.grad, bt.grad, gt.grad, bet.grad) + ((xt.grad,) if x_grad else ())
     return (out.data, rm, rv) + grads
@@ -764,8 +767,9 @@ def _conv_bn_pool_inputs(seed, n=3, c=1, f=10, h=8, w=6, size=2, padding=1):
 
 class TestConvBnPool:
     """batchnorm2d(conv2d(x, w, b, lazy=True), ..., training=True, pool=k) on
-    images that need no gradient: maxpool2d(batchnorm2d(conv2d(x)), k, k) from
-    x's im2col columns, with the bias gradient exactly 0."""
+    one-channel images that need no gradient: maxpool2d(batchnorm2d(conv2d(x)),
+    k, k) from x's im2col columns, with the bias gradient exactly 0.  At
+    C > 1 it computes the conv and runs the two ops."""
 
     @given(st.sampled_from([1, 3]), st.sampled_from([(1, 2, 8, 6), (0, 3, 8, 5),
                                                      (2, 4, 6, 10)]),
@@ -778,11 +782,14 @@ class TestConvBnPool:
         with use_float64():
             got, want = (_conv_bn_pool_pair(layout(x), wk, b, gamma, beta, g, padding, size, op)
                          for op in (True, False))
+        assert is_channel_major(got[0])
+        if c > 1:  # the op applies at C = 1 only
+            _assert_bytes_equal(got, want)
+            return
         assert not got[4].any()  # the bias cancels in BN
         for name, a, e in zip(("out", "running_mean", "running_var", "w", "b", "gamma",
                                "beta"), got, want):
             np.testing.assert_allclose(a, e, rtol=1e-8, atol=1e-9, err_msg=name)
-        assert is_channel_major(got[0])
 
     def test_float32_stays_closer_to_float64_than_the_two_ops(self):
         x, wk, b, gamma, beta, g = _conv_bn_pool_inputs(0, n=16, f=16, h=16, w=16)
@@ -806,6 +813,21 @@ class TestConvBnPool:
                                     pool=2)
             outs.append((out.data, rm, rv))
         assert out.node is None
+        _assert_bytes_equal(*outs)
+
+    def test_a_graph_free_forward_at_c_above_1_keeps_the_two_ops(self):
+        x, wk, b, gamma, beta, _ = (a.astype(np.float32) for a in _conv_bn_pool_inputs(1, c=3))
+        outs = []
+        with T.no_grad():
+            for lazy in (True, False):
+                rm, rv = np.zeros(10, np.float32), np.ones(10, np.float32)
+                z = T.conv2d(Tensor(x), Tensor(wk, requires_grad=True), Tensor(b), padding=1,
+                             lazy=lazy)
+                assert not lazy or z.conv is not None
+                out = T.batchnorm2d(z, Tensor(gamma), Tensor(beta), rm, rv, training=True,
+                                    pool=2)
+                assert not lazy or z.conv is None  # batchnorm2d computed it
+                outs.append((out.data, rm, rv))
         _assert_bytes_equal(*outs)
 
     @pytest.mark.parametrize("case", ["applies", "zero_gamma", "negative_zero_beta", "nan_image",
@@ -845,7 +867,7 @@ class TestConvBnPool:
         assert z.shape == (4, 64, 32, 32)
         out = T.batchnorm2d(z, params[2], params[3], np.zeros(64, np.float32),
                             np.ones(64, np.float32), training=True, pool=2)
-        assert z._value is None  # the conv output was never computed
+        assert z.conv is not None  # the conv output was never computed
         conv = out.node.inputs[0]
         assert out.node.op == "batchnorm2d" and out.node.inputs[1:] == tuple(params[2:])
         assert conv is z.node and conv.op == "conv2d" and conv.inputs == (xt, *params[:2])
@@ -866,6 +888,26 @@ class TestConvBnPool:
             results.append((z.data, wt.grad, bt.grad))
         _assert_bytes_equal(*results)
 
+    def test_an_input_that_needs_a_gradient_is_convolved_inside_conv2d(self):
+        x, wk, b, _, _, _ = (a.astype(np.float32) for a in _conv_bn_pool_inputs(6, c=3))
+        wt, bt = Tensor(wk, requires_grad=True), Tensor(b, requires_grad=True)
+        xt = T.relu(Tensor(x, requires_grad=True))  # as a later block's input
+        lazy, plain = (T.conv2d(xt, wt, bt, padding=1, lazy=flag) for flag in (True, False))
+        assert isinstance(lazy, T._LazyConv) and lazy.conv is None
+        assert lazy.node.op == "conv2d" and lazy.node.inputs == (xt.node, wt, bt)
+        _assert_bytes_equal((lazy.data,), (plain.data,))
+
+    @pytest.mark.parametrize("needs_grad", [False, True])
+    def test_a_computed_lazy_output_no_longer_holds_its_input(self, needs_grad):
+        x, wk, b, _, _, _ = (a.astype(np.float32) for a in _conv_bn_pool_inputs(7))
+        xt = T.relu(Tensor(x, requires_grad=True)) if needs_grad else Tensor(x)
+        ref = weakref.ref(xt.data)
+        z = T.conv2d(xt, Tensor(wk), Tensor(b), padding=1, lazy=True)
+        del x, xt
+        assert (ref() is None) == needs_grad  # an uncomputed output holds its input
+        assert z.data.shape == z.shape
+        assert ref() is None
+
     def test_a_strided_conv_is_computed_and_recorded_at_once(self):
         x, wk, b, _, _, _ = (a.astype(np.float32) for a in _conv_bn_pool_inputs(5, h=9, w=7))
         wt = Tensor(wk, requires_grad=True)
@@ -882,7 +924,7 @@ def _eval_conv_bn_pool(x, w, b, gamma, beta, rm, rv, padding, size, op, graph=Fa
     z = T.conv2d(Tensor(x), Tensor(w, requires_grad=graph), Tensor(b), padding=padding, lazy=op)
     out = T.batchnorm2d(z, Tensor(gamma), Tensor(beta), rm.copy(), rv.copy(), training=False,
                         pool=size)
-    return out, isinstance(z, T._LazyConv) and z._value is None
+    return out, isinstance(z, T._LazyConv) and z.conv is not None
 
 
 def _eval_inputs(seed, n, c, f, h, w, size, padding=1):
