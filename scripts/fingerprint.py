@@ -5,9 +5,9 @@ For each workload and seed it builds the inputs the way the benchmark in
 perfbench/ does (the 5-class digit net, 32x32 synth_digits, 5 shots of
 target classes 5-9), trains for a few steps through the public trainer API
 and prints every loss row as float.hex (with its eval_acc, if any), the SHA-256 of the final
-state_dict, the SHA-256 of the test set's logits from eval-mode forwards
-without a graph, in blocks of ``metrics.EVAL_BLOCK`` images as ``evaluate``
-runs them, and the evaluation accuracy.  finetune_k5 and joint_k5 are the
+state_dict, the SHA-256 of the test set's logits from the eval-mode
+forwards that ``evaluate`` runs (``metrics.eval_forwards``), and the
+evaluation accuracy.  finetune_k5 and joint_k5 are the
 benchmark's workloads; pretrain (pretrain_source on the source classes,
 evaluating every 2 steps) and uda (adapt_unsupervised on the source
 classes in the shifted domain, taps pool4_flat, fc1 and fc2) cover the
@@ -51,13 +51,9 @@ def state_sha256(net) -> str:
 
 
 def eval_logits_sha256(net, test) -> str:
-    """Leaves net in eval mode."""
-    net.eval()
     digest = hashlib.sha256()
-    with tensor.no_grad():
-        for start in range(0, len(test), metrics.EVAL_BLOCK):
-            images = test.images[start:start + metrics.EVAL_BLOCK]
-            digest.update(net.forward(data.normalize_batch(images))[0].data.tobytes())
+    for _, logits, _ in metrics.eval_forwards(net, test.images):
+        digest.update(logits.tobytes())
     return digest.hexdigest()
 
 

@@ -115,14 +115,10 @@ def _save_net(path: Path, net: EmbeddingNetwork, cfg: Config, step: int = 0) -> 
     save_checkpoint(path, net.state_dict(), config_text=dump_config(cfg), step=step)
 
 
-def _net_from(state: dict, cfg: Config, n_classes: int) -> EmbeddingNetwork:
-    net = EmbeddingNetwork(_net_spec(cfg, n_classes), seed=0)
-    net.load_state_dict(state)
-    return net
-
-
 def _load_net(path, cfg: Config, n_classes: int) -> EmbeddingNetwork:
-    return _net_from(load_checkpoint(path).tensors, cfg, n_classes)
+    net = EmbeddingNetwork(_net_spec(cfg, n_classes), seed=0)
+    net.load_state_dict(load_checkpoint(path).tensors)
+    return net
 
 
 # -- subcommands ------------------------------------------------------------
@@ -168,8 +164,8 @@ def cmd_transfer(cfg: Config) -> int:
             D.check_split(pool, k)
         except D.SplitError as e:
             raise UsageError(f"k_values: {e}") from e
-    # read and checked once; each run adapts a fresh net, since adapting freezes it
-    source_state = _load_net(ckpt_path, cfg, n_source).state_dict() if uses_source else None
+    # read and checked once; a run only freezes and clones it, so every run shares it
+    source_net = _load_net(ckpt_path, cfg, n_source) if uses_source else None
     out = _prepare_outdir(cfg)
     per_run = []
     for method in cfg.methods:
@@ -183,11 +179,11 @@ def cmd_transfer(cfg: Config) -> int:
                 elif method == "fine_tune":
                     net, record = trainer.run_baseline(
                         "fine_tune", d2, run_cfg,
-                        source_net=_net_from(source_state, cfg, n_source), reinit_head=disjoint)
+                        source_net=source_net, reinit_head=disjoint)
                 else:  # full or adv_only
                     mcfg = replace(run_cfg, beta=0.0) if method == "adv_only" else run_cfg
-                    net, record = trainer.adapt_joint(_net_from(source_state, cfg, n_source),
-                                                      d1, d2, d3, mcfg, reinit_head=disjoint)
+                    net, record = trainer.adapt_joint(source_net, d1, d2, d3, mcfg,
+                                                      reinit_head=disjoint)
                 acc = evaluate(net, test).accuracy
                 tag = f"{method}_k{k}_seed{seed}"
                 _write_csv(out / f"metrics_{tag}.csv", CSV_FIELDS, record.rows)
@@ -225,12 +221,13 @@ def cmd_uda(cfg: Config) -> int:
     n_classes = len(set(d1.classes))
     _check_taps(cfg, n_classes)
     test = _in_source_order(_load_data(cfg, "test"), cfg)
+    # read, checked and scored once; a run only freezes and clones it
+    source_net = _load_net(ckpt_path, cfg, n_classes)
+    source_acc = evaluate(source_net, test).accuracy
     out = _prepare_outdir(cfg)
     rows = []
     for seed in cfg.seeds:
         run_cfg = replace(cfg, seed=seed)
-        source_net = _load_net(ckpt_path, cfg, n_classes)
-        source_acc = evaluate(source_net, test).accuracy
         rng = np.random.default_rng((seed, 53))
         idx = rng.permutation(len(pool))
         d3 = D.UnlabeledDataset(images=pool.images[idx], name="uda-target")

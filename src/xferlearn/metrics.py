@@ -29,37 +29,46 @@ class Aggregate:
 EVAL_BLOCK = 32
 
 
-@no_grad()
-def evaluate(net, dataset: LabeledDataset, batch_size: int = EVAL_BLOCK) -> EvalResult:
-    """Argmax accuracy of net over a labeled dataset (eval mode, first-index ties).
+def eval_forwards(net, images: np.ndarray, until: str | None = None):
+    """Forward ``images`` through ``net`` in eval mode without a graph, in
+    blocks of ``EVAL_BLOCK``; yield ``(rows, out, taps)`` per block.
 
-    The forwards record no graph, so each layer's activations are freed
-    as soon as the next layer has run.
+    ``rows`` is the block's slice of ``images``; ``out`` (the logits, or
+    with ``until`` that layer's output) and ``taps`` (name -> array) hold
+    its rows alone.  A one-image forward takes other BLAS kernels, which
+    sum in another order, so a one-image tail joins the block before it
+    and a lone image goes through as a pair of itself.  The caller's mode
+    is restored once the blocks are done or the loop is left.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty evaluation dataset")
+    bounds = [*range(0, len(images), EVAL_BLOCK), len(images)]
+    if len(bounds) > 2 and len(images) % EVAL_BLOCK == 1:
+        del bounds[-2]
     was_training = net.training
     net.eval()
-    correct = 0
-    cls_correct: dict[int, int] = {}
-    cls_total: dict[int, int] = {}
     try:
-        for start in range(0, len(dataset), batch_size):
-            imgs = dataset.images[start : start + batch_size]
-            labels = dataset.labels[start : start + batch_size]
-            logits, _ = net.forward(normalize_batch(imgs))
-            preds = np.argmax(logits.data, axis=1)
-            hits = preds == labels
-            correct += int(hits.sum())
-            for c in np.unique(labels):
-                m = labels == c
-                cls_correct[int(c)] = cls_correct.get(int(c), 0) + int(hits[m].sum())
-                cls_total[int(c)] = cls_total.get(int(c), 0) + int(m.sum())
+        for start, stop in zip(bounds, bounds[1:]):
+            n = stop - start
+            with no_grad():
+                out, taps = net.forward(normalize_batch(images[start:stop] if n > 1 else
+                                                        images[[start, start]]), until=until)
+            yield slice(start, stop), out.data[:n], {name: t.data[:n] for name, t in taps}
     finally:
         if was_training:
             net.train()
-    per_class = {c: cls_correct[c] / cls_total[c] for c in cls_total}
-    return EvalResult(accuracy=correct / len(dataset), n_examples=len(dataset),
+
+
+def evaluate(net, dataset: LabeledDataset) -> EvalResult:
+    """Argmax accuracy of net over a labeled dataset (eval mode, first-index ties),
+    from the blocks of ``eval_forwards``."""
+    if len(dataset) == 0:
+        raise ValueError("empty evaluation dataset")
+    preds = np.concatenate([np.argmax(out, axis=1)
+                            for _, out, _ in eval_forwards(net, dataset.images)])
+    labels = dataset.labels
+    total = np.bincount(labels)
+    correct = np.bincount(labels[preds == labels], minlength=total.size)
+    per_class = {c: int(correct[c]) / int(total[c]) for c in np.flatnonzero(total).tolist()}
+    return EvalResult(accuracy=int(correct.sum()) / len(dataset), n_examples=len(dataset),
                       per_class=per_class)
 
 

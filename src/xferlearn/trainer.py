@@ -24,7 +24,7 @@ from . import losses
 from .data import LabeledDataset, UnlabeledDataset, normalize_batch
 from .discriminator import DiscriminatorSpec, MultiLayerDiscriminator
 from .layers import EmbeddingNetwork, NetworkSpec, clone_into_target
-from .metrics import EVAL_BLOCK, evaluate
+from .metrics import eval_forwards, evaluate
 from .optim import Adam
 from .tensor import Tensor, backward, current_dtype, no_grad
 
@@ -158,36 +158,25 @@ class SourceTaps:
 
     A frozen net runs in eval mode, where every layer acts on one image at
     a time, so an image's taps are fixed for the whole run.  Each image is
-    forwarded at most once, in blocks of ``EVAL_BLOCK`` images as
-    ``evaluate`` does; each named tap is one ``(len(d1), width)`` array
-    whose rows are written as their images are first looked up.
+    forwarded at most once, by ``metrics.eval_forwards`` as far as the
+    deepest kept tap (``until``); each named tap is one ``(len(d1), width)``
+    array whose rows are written as their images are first looked up.
     """
 
     def __init__(self, source_net: EmbeddingNetwork, d1: LabeledDataset, names):
-        source_net.eval()
         self.net, self.d1 = source_net, d1
         self.rows = {name: np.empty((len(d1), int(np.prod(source_net.shapes[name]))),
                                     dtype=current_dtype()) for name in names}
+        self.until = max(self.rows, key=list(source_net.shapes).index)
         self.seen = np.zeros(len(d1), dtype=bool)
 
-    @no_grad()
     def __call__(self, idx: np.ndarray) -> dict:
         """name -> Tensor of the taps of ``d1`` images ``idx``; the images not
         seen before go through the source net."""
         new = idx[~self.seen[idx]]
-        bounds = [*range(0, new.size, EVAL_BLOCK), new.size]
-        # a one-image forward takes other BLAS kernels, which sum in another
-        # order, so a one-image tail joins the block before it and a lone
-        # miss goes through as a pair of itself
-        if len(bounds) > 2 and new.size % EVAL_BLOCK == 1:
-            del bounds[-2]
-        for start, stop in zip(bounds, bounds[1:]):
-            block = new[start:stop]
-            images = self.d1.images[block if block.size > 1 else np.repeat(block, 2)]
-            _, taps = self.net.forward(normalize_batch(images))
-            for name, tap in taps:
-                if name in self.rows:
-                    self.rows[name][block] = tap.data.reshape(len(images), -1)[:block.size]
+        for block, _, taps in eval_forwards(self.net, self.d1.images[new], until=self.until):
+            for name, kept in self.rows.items():
+                kept[new[block]] = taps[name].reshape(len(taps[name]), -1)
         self.seen[new] = True
         return {name: Tensor(rows[idx]) for name, rows in self.rows.items()}
 
@@ -263,8 +252,6 @@ def adversarial_step(step: int, disc: MultiLayerDiscriminator, disc_opt: Adam,
     backward(loss_d)
     disc_opt.step()
 
-    enc_opt.zero_grads()
-    disc_opt.zero_grads()
     # the encoder's gradient comes from the target taps alone: the source
     # scores, and any scores without a graph behind the target taps, need none
     with no_grad():
@@ -277,10 +264,9 @@ def adversarial_step(step: int, disc: MultiLayerDiscriminator, disc_opt: Adam,
     report.total = total.item()
     _check_finite(report, step)
     if total.requires_grad:
+        enc_opt.zero_grads()
         backward(total)
         enc_opt.step()
-    enc_opt.zero_grads()
-    disc_opt.zero_grads()
     return report
 
 
@@ -298,9 +284,6 @@ def _adapt(target_net: EmbeddingNetwork, source: SourceTaps, d3: UnlabeledDatase
     enc_opt = Adam([p for p in target_net.parameters() if p.requires_grad],
                    lr=config.lr, clip=config.grad_clip)
     disc_opt = Adam(disc.parameters(), lr=config.lr, clip=config.grad_clip)
-    # the step reads only the taps that ``source`` keeps, so the forward stops
-    # at the deepest of them
-    last_tap = max(source.rows, key=list(target_net.shapes).index)
     d1 = source.d1
     rng = np.random.default_rng((config.seed, rng_tag))
 
@@ -308,7 +291,8 @@ def _adapt(target_net: EmbeddingNetwork, source: SourceTaps, d3: UnlabeledDatase
         src_idx = rng.choice(len(d1), size=min(config.batch_source, len(d1)), replace=False)
         unl_idx = rng.choice(len(d3), size=min(config.batch_unlabeled, len(d3)), replace=False)
         src_taps = source(src_idx)
-        _, unl_taps = target_forward(normalize_batch(d3.images[unl_idx]), until=last_tap)
+        # the step reads only the taps that ``source`` keeps: stop at the deepest
+        _, unl_taps = target_forward(normalize_batch(d3.images[unl_idx]), until=source.until)
         return adversarial_step(step, disc, disc_opt, enc_opt, src_taps, dict(unl_taps),
                                 tap_names, encoder_objective), None
 

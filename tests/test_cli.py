@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from xferlearn.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint)
+from xferlearn import cli
 from xferlearn.cli import CSV_FIELDS, main
 from xferlearn.config import Config, ConfigError, dump_config, load_config
 from xferlearn.data import synth_digits, write_idx
@@ -278,6 +279,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert "magic" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
+
+    def test_a_command_reads_the_source_checkpoint_once(self, tmp_path, monkeypatch,
+                                                        two_step_source):
+        reads, scored = [], []
+
+        def reading(path):
+            reads.append(path)
+            return load_checkpoint(path)
+
+        def scoring(net, dataset):
+            scored.append(net)
+            return evaluate(net, dataset)
+
+        monkeypatch.setattr(cli, "load_checkpoint", reading)
+        monkeypatch.setattr(cli, "evaluate", scoring)
+        source = ["--checkpoint", str(two_step_source), "--steps", "2", "--seeds", "0,1"]
+        assert main(["transfer", *SYNTH_ARGS, *source, "--output_dir", str(tmp_path / "tr"),
+                     "--methods", "fine_tune,full", "--k_values", "3"]) == 0
+        assert reads == [str(two_step_source)] and len(scored) == 4  # each run's net
+        reads.clear()
+        scored.clear()
+        assert main(["uda", *SYNTH_ARGS, *source, "--output_dir", str(tmp_path / "uda")]) == 0
+        # the source net once, then each seed's adapted net
+        assert reads == [str(two_step_source)] and len(set(map(id, scored))) == len(scored) == 3
+        rows = read_csv(tmp_path / "uda" / "uda.csv")
+        assert rows[0]["source_only"] == rows[1]["source_only"]
 
     def test_pretrain_then_transfer_then_eval(self, tmp_path, capsys):
         pre = tmp_path / "pre"

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from xferlearn import metrics
 from xferlearn import tensor as T
-from xferlearn.data import normalize_batch, synth_digits
+from xferlearn.data import LabeledDataset, normalize_batch, synth_digits
 from xferlearn.layers import EmbeddingNetwork, digit_embedding_spec, synth_embedding_spec
 from xferlearn.metrics import Aggregate, EvalResult, aggregate, evaluate
 
@@ -48,38 +49,54 @@ class TestEvaluate:
         assert res.n_examples == len(data)
         assert set(res.per_class) == {0, 1, 2}
 
-    def test_batch_size_does_not_change_result(self):
+    def test_block_size_does_not_change_result(self, monkeypatch):
         net, data = self._net_and_data()
-        a = evaluate(net, data, batch_size=5)
-        b = evaluate(net, data, batch_size=256)
-        assert a.accuracy == b.accuracy
+        accuracies = []
+        for block in (5, 256):
+            monkeypatch.setattr(metrics, "EVAL_BLOCK", block)
+            accuracies.append(evaluate(net, data).accuracy)
+        assert accuracies[0] == accuracies[1]
 
     def test_digit_net_logits_do_not_depend_on_the_block(self, monkeypatch):
         data = synth_digits(51, range(5), image_size=32, seed=999, domain_shift=True)
         net = EmbeddingNetwork(digit_embedding_spec(n_classes=5), seed=0)
-        forward = net.forward
         logits = {}
-        for batch_size in (1, 7, 32, 64, 256):
-            blocks = []
-
-            def recording(x):
-                out, taps = forward(x)
-                blocks.append(out.data)
-                return out, taps
-
-            monkeypatch.setattr(net, "forward", recording)
-            evaluate(net, data, batch_size=batch_size)
-            logits[batch_size] = np.concatenate(blocks)
+        for block in (1, 7, 32, 64, 256):
+            monkeypatch.setattr(metrics, "EVAL_BLOCK", block)
+            logits[block] = np.concatenate([out for _, out, _ in
+                                            metrics.eval_forwards(net, data.images)])
         assert logits[256].shape == (255, 5)
         # 255 = 7 x 32 + 31: whole multiples of 32 rows leave the BLAS the same
-        # tail, so every row's bytes are those of the one-batch evaluation
-        for batch_size in (32, 64):
-            np.testing.assert_array_equal(logits[batch_size].view(np.uint32),
+        # tail, so every row's bytes are those of the one-block evaluation
+        for block in (32, 64):
+            np.testing.assert_array_equal(logits[block].view(np.uint32),
                                           logits[256].view(np.uint32))
-        # one-row and 7-row products take other BLAS kernels, which sum in
-        # another order; they agree to float32 rounding
-        for batch_size in (1, 7):
-            np.testing.assert_allclose(logits[batch_size], logits[256], rtol=1e-5, atol=1e-6)
+        # two-row (an image paired with itself) and 7-row products take other
+        # BLAS kernels, which sum in another order; they agree to float32 rounding
+        for block in (1, 7):
+            np.testing.assert_allclose(logits[block], logits[256], rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("n_images, rows", [(33, [33]), (1, [2]), (65, [32, 33])])
+    def test_a_one_image_tail_joins_the_block_before_it(self, monkeypatch, n_images, rows):
+        # a one-image forward takes other BLAS kernels, so none is ever made
+        data = synth_digits(n_per_class=22, classes=range(3), seed=0)
+        data = LabeledDataset(images=data.images[:n_images], labels=data.labels[:n_images])
+        net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
+        net.eval()
+        with T.no_grad():
+            logits, _ = net.forward(normalize_batch(
+                data.images[np.resize(np.arange(n_images), max(n_images, 2))]))
+        expected = float((np.argmax(logits.data[:n_images], axis=1) == data.labels).mean())
+        forward = net.forward
+        seen = []
+
+        def recording(x, until=None):
+            seen.append(x.shape[0])
+            return forward(x, until=until)
+
+        monkeypatch.setattr(net, "forward", recording)
+        assert evaluate(net, data).accuracy == expected
+        assert seen == rows
 
     def test_restores_training_mode(self):
         net, data = self._net_and_data()
@@ -94,7 +111,7 @@ class TestEvaluate:
         net, data = self._net_and_data()
         net.train()
 
-        def failing(x):
+        def failing(x, until=None):
             raise RuntimeError("forward failed")
 
         monkeypatch.setattr(net, "forward", failing)

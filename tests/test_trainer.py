@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xferlearn import losses, tensor, trainer
+from xferlearn import losses, metrics, tensor, trainer
 from xferlearn.data import (UnlabeledDataset, filter_classes, make_splits, normalize_batch,
                             synth_digits)
 from xferlearn.discriminator import MultiLayerDiscriminator
 from xferlearn.layers import (EmbeddingNetwork, clone_into_target, digit_embedding_spec,
                               synth_embedding_spec)
 from xferlearn.metrics import evaluate
+from xferlearn.optim import Adam
 from xferlearn.tensor import Tensor
 from xferlearn.trainer import (SourceTaps, TrainConfig, TrainDivergence, adapt_joint,
                                adapt_unsupervised, pretrain_source, run_baseline,
@@ -111,7 +112,7 @@ class TestSourcePrototypes:
         cached = source(later)
         new = int((~np.isin(later, first)).sum())
         # a one-image block takes other BLAS kernels, which sum in another order
-        assert 1 < new % trainer.EVAL_BLOCK and new < later.size
+        assert 1 < new % metrics.EVAL_BLOCK and new < later.size
         net.eval()
         with tensor.no_grad():
             _, taps = net.forward(normalize_batch(d1.images[later]))
@@ -132,6 +133,7 @@ class TestSourcePrototypes:
         for start, stop in ((0, 1), (1, 34), (34, 99)):  # 1, 33 and 65 misses
             source(idx[start:stop])
         cached = source(idx)
+        net.eval()
         with tensor.no_grad():
             _, taps = net.forward(normalize_batch(d1.images[idx]))
         for name in ("pool4_flat", "fc1"):
@@ -349,6 +351,24 @@ class TestAdversarialStep:
         assert ra.rows == rb.rows
         for name, p in a.params.items():
             np.testing.assert_array_equal(p.data, b.params[name].data)
+
+    def test_each_optimizer_zeroes_its_gradients_once_per_step(self, monkeypatch, source_setup,
+                                                               target_splits):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        zeroed = []
+        zero_grads = Adam.zero_grads
+
+        def counted(opt):
+            zeroed.append(opt)
+            zero_grads(opt)
+
+        monkeypatch.setattr(Adam, "zero_grads", counted)
+        adapt_joint(net, d1, d2, d3, quick_config(steps=3), reinit_head=True)
+        # the discriminator's optimizer, then the encoder's, each just before
+        # the backward that fills its gradients
+        disc_opt, enc_opt = zeroed[:2]
+        assert disc_opt is not enc_opt and zeroed == [disc_opt, enc_opt] * 3
 
     def test_unsupervised_step_forwards_each_batch_once(self, monkeypatch, source_setup):
         net, _, d1 = source_setup
