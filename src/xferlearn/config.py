@@ -54,10 +54,10 @@ class Config(TrainConfig):
             raise ValueError("seeds must name at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError(f"seeds must all be >= 0, got {self.seeds}")
-        for key in ("source_classes", "target_classes"):
-            ids = getattr(self, key)
-            if len(set(ids)) < len(ids):
-                raise ValueError(f"{key} must not repeat a class id, got {ids}")
+        for key in ("seeds", "k_values", "methods", "source_classes", "target_classes"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} must not repeat a value, got {values}")
         if not self.k_values:
             raise ValueError("k_values must name at least one k")
         if any(k < 1 for k in self.k_values):

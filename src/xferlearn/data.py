@@ -85,6 +85,8 @@ def load_idx(images_path, labels_path, name: str = "") -> LabeledDataset:
     if magic != IDX_IMAGES_MAGIC:
         raise IdxParseError(f"{images_path}: expected image magic {IDX_IMAGES_MAGIC}, got {magic}")
     n, h, w = dims
+    if not h or not w:
+        raise IdxParseError(f"{images_path}: images of {h}x{w} have no pixels")
     expected = offset + n * h * w
     if len(buf) != expected:
         raise IdxParseError(f"{images_path}: expected {expected} bytes, got {len(buf)}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .layers import state_arrays
+from .layers import init_fan_in, state_arrays
 from .tensor import Tensor
 
 
@@ -46,11 +46,7 @@ class MultiLayerDiscriminator:
         rng = np.random.default_rng(seed)
 
         def linear(name, fan_in, fan_out):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.params[f"{name}.w"] = Tensor(
-                rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True
-            )
-            self.params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+            init_fan_in(self.params, rng, name, (fan_in, fan_out), fan_in, fan_out)
 
         widths = spec.tap_widths
         # mirrored stages: stage l projects (fused) width[l-1] -> width[l]

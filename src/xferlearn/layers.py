@@ -88,6 +88,14 @@ def state_arrays(state: dict, own: dict) -> dict:
     return out
 
 
+def init_fan_in(params: dict, rng, name: str, shape: tuple, fan_in: int, n_out: int) -> None:
+    """Add ``name.w`` of ``shape``, drawn from ``rng`` uniform in ±1/√fan_in,
+    and a zero ``name.b`` of ``n_out`` to ``params``."""
+    bound = 1.0 / np.sqrt(fan_in)
+    params[f"{name}.w"] = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+    params[f"{name}.b"] = Tensor(np.zeros(n_out), requires_grad=True)
+
+
 class EmbeddingNetwork:
     def __init__(self, spec: NetworkSpec, seed: int = 0):
         self.spec = spec
@@ -102,12 +110,9 @@ class EmbeddingNetwork:
         shape = tuple(self.spec.input_shape)
         for name, ls in self.spec.layers:
             if ls.kind == "conv":
-                c_in = shape[0]
-                fan_in = c_in * ls.kernel * ls.kernel
-                bound = 1.0 / np.sqrt(fan_in)
-                w = rng.uniform(-bound, bound, (ls.out_channels, c_in, ls.kernel, ls.kernel))
-                self.params[f"{name}.w"] = Tensor(w, requires_grad=True)
-                self.params[f"{name}.b"] = Tensor(np.zeros(ls.out_channels), requires_grad=True)
+                k, c_in = ls.kernel, shape[0]
+                init_fan_in(self.params, rng, name, (ls.out_channels, c_in, k, k), c_in * k * k,
+                            ls.out_channels)
             elif ls.kind == "batchnorm":
                 c = shape[0]
                 self.params[f"{name}.gamma"] = Tensor(np.ones(c), requires_grad=True)
@@ -115,11 +120,8 @@ class EmbeddingNetwork:
                 dtype = T.current_dtype()
                 self.running_stats[name] = (np.zeros(c, dtype), np.ones(c, dtype))
             elif ls.kind == "linear":
-                fan_in = shape[0]
-                bound = 1.0 / np.sqrt(fan_in)
-                w = rng.uniform(-bound, bound, (fan_in, ls.out_channels))
-                self.params[f"{name}.w"] = Tensor(w, requires_grad=True)
-                self.params[f"{name}.b"] = Tensor(np.zeros(ls.out_channels), requires_grad=True)
+                init_fan_in(self.params, rng, name, (shape[0], ls.out_channels), shape[0],
+                            ls.out_channels)
             shape = self.shapes[name]
 
     def train(self) -> None:
@@ -255,12 +257,36 @@ def clone_into_target(source: EmbeddingNetwork, head_classes: int | None = None,
 
 
 # -- architecture presets -------------------------------------------------
-#
-# Each block pools before its ReLU.  Max commutes with ReLU in value and in
-# gradient (both send g to a window's first maximum only when it is above 0),
-# so this equals the usual relu-then-pool bit for bit while the ReLU runs on
-# a quarter of the elements.  Neither layer has parameters or is a tap, so
-# checkpoints and tap names are unaffected.
+
+
+def conv_block(i: int, out_channels: int, kernel: int, padding: int,
+               batchnorm: bool = True) -> list:
+    """``conv{i}`` (stride 1), ``bn{i}`` unless ``batchnorm`` is False, a 2x2
+    ``pool{i}`` and ``relu{i}``.
+
+    The block pools before its ReLU.  Max commutes with ReLU in value and in
+    gradient (both send g to a window's first maximum only when it is above
+    0), so this equals the usual relu-then-pool bit for bit while the ReLU
+    runs on a quarter of the elements.  Neither layer has parameters or is a
+    tap, so checkpoints and tap names are unaffected.
+    """
+    layers = [(f"conv{i}", LayerSpec("conv", out_channels=out_channels, kernel=kernel,
+                                     stride=1, padding=padding))]
+    if batchnorm:
+        layers.append((f"bn{i}", LayerSpec("batchnorm")))
+    return layers + [(f"pool{i}", LayerSpec("maxpool", kernel=2, stride=2)),
+                     (f"relu{i}", LayerSpec("relu"))]
+
+
+def classifier_head(flatten: str, hidden: int, n_classes: int) -> list:
+    """A flatten layer named ``flatten``, then fc1 (``hidden`` wide), its
+    ReLU ``fc1_relu`` and the ``n_classes``-wide fc2."""
+    return [
+        (flatten, LayerSpec("flatten")),
+        ("fc1", LayerSpec("linear", out_channels=hidden)),
+        ("fc1_relu", LayerSpec("relu")),
+        ("fc2", LayerSpec("linear", out_channels=n_classes)),
+    ]
 
 
 def digit_embedding_spec(n_classes: int = 5, taps=("pool4_flat", "fc1", "fc2")) -> NetworkSpec:
@@ -269,21 +295,9 @@ def digit_embedding_spec(n_classes: int = 5, taps=("pool4_flat", "fc1", "fc2")) 
     A final 2x2 pool collapses the remaining 2x2 map so the flattened
     feature width is 64, matching the 64x64 fc1 kernel.
     """
-    layers = []
-    for i in range(1, 5):
-        layers += [
-            (f"conv{i}", LayerSpec("conv", out_channels=64, kernel=3, stride=1, padding=1)),
-            (f"bn{i}", LayerSpec("batchnorm")),
-            (f"pool{i}", LayerSpec("maxpool", kernel=2, stride=2)),
-            (f"relu{i}", LayerSpec("relu")),
-        ]
-    layers += [
-        ("pool_out", LayerSpec("maxpool", kernel=2, stride=2)),
-        ("pool4_flat", LayerSpec("flatten")),
-        ("fc1", LayerSpec("linear", out_channels=64)),
-        ("fc1_relu", LayerSpec("relu")),
-        ("fc2", LayerSpec("linear", out_channels=n_classes)),
-    ]
+    layers = [layer for i in range(1, 5) for layer in conv_block(i, 64, 3, 1)]
+    layers += [("pool_out", LayerSpec("maxpool", kernel=2, stride=2)),
+               *classifier_head("pool4_flat", 64, n_classes)]
     return NetworkSpec(input_shape=(1, 32, 32), layers=layers, taps=list(taps))
 
 
@@ -293,36 +307,14 @@ def ablation_embedding_spec(n_classes: int = 10, taps=("flat", "fc1", "fc2")) ->
     conv2 has 50 channels so the flattened width is 800 (= 50 * 4 * 4),
     matching the 800x500 fc1 kernel.
     """
-    layers = [
-        ("conv1", LayerSpec("conv", out_channels=20, kernel=5, stride=1, padding=0)),
-        ("pool1", LayerSpec("maxpool", kernel=2, stride=2)),
-        ("relu1", LayerSpec("relu")),
-        ("conv2", LayerSpec("conv", out_channels=50, kernel=5, stride=1, padding=0)),
-        ("pool2", LayerSpec("maxpool", kernel=2, stride=2)),
-        ("relu2", LayerSpec("relu")),
-        ("flat", LayerSpec("flatten")),
-        ("fc1", LayerSpec("linear", out_channels=500)),
-        ("fc1_relu", LayerSpec("relu")),
-        ("fc2", LayerSpec("linear", out_channels=n_classes)),
-    ]
+    layers = [*conv_block(1, 20, 5, 0, batchnorm=False), *conv_block(2, 50, 5, 0, batchnorm=False),
+              *classifier_head("flat", 500, n_classes)]
     return NetworkSpec(input_shape=(1, 28, 28), layers=layers, taps=list(taps))
 
 
 def synth_embedding_spec(n_classes: int, image_size: int = 16,
                          taps=("flat", "fc1", "fc2")) -> NetworkSpec:
     """Small two-block net for the synthetic fixture; same tap layout."""
-    layers = [
-        ("conv1", LayerSpec("conv", out_channels=16, kernel=3, stride=1, padding=1)),
-        ("bn1", LayerSpec("batchnorm")),
-        ("pool1", LayerSpec("maxpool", kernel=2, stride=2)),
-        ("relu1", LayerSpec("relu")),
-        ("conv2", LayerSpec("conv", out_channels=16, kernel=3, stride=1, padding=1)),
-        ("bn2", LayerSpec("batchnorm")),
-        ("pool2", LayerSpec("maxpool", kernel=2, stride=2)),
-        ("relu2", LayerSpec("relu")),
-        ("flat", LayerSpec("flatten")),
-        ("fc1", LayerSpec("linear", out_channels=32)),
-        ("fc1_relu", LayerSpec("relu")),
-        ("fc2", LayerSpec("linear", out_channels=n_classes)),
-    ]
+    layers = [*conv_block(1, 16, 3, 1), *conv_block(2, 16, 3, 1),
+              *classifier_head("flat", 32, n_classes)]
     return NetworkSpec(input_shape=(1, image_size, image_size), layers=layers, taps=list(taps))

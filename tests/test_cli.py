@@ -70,7 +70,8 @@ class TestConfig:
         ("tau_st", "nan"), ("tau_tt", "inf"), ("tau_tt", "0"), ("seeds", "0,-1"),
         ("source_classes", "0,0,1"), ("target_classes", "3,4,3"), ("experiment", "foo"),
         ("fusion", "max"), ("methods", "full,bogus"), ("source_subsample", "-1"),
-        ("methods", ""), ("k_values", ""),
+        ("methods", ""), ("k_values", ""), ("seeds", "1,1"), ("k_values", "2,5,2"),
+        ("methods", "full,full"),
     ])
     def test_out_of_range_value_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -214,6 +215,11 @@ class TestCli:
         ("--source_subsample", "-1"),  # exited 1: "negative dimensions are not allowed"
         ("--methods", ""),  # exited 0 with header-only CSVs
         ("--k_values", ""),
+        # each exited 0, overwrote its runs' files and aggregated the copies
+        # (n_seeds 4 and a zero standard error from two seeds, for instance)
+        ("--seeds", "0,0"),
+        ("--k_values", "2,2"),
+        ("--methods", "fine_tune,fine_tune"),
     ])
     def test_bad_transfer_config_is_usage_error(self, tmp_path, capsys, flag, value):
         ckpt = tmp_path / "source.ckpt"
@@ -253,6 +259,18 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert "[3, 4]" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_uda_with_a_repeated_seed_is_usage_error(self, tmp_path, capsys):
+        # exited 0 and reported a zero standard error over one seed run twice
+        ckpt = tmp_path / "source.ckpt"
+        ckpt.write_bytes(b"")  # never read: the config is checked first
+        out = tmp_path / "uda"
+        code = main(["uda", *SYNTH_ARGS, "--output_dir", str(out), "--checkpoint", str(ckpt),
+                     "--seeds", "1,1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "seeds" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path):
@@ -424,6 +442,17 @@ class TestCli:
                      "--test_labels", str(images)]) == 1
         err = capsys.readouterr().err
         assert "truncated header" in err and "Traceback" not in err
+
+    def test_eval_on_images_without_pixels_is_runtime_error(self, tmp_path, capsys):
+        # an IndexError traceback from resize_bilinear
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(images, np.zeros((4, 1, 0, 0), np.uint8), labels, np.arange(4))
+        ckpt = tmp_path / "net.ckpt"
+        ckpt.write_bytes(b"")  # never read: the test set is loaded first
+        assert main(["eval", "--experiment", "digits", "--checkpoint", str(ckpt),
+                     "--test_images", str(images), "--test_labels", str(labels)]) == 1
+        err = capsys.readouterr().err
+        assert "no pixels" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command, flags, named", [
         # each exited 1 after the runs before the failing one had written

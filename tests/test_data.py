@@ -61,6 +61,13 @@ class TestIdxIO:
         with pytest.raises(IdxParseError, match="truncated header$"):
             load_idx(p, tmp_path / "never-opened.idx")
 
+    @pytest.mark.parametrize("h, w", [(0, 0), (0, 4), (4, 0)])
+    def test_images_without_pixels_rejected(self, tmp_path, h, w):
+        p = tmp_path / "empty.idx"
+        p.write_bytes(struct.pack(">IIII", 2051, 4, h, w))
+        with pytest.raises(IdxParseError, match=f"{h}x{w} have no pixels"):
+            load_idx(p, tmp_path / "never-opened.idx")
+
     def test_label_count_mismatch_rejected(self, tmp_path):
         ds = small_dataset(n=4)
         ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"

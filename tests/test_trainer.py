@@ -2,6 +2,7 @@
 baselines, the degenerate equivalence, and determinism."""
 
 import contextlib
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +193,46 @@ class TestAdaptJoint:
                         reinit_head=True) for stop in (False, True)]
         assert ra.rows[0] == rb.rows[0]
         assert any((p.data != b.params[name].data).any() for name, p in a.params.items())
+
+    def test_source_prototypes_get_tau_st_and_target_prototypes_tau_tt(
+            self, monkeypatch, source_setup, target_splits):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        made, calls, real = [], [], losses.entropy_transfer
+
+        def protos(*args):
+            made.append(source_prototypes(*args))
+            return made[-1]
+
+        def entropy(queries, support, tau):
+            calls.append((support, tau))
+            return real(queries, support, tau)
+
+        monkeypatch.setattr(trainer, "source_prototypes", protos)
+        monkeypatch.setattr(losses, "entropy_transfer", entropy)
+        adapt_joint(net, d1, d2, d3, quick_config(steps=1, tau_st=3.0, tau_tt=0.5),
+                    reinit_head=True)
+        assert len(made) == 1 and len(calls) == 2
+        assert sorted((support is made[0], tau) for support, tau in calls) == [
+            (False, 0.5), (True, 3.0)]
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_stop_grad_prototypes_reaches_semantic_total(self, monkeypatch, source_setup,
+                                                         target_splits, stop):
+        net, _, d1 = source_setup
+        d2, d3, _ = target_splits
+        real, seen = losses.semantic_total, []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["detach_prototypes"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "semantic_total", spy)
+        adapt_joint(net, d1, d2, d3, quick_config(steps=1, stop_grad_prototypes=stop),
+                    reinit_head=True)
+        assert seen == [stop]
 
     def test_degenerate_weights_match_fine_tune_exactly(self, source_setup, target_splits):
         net, _, d1 = source_setup
