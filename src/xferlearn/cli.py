@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .config import Config, ConfigError, dump_config, load_config
 from .gradcheck import TOLERANCE, run_suite
 from .layers import (EmbeddingNetwork, ablation_embedding_spec,
                      digit_embedding_spec, synth_embedding_spec)
-from .metrics import aggregate, evaluate
+from .metrics import Aggregate, aggregate, evaluate
 
 CSV_FIELDS = ["step", *losses.TERMS, "eval_acc"]
 
@@ -124,10 +124,18 @@ def _load_net(path, cfg: Config, n_classes: int) -> EmbeddingNetwork:
 # -- subcommands ------------------------------------------------------------
 
 
+def _check_batch(cfg: Config, size: int, what: str) -> None:
+    """A training batch of one image is a usage error on a net with
+    batchnorm, which normalises by the batch's own statistics."""
+    if size < 2 and any(ls.kind == "batchnorm" for _, ls in _net_spec(cfg, 2).layers):
+        raise UsageError(f"{what} gives a training batch of {size} image; batchnorm needs >= 2")
+
+
 def cmd_pretrain(cfg: Config) -> int:
-    out = _prepare_outdir(cfg)
     d1 = _load_data(cfg, "source")
     spec = _net_spec(cfg, n_classes=len(set(d1.classes)))
+    _check_batch(cfg, min(cfg.batch_source, len(d1)), f"batch_source on {len(d1)} images")
+    out = _prepare_outdir(cfg)
     net, record = trainer.pretrain_source(d1, spec, cfg)
     _write_csv(out / "pretrain_metrics.csv", CSV_FIELDS, record.rows)
     _save_net(out / "source.ckpt", net, cfg, step=cfg.pretrain_steps)
@@ -157,14 +165,20 @@ def cmd_transfer(cfg: Config) -> int:
     disjoint = (tuple(cfg.source_classes) != tuple(cfg.target_classes)
                 or cfg.experiment == "digits")
     # what would stop a later run stops the command before any output
-    if {"full", "adv_only"} & set(cfg.methods):
+    adapts = bool({"full", "adv_only"} & set(cfg.methods))
+    if adapts:
         _check_taps(cfg, n_source, head_classes=n_target, reinit_head=disjoint, embed=True)
     for k in cfg.k_values:
         try:
             D.check_split(pool, k)
         except D.SplitError as e:
             raise UsageError(f"k_values: {e}") from e
-    # read and checked once; a run only freezes and clones it, so every run shares it
+        # every method trains on all of D2, an adaptation also on batches of D3
+        _check_batch(cfg, k * n_target, f"k_values {k} of {n_target} classes")
+        if adapts:
+            _check_batch(cfg, min(cfg.batch_unlabeled, len(pool) - k * n_target),
+                         f"batch_unlabeled on a D3 of {len(pool) - k * n_target} at k {k}")
+    # read and checked once; a run only reads and clones it, so every run shares it
     source_net = _load_net(ckpt_path, cfg, n_source) if uses_source else None
     out = _prepare_outdir(cfg)
     per_run = []
@@ -194,15 +208,9 @@ def cmd_transfer(cfg: Config) -> int:
     agg_rows = []
     for method in cfg.methods:
         for k in cfg.k_values:
-            accs = [r["accuracy"] for r in per_run
-                    if r["method"] == method and r["k"] == k]
-            if len(accs) >= 2:
-                agg = aggregate(accs)
-                agg_rows.append({"method": method, "k": k, "mean": agg.mean,
-                                 "stderr": agg.stderr, "n_seeds": agg.n_seeds})
-            else:
-                agg_rows.append({"method": method, "k": k, "mean": accs[0],
-                                 "stderr": "", "n_seeds": 1})
+            accs = [r["accuracy"] for r in per_run if r["method"] == method and r["k"] == k]
+            agg = aggregate(accs) if len(accs) > 1 else Aggregate(accs[0], stderr="", n_seeds=1)
+            agg_rows.append({"method": method, "k": k, **asdict(agg)})
     _write_csv(out / "aggregate.csv", ["method", "k", "mean", "stderr", "n_seeds"], agg_rows)
     print(f"aggregate table: {out / 'aggregate.csv'}")
     return EXIT_OK
@@ -220,8 +228,10 @@ def cmd_uda(cfg: Config) -> int:
                          f"{foreign} are not")
     n_classes = len(set(d1.classes))
     _check_taps(cfg, n_classes)
+    # the source batches run in eval mode; only the unlabeled ones train
+    _check_batch(cfg, min(cfg.batch_unlabeled, len(pool)), f"batch_unlabeled on {len(pool)} images")
     test = _in_source_order(_load_data(cfg, "test"), cfg)
-    # read, checked and scored once; a run only freezes and clones it
+    # read, checked and scored once; a run only reads and clones it
     source_net = _load_net(ckpt_path, cfg, n_classes)
     source_acc = evaluate(source_net, test).accuracy
     out = _prepare_outdir(cfg)

@@ -102,7 +102,6 @@ class EmbeddingNetwork:
         self.shapes = infer_shapes(spec)
         self.params: dict[str, Tensor] = {}
         self.running_stats: dict[str, tuple] = {}  # bn layer -> (mean, var), params' dtype
-        self.training = True
         self._init_params(seed)
 
     def _init_params(self, seed: int) -> None:
@@ -124,20 +123,15 @@ class EmbeddingNetwork:
                             ls.out_channels)
             shape = self.shapes[name]
 
-    def train(self) -> None:
-        self.training = True
-
-    def eval(self) -> None:
-        self.training = False
-
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def forward(self, x: Tensor, until: str | None = None):
+    def forward(self, x: Tensor, until: str | None = None, training: bool = True):
         """Return (logits, taps) where taps is [(name, Tensor)] per spec.taps.
 
         With ``until``, stop after that layer: its output takes the place of
-        the logits, and only the taps up to it are returned.
+        the logits, and only the taps up to it are returned.  ``training`` is
+        batchnorm's mode; with ``training=False`` the net is left as it was.
         """
         expected = tuple(self.spec.input_shape)
         if tuple(x.shape[1:]) != expected:
@@ -171,7 +165,7 @@ class EmbeddingNetwork:
                     self.params[f"{name}.beta"],
                     mean,
                     var,
-                    training=self.training,
+                    training=training,
                     pool=layers[i + 1][1].kernel if pooled else 1,
                 )
             elif ls.kind == "relu":

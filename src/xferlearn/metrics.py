@@ -30,31 +30,26 @@ EVAL_BLOCK = 32
 
 
 def eval_forwards(net, images: np.ndarray, until: str | None = None):
-    """Forward ``images`` through ``net`` in eval mode without a graph, in
-    blocks of ``EVAL_BLOCK``; yield ``(rows, out, taps)`` per block.
+    """Forward ``images`` through ``net`` in eval mode (``training=False``) without
+    a graph, in blocks of ``EVAL_BLOCK``; yield ``(rows, out, taps)`` per block.
 
     ``rows`` is the block's slice of ``images``; ``out`` (the logits, or
     with ``until`` that layer's output) and ``taps`` (name -> array) hold
     its rows alone.  A one-image forward takes other BLAS kernels, which
     sum in another order, so a one-image tail joins the block before it
-    and a lone image goes through as a pair of itself.  The caller's mode
-    is restored once the blocks are done or the loop is left.
+    and a lone image goes through as a pair of itself.  The net is only
+    read: no weight, statistic or flag of it changes.
     """
     bounds = [*range(0, len(images), EVAL_BLOCK), len(images)]
     if len(bounds) > 2 and len(images) % EVAL_BLOCK == 1:
         del bounds[-2]
-    was_training = net.training
-    net.eval()
-    try:
-        for start, stop in zip(bounds, bounds[1:]):
-            n = stop - start
-            with no_grad():
-                out, taps = net.forward(normalize_batch(images[start:stop] if n > 1 else
-                                                        images[[start, start]]), until=until)
-            yield slice(start, stop), out.data[:n], {name: t.data[:n] for name, t in taps}
-    finally:
-        if was_training:
-            net.train()
+    for start, stop in zip(bounds, bounds[1:]):
+        n = stop - start
+        with no_grad():
+            out, taps = net.forward(normalize_batch(images[start:stop] if n > 1 else
+                                                    images[[start, start]]),
+                                    until=until, training=False)
+        yield slice(start, stop), out.data[:n], {name: t.data[:n] for name, t in taps}
 
 
 def evaluate(net, dataset: LabeledDataset) -> EvalResult:

@@ -92,7 +92,7 @@ def use_float64():
 def no_grad():
     """Record no graph inside the block: every op returns a plain tensor.
 
-    Forwards whose gradients are never taken (evaluation, frozen encoders)
+    Forwards whose gradients are never taken (evaluation, source-net taps)
     then save nothing for a backward; maxpool2d computes no pick codes.
     Use it as ``with no_grad():`` or as the decorator ``@no_grad()``.
     """

@@ -6,9 +6,9 @@ only step loop: supervised training (pretraining and both baselines) runs
 ``_supervised_step``, and both adaptation procedures run ``_adapt``,
 whose step (``adversarial_step``) runs one discriminator update followed
 by one encoder/classifier update; both updates read the same forward pass
-of each batch, and there are no inner optimization loops.  The source
-encoder stays frozen in eval mode throughout adaptation, so
-``SourceTaps`` forwards each source image through it at most once per run.
+of each batch, and there are no inner optimization loops.  Adaptation
+trains a clone of the source net and only reads the caller's net, in eval
+mode, so ``SourceTaps`` forwards each source image through it at most once.
 """
 
 from __future__ import annotations
@@ -143,21 +143,16 @@ def pretrain_source(d1: LabeledDataset, net_spec: NetworkSpec, config: TrainConf
 
 def _target(source_net: EmbeddingNetwork, config: TrainConfig, head_classes: int | None = None,
             reinit_head: bool = False) -> EmbeddingNetwork:
-    """Freeze ``source_net`` in eval mode; return its clone in training mode."""
-    for p in source_net.parameters():
-        p.requires_grad = False
-    source_net.eval()
-    target_net = clone_into_target(source_net, head_classes=head_classes,
-                                   head_seed=config.seed + 3, reinit_head=reinit_head)
-    target_net.train()
-    return target_net
+    """The clone of ``source_net`` that a run trains; ``source_net`` is left as it was."""
+    return clone_into_target(source_net, head_classes=head_classes,
+                             head_seed=config.seed + 3, reinit_head=reinit_head)
 
 
 class SourceTaps:
-    """Taps of the frozen source net for the images of ``d1``, kept by index.
+    """Taps of the source net for the images of ``d1``, kept by index.
 
-    A frozen net runs in eval mode, where every layer acts on one image at
-    a time, so an image's taps are fixed for the whole run.  Each image is
+    In eval mode every layer of the source net acts on one image at a time,
+    so an image's taps are fixed for the whole run.  Each image is
     forwarded at most once, by ``metrics.eval_forwards`` as far as the
     deepest kept tap (``until``); each named tap is one ``(len(d1), width)``
     array whose rows are written as their images are first looked up.
@@ -182,7 +177,7 @@ class SourceTaps:
 
 
 def source_prototypes(source: SourceTaps, config: TrainConfig) -> Tensor:
-    """Per-class centroids of the frozen source net's ``embed_layer`` taps."""
+    """Per-class centroids of the source net's ``embed_layer`` taps."""
     d1 = source.d1
     rng = np.random.default_rng((config.seed, 23))
     protos = []
@@ -202,7 +197,8 @@ def discriminator_taps(spec: NetworkSpec, config: TrainConfig, head_classes: int
     ``config.disc_taps``, or else every tap but a new head's (``reinit_head``
     or a changed width): fresh logits are not an adapted feature.  Raises
     ValueError where one of them, or with ``embed`` ``config.embed_layer``,
-    is not a tap of the net or is a head tap whose width changes.
+    is not a tap of the net or is a head tap whose width changes, and where
+    the taps are not distinct and shallow to deep, as the discriminator fuses them.
     """
     head_name, head = spec.layers[-1]
     resized = head_classes is not None and head_classes != head.out_channels
@@ -214,6 +210,10 @@ def discriminator_taps(spec: NetworkSpec, config: TrainConfig, head_classes: int
         if resized and name == head_name:
             raise ValueError(f"tap {name!r} is {head.out_channels} wide in the source net but "
                              f"{head_classes} in the target net; leave it out")
+    once = sorted(set(names), key=[name for name, _ in spec.layers].index)
+    if list(names) != once:
+        raise ValueError(f"discriminator taps {list(names)} must name each tap once, shallow "
+                         f"to deep: {once}")
     return names
 
 

@@ -464,7 +464,14 @@ class TestCli:
          "'fc2' is 5 wide in the source net but 2"),
         ("transfer", ["--k_values", "2,500"], "needs >= 500"),
         ("uda", ["--disc_taps", "nope"], "'nope'"),
-    ], ids=["disc_taps", "embed_layer", "resized_head_tap", "k_values", "uda_disc_taps"])
+        # each exited 0: the first with a discriminator that read fc1 twice,
+        # the second with the taps fused deep to shallow
+        ("transfer", ["--methods", "full", "--disc_taps", "fc1,fc1"],
+         "['fc1', 'fc1'] must name each tap once, shallow to deep: ['fc1']"),
+        ("transfer", ["--methods", "full", "--disc_taps", "fc1,flat"],
+         "['fc1', 'flat'] must name each tap once, shallow to deep: ['flat', 'fc1']"),
+    ], ids=["disc_taps", "embed_layer", "resized_head_tap", "k_values", "uda_disc_taps",
+            "repeated_disc_tap", "disc_taps_deep_to_shallow"])
     def test_config_that_cannot_fit_the_net_or_data_is_usage_error(
             self, tmp_path, capsys, two_step_source, command, flags, named):
         out = tmp_path / command
@@ -474,6 +481,49 @@ class TestCli:
         assert code == 2
         assert named in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, flags, named", [
+        # each exited 1 with "batchnorm2d needs batch size >= 2 in train mode"
+        # after writing config.txt and seeds.txt
+        ("pretrain", ["--batch_source", "1"], "batch_source on 1000 images"),
+        ("transfer", ["--methods", "full", "--batch_unlabeled", "1"],
+         "batch_unlabeled on a D3 of 990 at k 2"),
+        ("transfer", ["--methods", "adv_only", "--batch_unlabeled", "1"], "batch_unlabeled"),
+        ("transfer", ["--methods", "fine_tune", "--target_classes", "3", "--k_values", "1"],
+         "k_values 1 of 1 classes"),
+        ("uda", ["--batch_unlabeled", "1"], "batch_unlabeled on 1000 images"),
+    ], ids=["pretrain", "full", "adv_only", "one_image_d2", "uda"])
+    def test_a_one_image_training_batch_on_batchnorm_is_usage_error(
+            self, tmp_path, capsys, two_step_source, command, flags, named):
+        out = tmp_path / command
+        code = main([command, *SYNTH_ARGS, "--output_dir", str(out), "--k_values", "2",
+                     "--checkpoint", str(two_step_source), "--seeds", "0", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err and "a training batch of 1 image" in captured.err
+        assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("transfer", ["--methods", "full"]), ("transfer", ["--methods", "adv_only"]), ("uda", [])])
+    def test_an_adaptation_takes_one_image_source_batches(self, tmp_path, two_step_source,
+                                                          command, flags):
+        # the source batch runs through the source net in eval mode
+        out = tmp_path / command
+        assert main([command, *SYNTH_ARGS, "--output_dir", str(out), "--steps", "2",
+                     "--checkpoint", str(two_step_source), "--seeds", "0", "--k_values", "2",
+                     "--batch_source", "1", *flags]) == 0
+
+    def test_the_ablation_net_trains_on_one_image_batches(self, tmp_path):
+        # it has no batchnorm
+        ds = synth_digits(2, (0, 1), image_size=28, seed=0)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(images, ds.images, labels, ds.labels)
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--experiment", "ablation", "--source_images", str(images),
+                     "--source_labels", str(labels), "--pretrain_steps", "2",
+                     "--batch_source", "1", "--eval_every", "0",
+                     "--output_dir", str(out)]) == 0
+        assert (out / "source.ckpt").exists()
 
     def test_gradcheck_clean_passes(self, capsys):
         assert main(["gradcheck", "--instances", "2", "--seed", "0"]) == 0

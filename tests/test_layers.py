@@ -47,11 +47,10 @@ class TestShapes:
     def test_symbolic_shapes_match_runtime(self):
         for spec in (digit_embedding_spec(), ablation_embedding_spec()):
             net = EmbeddingNetwork(spec, seed=0)
-            net.eval()
             c, h, w = spec.input_shape
             # eval-mode batchnorm allows batch of 2
             x = Tensor(np.random.default_rng(0).normal(0, 1, (2, c, h, w)))
-            logits, taps = net.forward(x)
+            logits, taps = net.forward(x, training=False)
             for name, act in taps:
                 assert act.shape[1:] == tuple(
                     (np.prod(net.shapes[name]),) if len(net.shapes[name]) == 1
@@ -85,32 +84,28 @@ class TestBuild:
 class TestForward:
     def test_zero_input_near_uniform_probabilities(self):
         net = EmbeddingNetwork(digit_embedding_spec(), seed=0)
-        net.eval()
-        logits, _ = net.forward(Tensor(np.zeros((3, 1, 32, 32))))
+        logits, _ = net.forward(Tensor(np.zeros((3, 1, 32, 32))), training=False)
         assert np.isfinite(logits.data).all()
         probs = np.exp(logits.data) / np.exp(logits.data).sum(axis=-1, keepdims=True)
         assert np.abs(probs - 0.2).max() <= 0.05
 
     def test_taps_have_batch_leading_dim(self):
         net = EmbeddingNetwork(digit_embedding_spec(), seed=0)
-        net.eval()
-        _, taps = net.forward(Tensor(np.zeros((7, 1, 32, 32))))
+        _, taps = net.forward(Tensor(np.zeros((7, 1, 32, 32))), training=False)
         assert [act.shape[0] for _, act in taps] == [7, 7, 7]
 
     def test_golden_logits(self):
         rng = np.random.default_rng(42)
         x = rng.normal(0, 1, (2, 1, 32, 32)).astype(np.float32)
         net = EmbeddingNetwork(digit_embedding_spec(), seed=7)
-        net.eval()
-        logits, _ = net.forward(Tensor(x))
+        logits, _ = net.forward(Tensor(x), training=False)
         np.testing.assert_allclose(logits.data, GOLDEN_LOGITS, atol=1e-7)
 
     def test_eval_forward_is_pure(self):
         net = EmbeddingNetwork(digit_embedding_spec(), seed=3)
-        net.eval()
         x = Tensor(np.random.default_rng(5).normal(0, 1, (2, 1, 32, 32)))
-        a, _ = net.forward(x)
-        b, _ = net.forward(x)
+        a, _ = net.forward(x, training=False)
+        b, _ = net.forward(x, training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_wrong_input_shape_rejected(self):
@@ -291,11 +286,11 @@ BLOCK_OP, BN_POOL, BN = ("batchnorm2d", 2, True), ("batchnorm2d", 2, False), (
     "batchnorm2d", 1, False)
 
 
-def _step(net, x, until=None):
+def _step(net, x, until=None, training=True):
     """Bytes of the output, the taps and the parameter gradients of one forward and backward."""
     for p in net.parameters():
         p.grad = None
-    out, taps = net.forward(x, until=until)
+    out, taps = net.forward(x, until=until, training=training)
     backward((out * Tensor(np.linspace(-1, 1, out.data.size).reshape(out.shape))).sum())
     return ([out.data.tobytes()] + [t.data.tobytes() for _, t in taps]
             + [p.grad.tobytes() for p in net.parameters() if p.grad is not None])
@@ -319,12 +314,11 @@ class TestBatchnormPoolFusion:
         net.forward(Tensor(self.X))
         assert calls == [LAZY_CONV, BLOCK_OP] + [COMPUTED_CONV, BN_POOL] * 3
         calls.clear()
-        net.eval()
-        net.forward(Tensor(self.X))  # a recorded graph keeps the two ops
+        net.forward(Tensor(self.X), training=False)  # a recorded graph keeps the two ops
         assert calls == [LAZY_CONV, BN_POOL] + [COMPUTED_CONV, BN_POOL] * 3
         calls.clear()
         with T.no_grad():  # as evaluate and SourceTaps forward
-            net.forward(Tensor(self.X))
+            net.forward(Tensor(self.X), training=False)
         assert calls == [LAZY_CONV, BLOCK_OP] * 4
 
     @pytest.mark.parametrize("taps, until, want", [
@@ -394,9 +388,8 @@ class TestBatchnormPoolFusion:
             for name, (mean, var) in net.running_stats.items():  # away from the identity
                 mean += 0.1
                 var *= 1.5
-            net.training = training
-            results.append(_step(net, x) + [a.tobytes() for pair in net.running_stats.values()
-                                            for a in pair])
+            results.append(_step(net, x, training=training)
+                           + [a.tobytes() for pair in net.running_stats.values() for a in pair])
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("spec", [
@@ -408,7 +401,6 @@ class TestBatchnormPoolFusion:
         rng = np.random.default_rng(8)
         net = EmbeddingNetwork(spec, seed=4)
         _away_from_init(net, rng)
-        net.eval()
         blocks = len(net.running_stats)
         c, h, w = spec.input_shape
         for n in (7, 32):
@@ -417,7 +409,7 @@ class TestBatchnormPoolFusion:
             for ctx in (contextlib.nullcontext, T.no_grad):
                 calls.clear()
                 with ctx():
-                    out, taps = net.forward(x)
+                    out, taps = net.forward(x, training=False)
                 results.append([out.data.tobytes()] + [t.data.tobytes() for _, t in taps])
             assert calls == [LAZY_CONV, BLOCK_OP] * blocks  # the graph-free forward
             assert len(results[1]) == len(spec.taps) + 1 and results[0] == results[1]
@@ -490,8 +482,7 @@ class TestRunningStatsDtype:
                 opt.step()
             assert_dtype(loaded)
             assert (loaded.running_stats["bn1"][0] != 0.25).all()
-            loaded.eval()
-            assert loaded.forward(x)[0].data.dtype == dtype
+            assert loaded.forward(x, training=False)[0].data.dtype == dtype
 
 
 _STEP_PEAK = """
@@ -546,7 +537,6 @@ class TestEvalMemory:
 
     def test_conv1_never_makes_its_full_size_map(self, monkeypatch):
         net = EmbeddingNetwork(digit_embedding_spec(), seed=0)
-        net.eval()
         x = Tensor(np.random.default_rng(0).normal(0, 1, (32, 1, 32, 32)))
         conv2d, batchnorm2d, starts, peaks = T.conv2d, T.batchnorm2d, [], []
 
@@ -565,7 +555,7 @@ class TestEvalMemory:
         tracemalloc.start()
         try:
             with T.no_grad():
-                net.forward(x)
+                net.forward(x, training=False)
         finally:
             tracemalloc.stop()
         conv1_map = 32 * 64 * 32 * 32 * 4  # 8 MiB

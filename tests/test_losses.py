@@ -234,6 +234,10 @@ class TestTotalObjective:
     def test_weighted_sum(self):
         t = total_objective(Tensor(1.0), Tensor(2.0), Tensor(3.0), alpha=0.1, beta=0.1)
         assert abs(t.item() - 1.5) <= 1e-6
+        # alpha weighs the adversarial term and beta the semantic one; with
+        # them swapped this would be 1 + 0.5*2 + 0.1*3 = 2.3
+        t = total_objective(Tensor(1.0), Tensor(2.0), Tensor(3.0), alpha=0.1, beta=0.5)
+        assert abs(t.item() - 2.7) <= 1e-6
 
     def test_zero_weights_reduce_to_supervised(self):
         t = total_objective(Tensor(1.25), Tensor(99.0), Tensor(99.0), alpha=0.0, beta=0.0)

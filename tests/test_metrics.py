@@ -1,5 +1,7 @@
 """Evaluation accuracy and multi-seed aggregation."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -82,42 +84,39 @@ class TestEvaluate:
         data = synth_digits(n_per_class=22, classes=range(3), seed=0)
         data = LabeledDataset(images=data.images[:n_images], labels=data.labels[:n_images])
         net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
-        net.eval()
         with T.no_grad():
             logits, _ = net.forward(normalize_batch(
-                data.images[np.resize(np.arange(n_images), max(n_images, 2))]))
+                data.images[np.resize(np.arange(n_images), max(n_images, 2))]), training=False)
         expected = float((np.argmax(logits.data[:n_images], axis=1) == data.labels).mean())
         forward = net.forward
         seen = []
 
-        def recording(x, until=None):
+        def recording(x, until=None, training=True):
             seen.append(x.shape[0])
-            return forward(x, until=until)
+            return forward(x, until=until, training=training)
 
         monkeypatch.setattr(net, "forward", recording)
         assert evaluate(net, data).accuracy == expected
         assert seen == rows
 
-    def test_restores_training_mode(self):
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_forwards_in_eval_mode_and_leaves_the_net_unchanged(self, monkeypatch, fails):
         net, data = self._net_and_data()
-        net.train()
-        evaluate(net, data)
-        assert net.training
-        net.eval()
-        evaluate(net, data)
-        assert not net.training
+        before = {key: a.tobytes() for key, a in net.state_dict().items()}
+        forward, modes = net.forward, []
 
-    def test_restores_training_mode_when_the_forward_raises(self, monkeypatch):
-        net, data = self._net_and_data()
-        net.train()
+        def recording(x, until=None, **kwargs):
+            modes.append(kwargs)
+            if fails:
+                raise RuntimeError("forward failed")
+            return forward(x, until=until, **kwargs)
 
-        def failing(x, until=None):
-            raise RuntimeError("forward failed")
-
-        monkeypatch.setattr(net, "forward", failing)
-        with pytest.raises(RuntimeError, match="forward failed"):
+        monkeypatch.setattr(net, "forward", recording)
+        with pytest.raises(RuntimeError, match="forward failed") if fails else \
+                contextlib.nullcontext():
             evaluate(net, data)
-        assert net.training
+        assert modes == [{"training": False}]
+        assert {key: a.tobytes() for key, a in net.state_dict().items()} == before
 
     def test_per_class_weighted_mean_equals_accuracy(self):
         net, data = self._net_and_data()
@@ -128,8 +127,7 @@ class TestEvaluate:
 
     def test_same_accuracy_as_a_recorded_forward_and_no_graph_left(self, monkeypatch):
         net, data = self._net_and_data()
-        net.eval()
-        logits, _ = net.forward(normalize_batch(data.images))
+        logits, _ = net.forward(normalize_batch(data.images), training=False)
         assert logits.node is not None
         expected = float((np.argmax(logits.data, axis=1) == data.labels).mean())
 

@@ -96,8 +96,7 @@ class TestSourcePrototypes:
         later = np.random.default_rng(0).choice(len(d1), size=64, replace=False)
         cached = source(later)  # some rows forwarded above, the others now
         assert 0 < np.isin(later, first).sum() < later.size
-        net.eval()
-        _, taps = net.forward(normalize_batch(d1.images[later]))
+        _, taps = net.forward(normalize_batch(d1.images[later]), training=False)
         for name, tap in taps:
             if name in SYNTH_TAPS:
                 np.testing.assert_allclose(cached[name].data,
@@ -114,9 +113,8 @@ class TestSourcePrototypes:
         new = int((~np.isin(later, first)).sum())
         # a one-image block takes other BLAS kernels, which sum in another order
         assert 1 < new % metrics.EVAL_BLOCK and new < later.size
-        net.eval()
         with tensor.no_grad():
-            _, taps = net.forward(normalize_batch(d1.images[later]))
+            _, taps = net.forward(normalize_batch(d1.images[later]), training=False)
         for name in SYNTH_TAPS:
             want = dict(taps)[name].data.reshape(later.size, -1)
             np.testing.assert_array_equal(cached[name].data.view(np.uint32),
@@ -134,9 +132,8 @@ class TestSourcePrototypes:
         for start, stop in ((0, 1), (1, 34), (34, 99)):  # 1, 33 and 65 misses
             source(idx[start:stop])
         cached = source(idx)
-        net.eval()
         with tensor.no_grad():
-            _, taps = net.forward(normalize_batch(d1.images[idx]))
+            _, taps = net.forward(normalize_batch(d1.images[idx]), training=False)
         for name in ("pool4_flat", "fc1"):
             want = dict(taps)[name].data.reshape(idx.size, -1)
             np.testing.assert_array_equal(cached[name].data.view(np.uint32),
@@ -387,7 +384,8 @@ class TestAdversarialStep:
         # running the whole net instead changes no loss and no weight
         forward = EmbeddingNetwork.forward
         monkeypatch.setattr(EmbeddingNetwork, "forward",
-                            lambda self, x, until=None: forward(self, x))
+                            lambda self, x, until=None, training=True:
+                            forward(self, x, training=training))
         b, rb = run()
         assert ra.rows == rb.rows
         for name, p in a.params.items():
@@ -573,7 +571,6 @@ class TestAdversarialStep:
         # replay on a fresh clone: one momentum update from x_unl, then one from x_d2
         def replay(*batches):
             fresh = clone_into_target(net, head_classes=2, head_seed=3, reinit_head=True)
-            fresh.train()
             for x in batches:
                 fresh.forward(x)
             return fresh.running_stats
@@ -614,6 +611,57 @@ class TestAdversarialStep:
         monkeypatch.setattr(losses, "supervised_ce", lambda logits, labels: Tensor(np.inf))
         with pytest.raises(TrainDivergence, match="'sup' became non-finite at step 1"):
             run_baseline("fine_tune", d2, quick_config(steps=2), source_net=net, reinit_head=True)
+
+
+class TestDiscriminatorTaps:
+    SPEC = synth_embedding_spec(n_classes=3)  # taps flat, fc1, fc2
+
+    @pytest.mark.parametrize("taps, error", [
+        (("fc1", "fc1"), r"\['fc1', 'fc1'\] must name each tap once, shallow to deep: "
+                         r"\['fc1'\]"),
+        (("flat", "fc1", "flat"), r"each tap once, shallow to deep: \['flat', 'fc1'\]"),
+        (("fc1", "flat"), r"each tap once, shallow to deep: \['flat', 'fc1'\]"),
+        (("fc2", "flat", "fc1"), r"each tap once, shallow to deep: \['flat', 'fc1', 'fc2'\]"),
+    ])
+    def test_a_repeated_or_deep_to_shallow_tap_rejected(self, taps, error):
+        # the discriminator fuses its taps shallow to deep, one stage each
+        with pytest.raises(ValueError, match=error):
+            trainer.discriminator_taps(self.SPEC, quick_config(disc_taps=taps))
+        with pytest.raises(ValueError, match=error):
+            trainer.discriminator_taps(self.SPEC, quick_config(disc_taps=taps), 3, True,
+                                       embed=True)
+
+    @pytest.mark.parametrize("taps", [("flat",), ("flat", "fc2"), ("flat", "fc1", "fc2")])
+    def test_distinct_shallow_to_deep_taps_pass(self, taps):
+        assert trainer.discriminator_taps(self.SPEC, quick_config(disc_taps=taps)) == taps
+
+
+class TestSourceNetUnchanged:
+    """A run trains a clone of the caller's source net and only reads the
+    net itself, which keeps its bytes and can still be trained."""
+
+    RUNS = {
+        "fine_tune": lambda net, d1, d2, d3, cfg: run_baseline(
+            "fine_tune", d2, cfg, source_net=net, reinit_head=True),
+        "adapt_joint": lambda net, d1, d2, d3, cfg: adapt_joint(
+            net, d1, d2, d3, cfg, reinit_head=True),
+        "adapt_unsupervised": lambda net, d1, d2, d3, cfg: adapt_unsupervised(
+            net, d1, _shifted_unlabeled(), cfg),
+    }
+
+    @pytest.mark.parametrize("procedure", list(RUNS))
+    def test_the_source_net_keeps_its_bytes_and_still_trains(self, target_splits, procedure):
+        d2, d3, _ = target_splits
+        d1 = synth_digits(20, range(3), seed=0)
+        net = EmbeddingNetwork(synth_embedding_spec(n_classes=3), seed=0)
+        before = {key: a.tobytes() for key, a in net.state_dict().items()}
+        self.RUNS[procedure](net, d1, d2, d3, quick_config(steps=2))
+        assert all(p.requires_grad for p in net.parameters())
+        assert {key: a.tobytes() for key, a in net.state_dict().items()} == before
+        conv1 = net.params["conv1.w"].data.copy()
+        trainer._supervised_step(net, Adam(net.parameters(), lr=1e-3),
+                                 normalize_batch(d1.images[:8]), d1.labels[:8], 1)
+        assert (net.params["conv1.w"].data != conv1).any()
 
 
 class TestStepLoopSeam:
