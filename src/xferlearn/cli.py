@@ -22,8 +22,7 @@ from . import losses, trainer
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import Config, ConfigError, dump_config, load_config
 from .gradcheck import TOLERANCE, run_suite
-from .layers import (EmbeddingNetwork, ablation_embedding_spec,
-                     digit_embedding_spec, synth_embedding_spec)
+from .layers import PRESETS, EmbeddingNetwork
 from .metrics import Aggregate, aggregate, evaluate
 
 CSV_FIELDS = ["step", *losses.TERMS, "eval_acc"]
@@ -38,13 +37,7 @@ class UsageError(ValueError):
 
 
 def _net_spec(cfg: Config, n_classes: int):
-    spec = {"digits": digit_embedding_spec, "ablation": ablation_embedding_spec,
-            "synth": synth_embedding_spec}[cfg.experiment]
-    return spec(n_classes=n_classes)
-
-
-def _image_size(cfg: Config) -> int:
-    return {"digits": 32, "ablation": 28, "synth": 16}[cfg.experiment]
+    return PRESETS[cfg.experiment](n_classes=n_classes)
 
 
 def _require(path: str, what: str) -> str:
@@ -67,20 +60,21 @@ def _load_data(cfg: Config, role: str) -> D.LabeledDataset:
     like the head's outputs."""
     n, offset, shift, filter_key = _ROLES[role]
     classes = getattr(cfg, filter_key)
+    size = _net_spec(cfg, 2).input_shape[-1]
     if cfg.experiment == "synth":
-        ds = D.synth_digits(n, classes or (0, 1, 2, 3, 4), image_size=16,
+        ds = D.synth_digits(n, classes or (0, 1, 2, 3, 4), image_size=size,
                             seed=cfg.seed + offset, domain_shift=shift)
         return D.filter_classes(ds, classes) if classes else ds
     ds = D.load_idx(_require(getattr(cfg, f"{role}_images"), f"{role} images"),
                     _require(getattr(cfg, f"{role}_labels"), f"{role} labels"), name=role)
     if classes:
         ds = D.filter_classes(ds, classes)
-    ds = replace(ds, images=D.resize_bilinear(ds.images, _image_size(cfg)))
+    # the draw reads only len(ds) and the resize is per image: resize only those kept
     if role == "source" and cfg.source_subsample and len(ds) > cfg.source_subsample:
         rng = np.random.default_rng((cfg.seed, 41))
         idx = np.sort(rng.choice(len(ds), size=cfg.source_subsample, replace=False))
         ds = replace(ds, images=ds.images[idx], labels=ds.labels[idx])
-    return ds
+    return replace(ds, images=D.resize_bilinear(ds.images, size))
 
 
 def _in_source_order(ds: D.LabeledDataset, cfg: Config) -> D.LabeledDataset:
@@ -106,7 +100,7 @@ def _write_csv(path: Path, fields, rows) -> None:
 def _prepare_outdir(cfg: Config) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(dump_config(cfg))
+    (out / "config.txt").write_text(dump_config(cfg), encoding="utf-8")
     (out / "seeds.txt").write_text("\n".join(str(s) for s in cfg.seeds) + "\n")
     return out
 
@@ -164,10 +158,9 @@ def cmd_transfer(cfg: Config) -> int:
     n_target = len(set(pool.classes))
     disjoint = (tuple(cfg.source_classes) != tuple(cfg.target_classes)
                 or cfg.experiment == "digits")
-    # what would stop a later run stops the command before any output
+    # what would stop a later run, of any method, stops the command before any output
+    _check_taps(cfg, n_source, head_classes=n_target, reinit_head=disjoint, embed=True)
     adapts = bool({"full", "adv_only"} & set(cfg.methods))
-    if adapts:
-        _check_taps(cfg, n_source, head_classes=n_target, reinit_head=disjoint, embed=True)
     for k in cfg.k_values:
         try:
             D.check_split(pool, k)

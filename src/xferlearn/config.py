@@ -6,9 +6,11 @@ run's output directory so every run can be reproduced from its artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+import re
+from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 
+from .layers import PRESETS
 from .trainer import TrainConfig
 
 
@@ -16,13 +18,12 @@ class ConfigError(ValueError):
     pass
 
 
-EXPERIMENTS = ("digits", "ablation", "synth")
 METHODS = ("target_only", "fine_tune", "full", "adv_only")
 
 
 @dataclass
 class Config(TrainConfig):
-    experiment: str = "digits"  # digits | ablation | synth
+    experiment: str = "digits"  # a key of layers.PRESETS
     output_dir: str = "runs/default"
     source_images: str = ""
     source_labels: str = ""
@@ -31,17 +32,17 @@ class Config(TrainConfig):
     test_images: str = ""
     test_labels: str = ""
     checkpoint: str = ""
-    seeds: tuple = (0, 1, 2)
-    k_values: tuple = (2, 5)
-    methods: tuple = ("target_only", "fine_tune", "full")
-    source_classes: tuple = ()
-    target_classes: tuple = ()
+    seeds: tuple[int, ...] = (0, 1, 2)
+    k_values: tuple[int, ...] = (2, 5)
+    methods: tuple[str, ...] = ("target_only", "fine_tune", "full")
+    source_classes: tuple[int, ...] = ()
+    target_classes: tuple[int, ...] = ()
     source_subsample: int = 0  # cap on source training images, 0 = all
 
     def __post_init__(self):
         super().__post_init__()
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {', '.join(EXPERIMENTS)}, "
+        if self.experiment not in PRESETS:
+            raise ValueError(f"experiment must be one of {', '.join(PRESETS)}, "
                              f"got {self.experiment!r}")
         if not self.methods:
             raise ValueError("methods must name at least one method")
@@ -64,36 +65,36 @@ class Config(TrainConfig):
             raise ValueError(f"k_values must all be >= 1, got {self.k_values}")
 
 
-_TUPLE_INT = {"seeds", "k_values", "source_classes", "target_classes", "disc_taps",
-              "head_widths", "methods"}
-
-
-def _parse_value(name: str, raw: str, target_type):
+def _parse_value(name: str, raw: str, kind: str):
+    """``raw`` read as the type its field is annotated with, ``kind``."""
     raw = raw.strip()
-    if name in _TUPLE_INT:
-        if not raw:
-            return ()
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if name in ("methods", "disc_taps"):
-            return tuple(parts)
+    # dump_config's one key=value line must read back: no comment, no line
+    # break, and no surrogate, which UTF-8 cannot encode
+    if "#" in raw or len(raw.splitlines()) > 1 or re.search("[\ud800-\udfff]", raw):
+        raise ConfigError(f"{name}: a value cannot hold '#', a line break or a "
+                          f"character outside UTF-8, got {raw!r}")
+    if kind.startswith("tuple["):
+        parts = tuple(p.strip() for p in raw.split(",") if p.strip())
+        if kind == "tuple[str, ...]":
+            return parts
         try:
             return tuple(int(p) for p in parts)
         except ValueError as e:
             raise ConfigError(f"{name}: expected comma-separated integers, got {raw!r}") from e
-    if target_type is bool or isinstance(target_type, bool):
+    if kind == "bool":
         if raw.lower() in ("1", "true", "yes"):
             return True
         if raw.lower() in ("0", "false", "no"):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if target_type is int:
+    if kind == "int":
         try:
             return int(raw)
         except ValueError as e:
             raise ConfigError(f"{name}: expected an integer, got {raw!r}") from e
-    if target_type is float:
-        if not raw:
-            return None  # optional numeric fields dump as empty
+    if kind in ("float", "float | None"):
+        if not raw and kind == "float | None":
+            return None  # dump_config writes None as empty
         try:
             return float(raw)
         except ValueError as e:
@@ -101,36 +102,20 @@ def _parse_value(name: str, raw: str, target_type):
     return raw
 
 
-def _field_types():
-    out = {}
-    for f in fields(Config):
-        if f.name in _TUPLE_INT:
-            out[f.name] = tuple
-        elif f.type in ("int", int):
-            out[f.name] = int
-        elif f.type in ("float", float, "float | None"):
-            out[f.name] = float
-        elif f.type in ("bool", bool):
-            out[f.name] = bool
-        else:
-            out[f.name] = str
-    return out
-
-
 def load_config(path=None, overrides=None) -> Config:
     """Build a Config from an optional file plus --key value overrides."""
-    types = _field_types()
+    kinds = {f.name: f.type for f in fields(Config)}
     values = {}
 
     def ingest(key, raw, where):
-        if key not in types:
+        if key not in kinds:
             raise ConfigError(f"{where}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw, types[key])
+        values[key] = _parse_value(key, raw, kinds[key])
 
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as e:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file {path}: {e}") from e
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()

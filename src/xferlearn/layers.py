@@ -312,3 +312,9 @@ def synth_embedding_spec(n_classes: int, image_size: int = 16,
     layers = [*conv_block(1, 16, 3, 1), *conv_block(2, 16, 3, 1),
               *classifier_head("flat", 32, n_classes)]
     return NetworkSpec(input_shape=(1, image_size, image_size), layers=layers, taps=list(taps))
+
+
+# experiment name -> its net's preset; the preset's input_shape is the
+# experiment's image size
+PRESETS = {"digits": digit_embedding_spec, "ablation": ablation_embedding_spec,
+           "synth": synth_embedding_spec}

@@ -49,8 +49,8 @@ class TrainConfig:
     eval_every: int = 200
     seed: int = 0
     embed_layer: str = "fc1"
-    disc_taps: tuple = ()  # names of encoder taps fed to the discriminator
-    head_widths: tuple = (500, 500, 500)
+    disc_taps: tuple[str, ...] = ()  # names of encoder taps fed to the discriminator
+    head_widths: tuple[int, ...] = (500, 500, 500)
     stop_grad_prototypes: bool = False
     deterministic: bool = True  # read by nothing: runs are bit-identical either way
     grad_clip: float | None = None

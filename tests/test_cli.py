@@ -2,10 +2,13 @@
 
 import csv
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xferlearn.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint)
 from xferlearn import cli
@@ -72,6 +75,8 @@ class TestConfig:
         ("fusion", "max"), ("methods", "full,bogus"), ("source_subsample", "-1"),
         ("methods", ""), ("k_values", ""), ("seeds", "1,1"), ("k_values", "2,5,2"),
         ("methods", "full,full"),
+        # each raised "'<=' not supported between instances of 'int' and 'NoneType'"
+        ("alpha", ""), ("lr", ""),
     ])
     def test_out_of_range_value_rejected(self, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -92,6 +97,23 @@ class TestConfig:
         p.write_text(dump_config(cfg))
         back = load_config(p)
         assert back == cfg
+
+    @settings(max_examples=500, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from([f.name for f in fields(Config)]),
+           raw=st.one_of(st.text(st.characters(exclude_categories=())),
+                         st.text("0123456789-.,e #=\t\n\x0b\x85\udcffabfl"),
+                         st.floats().map(repr),
+                         st.lists(st.integers(-1, 600)).map(lambda v: ",".join(map(str, v)))))
+    def test_a_loaded_config_reads_back_from_its_dump(self, tmp_path, key, raw):
+        # 'runs/#3' once read back as 'runs/', and '\udcff' could not be written
+        try:
+            cfg = load_config(None, {key: raw})
+        except ConfigError:
+            return
+        p = tmp_path / "config.txt"
+        p.write_text(dump_config(cfg), encoding="utf-8")
+        assert load_config(p) == cfg
 
 
 class TestCheckpoint:
@@ -234,7 +256,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["pretrain", "eval"])
     def test_unknown_experiment_is_usage_error(self, tmp_path, capsys, command):
-        # a KeyError traceback from the image size once the IDX files were read
+        # Config rejects it before any data are read; it was once a KeyError
+        # traceback from the image size after the IDX files were read
         ds = synth_digits(2, (0, 1), image_size=8, seed=0)
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
         write_idx(images, ds.images, labels, ds.labels)
@@ -470,8 +493,13 @@ class TestCli:
          "['fc1', 'fc1'] must name each tap once, shallow to deep: ['fc1']"),
         ("transfer", ["--methods", "full", "--disc_taps", "fc1,flat"],
          "['fc1', 'flat'] must name each tap once, shallow to deep: ['flat', 'fc1']"),
+        # each exited 0 and wrote taps into config.txt that no adaptation accepts
+        ("transfer", ["--methods", "fine_tune", "--disc_taps", "fc1,fc1"],
+         "['fc1', 'fc1'] must name each tap once"),
+        ("transfer", ["--methods", "target_only", "--embed_layer", "nope"], "'nope'"),
     ], ids=["disc_taps", "embed_layer", "resized_head_tap", "k_values", "uda_disc_taps",
-            "repeated_disc_tap", "disc_taps_deep_to_shallow"])
+            "repeated_disc_tap", "disc_taps_deep_to_shallow", "fine_tune_taps",
+            "target_only_embed_layer"])
     def test_config_that_cannot_fit_the_net_or_data_is_usage_error(
             self, tmp_path, capsys, two_step_source, command, flags, named):
         out = tmp_path / command
@@ -524,6 +552,44 @@ class TestCli:
                      "--batch_source", "1", "--eval_every", "0",
                      "--output_dir", str(out)]) == 0
         assert (out / "source.ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["runs/#3", "out\x0bdir", "out\udcff"],
+                             ids=["comment", "line_break", "not_utf8"])
+    def test_a_value_that_cannot_read_back_is_usage_error(self, tmp_path, capsys, value):
+        # the first exited 0 with a config.txt that reads back as 'runs/', the
+        # second with one whose reload fails, the third exited 1 after mkdir
+        out = tmp_path / value
+        code = main(["pretrain", *SYNTH_ARGS, "--output_dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "output_dir" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists() and not (tmp_path / "runs").exists()
+
+    def test_a_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        # exited 1
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"output_dir=out\xff\n")
+        assert main(["pretrain", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and "Traceback" not in err
+
+    def test_only_the_kept_source_images_are_resized(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(images, rng.integers(0, 256, (120, 1, 9, 9), dtype=np.uint8),
+                  labels, np.arange(120) % 3)
+        cfg = load_config(None, {"experiment": "ablation", "source_images": str(images),
+                                 "source_labels": str(labels), "seed": "4"})
+        every = cli._load_data(cfg, "source")
+        resized = []
+        resize = cli.D.resize_bilinear
+        monkeypatch.setattr(cli.D, "resize_bilinear",
+                            lambda x, size: resized.append(len(x)) or resize(x, size))
+        kept = cli._load_data(replace(cfg, source_subsample=50), "source")
+        assert resized == [50]
+        idx = np.sort(np.random.default_rng((4, 41)).choice(120, size=50, replace=False))
+        np.testing.assert_array_equal(kept.images, every.images[idx])
+        np.testing.assert_array_equal(kept.labels, every.labels[idx])
 
     def test_gradcheck_clean_passes(self, capsys):
         assert main(["gradcheck", "--instances", "2", "--seed", "0"]) == 0
