@@ -4,11 +4,13 @@
     python3 scripts/bytecheck.py --against HEAD~1
     python3 scripts/bytecheck.py --against main --seeds 0-3 --steps 2 --workloads joint_k5
 
-It extracts REV's src, scripts and perfbench with ``git archive`` into a
-temporary directory, runs scripts/fingerprint.py with the same arguments in
-that tree and in this one (each with its own src first on PYTHONPATH),
-prints the lines that differ, and removes the directory.  This tree's
-files are used as they are on disk, uncommitted changes included.
+It extracts REV's src with ``git archive`` into a temporary directory,
+runs this tree's scripts/fingerprint.py with the same arguments on REV's
+src and on this tree's (each first on PYTHONPATH), prints the lines that
+differ, and removes the directory.  Both sides run this tree's
+fingerprint.py, so a workload added to it after REV (``cli``, for one)
+can still be compared with REV.  This tree's files are used as they are
+on disk, uncommitted changes included.
 
 Exit status: 0 when the two fingerprints are identical, 1 when they differ
 or a fingerprint run fails, 2 when REV is not a revision of this checkout.
@@ -23,14 +25,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TREES = ("src", "scripts", "perfbench")
 
 
 def fingerprint(root: Path, args: list) -> subprocess.CompletedProcess:
+    """This tree's fingerprint.py run on the src of the tree at ``root``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(root / "scripts" / "fingerprint.py"), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "fingerprint.py"), *args],
                           cwd=root, env=env, capture_output=True, text=True)
 
 
@@ -58,7 +60,7 @@ def main(argv=None) -> int:
         print(f"error: {args.against!r} is not a revision of this checkout", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", rev, *TREES], cwd=ROOT,
+        archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
                                  capture_output=True)
         if archive.returncode:
             print(f"error: cannot extract {args.against!r}: "

@@ -11,8 +11,12 @@ evaluation accuracy.  finetune_k5 and joint_k5 are the
 benchmark's workloads; pretrain (pretrain_source on the source classes,
 evaluating every 2 steps) and uda (adapt_unsupervised on the source
 classes in the shifted domain, taps pool4_flat, fc1 and fc2) cover the
-other two procedures.  Two source trees compute the same
-bits exactly when their outputs are equal:
+other two procedures.  The ``cli`` workload, not run by default, drives
+the CLI instead: per seed, in a temporary working directory and with
+relative output dirs, a synth ``pretrain``, then ``transfer`` with all four
+methods at k 2, then ``uda``, each for ``--steps`` steps; it prints the
+SHA-256 of every file they write and of their stdout.  Two source trees
+compute the same bits exactly when their outputs are equal:
 
     PYTHONPATH=old/src python3 scripts/fingerprint.py --seeds 0-3 > old.txt
     PYTHONPATH=new/src python3 scripts/fingerprint.py --seeds 0-3 > new.txt
@@ -29,10 +33,15 @@ away from the exact values or only reorders their rounding.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import sys
+import tempfile
+from pathlib import Path
 
-from xferlearn import data, layers, losses, metrics, tensor, trainer
+from xferlearn import cli, data, layers, losses, metrics, tensor, trainer
 
 # after xferlearn: importing refcheck puts this tree's src/ first on sys.path
 from refcheck import seed_list  # noqa: E402
@@ -99,6 +108,33 @@ def run(workload: str, seed: int, steps: int):
     return net, record, test
 
 
+def cli_grid(seed: int, steps: int) -> list:
+    """(name, SHA-256) of each file that the ``cli`` workload writes, and of its stdout."""
+    common = ["--experiment", "synth", "--seed", str(seed), "--seeds", str(seed),
+              "--source_classes", "0,1,2", "--head_widths", "64,64",
+              "--pretrain_steps", str(steps), "--steps", str(steps)]
+    source = ["--checkpoint", "pretrain/source.ckpt"]
+    commands = [["pretrain", *common, "--output_dir", "pretrain"],
+                ["transfer", *common, *source, "--output_dir", "transfer", "--target_classes",
+                 "3,4", "--k_values", "2", "--methods", "target_only,fine_tune,full,adv_only"],
+                ["uda", *common, *source, "--output_dir", "uda", "--target_classes", "0,1,2"]]
+    stdout, cwd = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout):
+                for argv in commands:
+                    if cli.main(argv):
+                        raise RuntimeError(f"xferlearn {' '.join(argv)} failed")
+        finally:
+            os.chdir(cwd)
+        files = sorted(path for path in Path(tmp).rglob("*") if path.is_file())
+        digests = [(path.relative_to(tmp).as_posix(), hashlib.sha256(path.read_bytes()))
+                   for path in files]
+    digests.append(("stdout", hashlib.sha256(stdout.getvalue().encode())))
+    return [(name, digest.hexdigest()) for name, digest in digests]
+
+
 def deviation(got: float, exact: float) -> float:
     return abs(got - exact) / abs(exact) if exact else abs(got - exact)
 
@@ -108,12 +144,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seed_list, nargs="+", default=[[0]],
                         help="seeds A and ranges A-B, comma- or space-separated, e.g. 0-7,41")
     parser.add_argument("--steps", type=int, default=5)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--workloads", nargs="+", choices=(*WORKLOADS, "cli"),
+                        default=list(WORKLOADS))
     parser.add_argument("--shadow", action="store_true",
-                        help="also print each loss term's deviation from a float64 rerun")
+                        help="also print each loss term's deviation from a float64 rerun "
+                             "(not for the cli workload)")
     args = parser.parse_args(argv)
     for workload in args.workloads:
         for seed in (seed for part in args.seeds for seed in part):
+            if workload == "cli":
+                for name, digest in cli_grid(seed, args.steps):
+                    print(f"cli seed={seed} {name} sha256={digest}")
+                continue
             net, record, test = run(workload, seed, args.steps)
             tag = f"{workload} seed={seed}"
             for row in record.rows:

@@ -148,8 +148,8 @@ def _check_taps(cfg: Config, n_source: int, **kwargs) -> None:
 
 
 def cmd_transfer(cfg: Config) -> int:
-    # target_only trains from scratch; every other method adapts the source net
-    uses_source = bool({"fine_tune", "full", "adv_only"} & set(cfg.methods))
+    # a baseline may train from scratch; every adaptation starts from the source net
+    uses_source = any(trainer.BASELINES.get(m, True) for m in cfg.methods)
     ckpt_path = _require(cfg.checkpoint, "source checkpoint") if uses_source else None
     d1 = _load_data(cfg, "source")
     pool = _load_data(cfg, "target")
@@ -160,7 +160,7 @@ def cmd_transfer(cfg: Config) -> int:
                 or cfg.experiment == "digits")
     # what would stop a later run, of any method, stops the command before any output
     _check_taps(cfg, n_source, head_classes=n_target, reinit_head=disjoint, embed=True)
-    adapts = bool({"full", "adv_only"} & set(cfg.methods))
+    adapts = any(m in trainer.ADAPTATIONS for m in cfg.methods)
     for k in cfg.k_values:
         try:
             D.check_split(pool, k)
@@ -173,6 +173,7 @@ def cmd_transfer(cfg: Config) -> int:
                          f"batch_unlabeled on a D3 of {len(pool) - k * n_target} at k {k}")
     # read and checked once; a run only reads and clones it, so every run shares it
     source_net = _load_net(ckpt_path, cfg, n_source) if uses_source else None
+    target_spec = _net_spec(cfg, n_target)
     out = _prepare_outdir(cfg)
     per_run = []
     for method in cfg.methods:
@@ -180,17 +181,13 @@ def cmd_transfer(cfg: Config) -> int:
             for seed in cfg.seeds:
                 run_cfg = replace(cfg, seed=seed)
                 d2, d3 = D.make_splits(pool, k, seed)
-                if method == "target_only":
-                    net, record = trainer.run_baseline(
-                        "target_only", d2, run_cfg, net_spec=_net_spec(cfg, n_target))
-                elif method == "fine_tune":
-                    net, record = trainer.run_baseline(
-                        "fine_tune", d2, run_cfg,
-                        source_net=source_net, reinit_head=disjoint)
-                else:  # full or adv_only
-                    mcfg = replace(run_cfg, beta=0.0) if method == "adv_only" else run_cfg
-                    net, record = trainer.adapt_joint(source_net, d1, d2, d3, mcfg,
-                                                      reinit_head=disjoint)
+                if method in trainer.ADAPTATIONS:
+                    net, record = trainer.adapt_joint(
+                        source_net, d1, d2, d3, replace(run_cfg, **trainer.ADAPTATIONS[method]),
+                        reinit_head=disjoint)
+                else:  # a baseline reads only what its kind needs
+                    net, record = trainer.run_baseline(method, d2, run_cfg, source_net=source_net,
+                                                       net_spec=target_spec, reinit_head=disjoint)
                 acc = evaluate(net, test).accuracy
                 tag = f"{method}_k{k}_seed{seed}"
                 _write_csv(out / f"metrics_{tag}.csv", CSV_FIELDS, record.rows)

@@ -11,14 +11,11 @@ from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 
 from .layers import PRESETS
-from .trainer import TrainConfig
+from .trainer import METHODS, TrainConfig
 
 
 class ConfigError(ValueError):
     pass
-
-
-METHODS = ("target_only", "fine_tune", "full", "adv_only")
 
 
 @dataclass
@@ -34,7 +31,7 @@ class Config(TrainConfig):
     checkpoint: str = ""
     seeds: tuple[int, ...] = (0, 1, 2)
     k_values: tuple[int, ...] = (2, 5)
-    methods: tuple[str, ...] = ("target_only", "fine_tune", "full")
+    methods: tuple[str, ...] = ("target_only", "fine_tune", "full")  # among trainer.METHODS
     source_classes: tuple[int, ...] = ()
     target_classes: tuple[int, ...] = ()
     source_subsample: int = 0  # cap on source training images, 0 = all
@@ -44,6 +41,8 @@ class Config(TrainConfig):
         if self.experiment not in PRESETS:
             raise ValueError(f"experiment must be one of {', '.join(PRESETS)}, "
                              f"got {self.experiment!r}")
+        if not self.output_dir:
+            raise ValueError("output_dir must name a directory, got an empty path")
         if not self.methods:
             raise ValueError("methods must name at least one method")
         unknown = [m for m in self.methods if m not in METHODS]

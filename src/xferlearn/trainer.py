@@ -336,6 +336,15 @@ def adapt_joint(source_net: EmbeddingNetwork, d1: LabeledDataset, d2: LabeledDat
                               target_net.forward, encoder_objective)
 
 
+# The transfer methods, in the order the CLI lists them.  Each baseline is a
+# kind of run_baseline, trained on D2 alone, from scratch or from the source
+# net; each adaptation runs adapt_joint, which also reads D3 and trains a
+# discriminator, with the TrainConfig fields that it fixes.
+BASELINES = {"target_only": False, "fine_tune": True}  # kind -> starts from the source net
+ADAPTATIONS = {"full": {}, "adv_only": {"beta": 0.0}}
+METHODS = (*BASELINES, *ADAPTATIONS)
+
+
 def run_baseline(kind: str, d2: LabeledDataset, config: TrainConfig,
                  source_net: EmbeddingNetwork | None = None,
                  net_spec: NetworkSpec | None = None, reinit_head: bool = False):

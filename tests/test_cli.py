@@ -19,6 +19,14 @@ from xferlearn.metrics import evaluate
 from xferlearn.layers import EmbeddingNetwork, synth_embedding_spec
 
 
+# any config key, and values of every kind that a key may be given
+CONFIG_KEYS = st.sampled_from([f.name for f in fields(Config)])
+RAW_VALUES = st.one_of(st.text(st.characters(exclude_categories=())),
+                       st.text("0123456789-.,e #=\t\n\x0b\x85\udcffabfl"),
+                       st.floats().map(repr),
+                       st.lists(st.integers(-1, 600)).map(lambda v: ",".join(map(str, v))))
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = load_config()
@@ -100,11 +108,7 @@ class TestConfig:
 
     @settings(max_examples=500, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(key=st.sampled_from([f.name for f in fields(Config)]),
-           raw=st.one_of(st.text(st.characters(exclude_categories=())),
-                         st.text("0123456789-.,e #=\t\n\x0b\x85\udcffabfl"),
-                         st.floats().map(repr),
-                         st.lists(st.integers(-1, 600)).map(lambda v: ",".join(map(str, v)))))
+    @given(key=CONFIG_KEYS, raw=RAW_VALUES)
     def test_a_loaded_config_reads_back_from_its_dump(self, tmp_path, key, raw):
         # 'runs/#3' once read back as 'runs/', and '\udcff' could not be written
         try:
@@ -564,6 +568,55 @@ class TestCli:
         assert code == 2
         assert "output_dir" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists() and not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "transfer", "uda"])
+    def test_an_empty_output_dir_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                two_step_source, command):
+        # pretrain exited 0 and wrote its four files into the working directory
+        monkeypatch.chdir(tmp_path)
+        code = main([command, *SYNTH_ARGS, "--pretrain_steps", "2", "--steps", "2",
+                     "--seeds", "0", "--k_values", "2", "--checkpoint", str(two_step_source),
+                     "--output_dir", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "output_dir" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_adv_only_is_full_at_beta_zero(self, tmp_path, two_step_source):
+        # trainer.ADAPTATIONS fixes adv_only's beta; every other byte is full's
+        run = ["transfer", *SYNTH_ARGS, "--checkpoint", str(two_step_source), "--steps", "3",
+               "--seeds", "1", "--k_values", "2"]
+        assert main([*run, "--output_dir", str(tmp_path / "adv"), "--methods", "adv_only"]) == 0
+        assert main([*run, "--output_dir", str(tmp_path / "full"), "--methods", "full",
+                     "--beta", "0"]) == 0
+        adv, full = tmp_path / "adv", tmp_path / "full"
+        assert ((adv / "metrics_adv_only_k2_seed1.csv").read_bytes()
+                == (full / "metrics_full_k2_seed1.csv").read_bytes())
+        adv_ckpt = load_checkpoint(adv / "adv_only_k2_seed1.ckpt")
+        full_ckpt = load_checkpoint(full / "full_k2_seed1.ckpt")
+        assert set(adv_ckpt.tensors) == set(full_ckpt.tensors)
+        for name, tensor in adv_ckpt.tensors.items():
+            np.testing.assert_array_equal(tensor, full_ckpt.tensors[name])
+        # each snapshot holds its own command's config: beta and methods differ by design
+        assert "beta=0.1" in adv_ckpt.config_text and "beta=0.0" in full_ckpt.config_text
+        differ = set(adv_ckpt.config_text.splitlines()) ^ set(full_ckpt.config_text.splitlines())
+        assert {line.split("=")[0] for line in differ} == {"beta", "methods", "output_dir"}
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=CONFIG_KEYS, raw=RAW_VALUES,
+           text=st.one_of(st.text(),
+                          st.lists(st.tuples(CONFIG_KEYS, RAW_VALUES)).map(
+                              lambda pairs: "\n".join(f"{k}={v}" for k, v in pairs))))
+    def test_eval_fails_cleanly_on_any_value_or_config_file(self, tmp_path, monkeypatch, capsys,
+                                                            key, raw, text):
+        # eval writes no files, so any value and any config file may reach it
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "fuzz.cfg"
+        config.write_text(text, encoding="utf-8", errors="surrogatepass")
+        for argv in (["eval", f"--{key}", raw.replace("/", "")], ["eval", "--config", str(config)]):
+            assert main(argv) in (1, 2)
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_a_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         # exited 1

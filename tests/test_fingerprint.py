@@ -52,3 +52,18 @@ def test_seeds_take_refcheck_ranges_and_space_separated_lists():
     assert [line.split()[1] for line in ranged.splitlines()][::4] == [
         "seed=0", "seed=1", "seed=3"]
     assert _fingerprint("--seeds", "0", "1", "3", *args) == ranged
+
+
+def test_the_cli_workload_hashes_every_file_of_a_synth_grid():
+    lines = _fingerprint("--workloads", "cli", "--seeds", "2", "--steps", "1").splitlines()
+    names = [line.split()[2] for line in lines]
+    assert all(line.startswith("cli seed=2 ") and len(line.split("sha256=")[1]) == 64
+               for line in lines)
+    runs = [f"{m}_k2_seed2" for m in ("target_only", "fine_tune", "full", "adv_only")]
+    assert set(names) == {
+        "stdout", "pretrain/config.txt", "pretrain/seeds.txt", "pretrain/pretrain_metrics.csv",
+        "pretrain/source.ckpt", "transfer/config.txt", "transfer/seeds.txt",
+        "transfer/runs.csv", "transfer/aggregate.csv", "uda/config.txt", "uda/seeds.txt",
+        "uda/uda.csv", "uda/uda_metrics_seed2.csv", "uda/uda_seed2.ckpt",
+        *(f"transfer/{run}.ckpt" for run in runs), *(f"transfer/metrics_{run}.csv" for run in runs)}
+    assert len(names) == len(set(names))
