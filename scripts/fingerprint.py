@@ -15,15 +15,18 @@ other two procedures.  The ``cli`` workload, not run by default, drives
 the CLI instead: per seed, in a temporary working directory and with
 relative output dirs, a synth ``pretrain``, then ``transfer`` with all four
 methods at k 2, then ``uda``, each for ``--steps`` steps; it prints the
-SHA-256 of every file they write and of their stdout.  Two source trees
-compute the same bits exactly when their outputs are equal:
+SHA-256 of every file they write and of their stdout.  It fingerprints
+the xferlearn that PYTHONPATH finds, and adds nothing to sys.path.
 
-    PYTHONPATH=old/src python3 scripts/fingerprint.py --seeds 0-3 > old.txt
-    PYTHONPATH=new/src python3 scripts/fingerprint.py --seeds 0-3 > new.txt
-    diff old.txt new.txt
-
-``--seeds`` takes seeds and ranges as scripts/refcheck.py does (``0-7,41``),
-and also space-separated (``0 1 2 3``).
+Two source trees compute the same bits exactly when their fingerprints are
+equal.  ``python3 scripts/fingerprint.py --against HEAD~1 --seeds 0-7``
+compares them: it reruns this script with its other arguments on REV's
+src/, extracted with ``git archive``, and on this tree's as it is on disk
+(each first on PYTHONPATH), prints the unified diff and ``N fingerprint
+lines, identical`` (or ``DIFFERENT``), and exits 0 when they are identical,
+1 when they differ or a side fails, 2 when REV is not a revision or git
+cannot run.  Both sides run this tree's script, so a workload added after
+REV (``cli``, for one) can still be compared.
 
 With ``--shadow`` each run is repeated under ``tensor.use_float64()``, and
 one more line per step gives each loss term's relative deviation from its
@@ -34,18 +37,23 @@ away from the exact values or only reorders their rounding.
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
-from xferlearn import cli, data, layers, losses, metrics, tensor, trainer
+NO_XFERLEARN = None  # --against needs no xferlearn: it puts a src/ on each side's path
+try:
+    from xferlearn import cli, data, layers, losses, metrics, tensor, trainer
+except ModuleNotFoundError as e:
+    NO_XFERLEARN = e
 
-# after xferlearn: importing refcheck puts this tree's src/ first on sys.path
-from refcheck import seed_list  # noqa: E402
-
+ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("finetune_k5", "joint_k5", "pretrain", "uda")
 IMAGE_SIZE, SHOTS, PER_CLASS, TEST_PER_CLASS = 32, 5, 40, 51
 SOURCE_CLASSES, TARGET_CLASSES = tuple(range(5)), tuple(range(5, 10))
@@ -139,8 +147,62 @@ def deviation(got: float, exact: float) -> float:
     return abs(got - exact) / abs(exact) if exact else abs(got - exact)
 
 
+def seed_list(text: str) -> list[int]:
+    """Comma-separated seeds 'A' and ranges 'A-B' (both included), e.g. '0-1,41,48',
+    as a list of seeds in order."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.strip().partition("-")
+        try:
+            span = range(int(first), int(last or first) + 1)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected A-B or A, comma-separated, got {part!r}") from None
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
+    return seeds
+
+
+def against(rev: str, argv: list) -> int:
+    """The exit status of diffing this script's output on REV's src/ against this tree's."""
+    try:
+        commit = subprocess.run(["git", "rev-parse", "--verify", "--quiet", "--end-of-options",
+                                 f"{rev}^{{commit}}"], cwd=ROOT, capture_output=True,
+                                text=True).stdout.strip()
+        archive = subprocess.run(["git", "archive", commit, "src"], cwd=ROOT, capture_output=True)
+    except OSError as e:
+        print(f"error: cannot run git to resolve {rev!r}: {e}", file=sys.stderr)
+        return 2
+    if not commit or archive.returncode:
+        print(f"error: {rev!r} is not a revision of this checkout with a src/", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        runs = {}
+        for label, src in ((rev, Path(tmp) / "src"), ("this tree", ROOT / "src")):
+            path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+            runs[label] = done = subprocess.run([sys.executable, __file__, *argv], text=True,
+                                                env=dict(os.environ, PYTHONPATH=path),
+                                                capture_output=True)
+            if done.returncode:
+                print(f"error: fingerprint.py failed in {label}:\n{done.stderr}", file=sys.stderr)
+                return 1
+    old, new = (done.stdout.splitlines() for done in runs.values())
+    diff = list(difflib.unified_diff(old, new, *runs, n=0, lineterm=""))
+    for line in diff:
+        print(line)
+    print(f"{len(old)} fingerprint lines, {'identical' if not diff else 'DIFFERENT'}")
+    return 1 if diff else 0
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # no abbreviations, so that what the reruns get holds no spelling of --against
+    against_only = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    against_only.add_argument("--against", metavar="REV", help="diff with REV's src/, e.g. HEAD~1")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False,
+                                     parents=[against_only])
     parser.add_argument("--seeds", type=seed_list, nargs="+", default=[[0]],
                         help="seeds A and ranges A-B, comma- or space-separated, e.g. 0-7,41")
     parser.add_argument("--steps", type=int, default=5)
@@ -150,6 +212,10 @@ def main(argv=None) -> int:
                         help="also print each loss term's deviation from a float64 rerun "
                              "(not for the cli workload)")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against, against_only.parse_known_args(argv)[1])
+    if NO_XFERLEARN:
+        parser.error(f"{NO_XFERLEARN}: put a src/ first on PYTHONPATH, or pass --against REV")
     for workload in args.workloads:
         for seed in (seed for part in args.seeds for seed in part):
             if workload == "cli":

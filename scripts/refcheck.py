@@ -22,27 +22,12 @@ import math
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
+SCRIPTS = Path(__file__).resolve().parent
+PERFBENCH = SCRIPTS.parent / "perfbench"
+sys.path[:0] = [str(PERFBENCH), str(SCRIPTS)]
 
-import workload  # noqa: E402
-
-
-def seed_list(text: str) -> list[int]:
-    """Comma-separated seeds 'A' and ranges 'A-B' (both included), e.g. '0-1,41,48',
-    as a list of seeds in order."""
-    seeds = []
-    for part in text.split(","):
-        first, _, last = part.strip().partition("-")
-        try:
-            span = range(int(first), int(last or first) + 1)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected A-B or A, comma-separated, got {part!r}") from None
-        if not span:
-            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
-        seeds += span
-    return seeds
+import workload  # noqa: E402  (puts this tree's src/ first on sys.path)
+from fingerprint import seed_list  # noqa: E402
 
 
 def deviation(got: float, want: float) -> float:

@@ -97,11 +97,12 @@ def _write_csv(path: Path, fields, rows) -> None:
         writer.writerows(rows)
 
 
-def _prepare_outdir(cfg: Config) -> Path:
+def _prepare_outdir(cfg: Config, seeds) -> Path:
+    """The output directory, holding the config and the seeds the command trains at."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(dump_config(cfg), encoding="utf-8")
-    (out / "seeds.txt").write_text("\n".join(str(s) for s in cfg.seeds) + "\n")
+    (out / "seeds.txt").write_text("\n".join(str(s) for s in seeds) + "\n")
     return out
 
 
@@ -129,7 +130,7 @@ def cmd_pretrain(cfg: Config) -> int:
     d1 = _load_data(cfg, "source")
     spec = _net_spec(cfg, n_classes=len(set(d1.classes)))
     _check_batch(cfg, min(cfg.batch_source, len(d1)), f"batch_source on {len(d1)} images")
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, [cfg.seed])
     net, record = trainer.pretrain_source(d1, spec, cfg)
     _write_csv(out / "pretrain_metrics.csv", CSV_FIELDS, record.rows)
     _save_net(out / "source.ckpt", net, cfg, step=cfg.pretrain_steps)
@@ -174,7 +175,7 @@ def cmd_transfer(cfg: Config) -> int:
     # read and checked once; a run only reads and clones it, so every run shares it
     source_net = _load_net(ckpt_path, cfg, n_source) if uses_source else None
     target_spec = _net_spec(cfg, n_target)
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, cfg.seeds)
     per_run = []
     for method in cfg.methods:
         for k in cfg.k_values:
@@ -224,7 +225,7 @@ def cmd_uda(cfg: Config) -> int:
     # read, checked and scored once; a run only reads and clones it
     source_net = _load_net(ckpt_path, cfg, n_classes)
     source_acc = evaluate(source_net, test).accuracy
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, cfg.seeds)
     rows = []
     for seed in cfg.seeds:
         run_cfg = replace(cfg, seed=seed)

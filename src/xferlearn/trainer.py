@@ -68,7 +68,7 @@ class TrainConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.fusion not in ("sum", "concat"):
             raise ValueError(f"fusion must be sum or concat, got {self.fusion!r}")
-        for name in ("steps", "pretrain_steps", "eval_every"):
+        for name in ("steps", "pretrain_steps", "eval_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("batch_source", "batch_unlabeled", "src_proto_per_class"):

@@ -16,7 +16,7 @@ from xferlearn.cli import CSV_FIELDS, main
 from xferlearn.config import Config, ConfigError, dump_config, load_config
 from xferlearn.data import synth_digits, write_idx
 from xferlearn.metrics import evaluate
-from xferlearn.layers import EmbeddingNetwork, synth_embedding_spec
+from xferlearn.layers import PRESETS, EmbeddingNetwork, synth_embedding_spec
 
 
 # any config key, and values of every kind that a key may be given
@@ -82,7 +82,7 @@ class TestConfig:
         ("source_classes", "0,0,1"), ("target_classes", "3,4,3"), ("experiment", "foo"),
         ("fusion", "max"), ("methods", "full,bogus"), ("source_subsample", "-1"),
         ("methods", ""), ("k_values", ""), ("seeds", "1,1"), ("k_values", "2,5,2"),
-        ("methods", "full,full"),
+        ("methods", "full,full"), ("seed", "-1"),
         # each raised "'<=' not supported between instances of 'int' and 'NoneType'"
         ("alpha", ""), ("lr", ""),
     ])
@@ -204,6 +204,18 @@ def two_step_source(tmp_path_factory):
     return pre / "source.ckpt"
 
 
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    """The bytes of an ablation net's checkpoint and of an IDX image and label
+    file of 6 images of 2 classes, by the name that eval is given."""
+    tmp = tmp_path_factory.mktemp("eval")
+    ds = synth_digits(3, (0, 1), image_size=28, seed=0)
+    write_idx(tmp / "images", ds.images, tmp / "labels", ds.labels)
+    net = EmbeddingNetwork(PRESETS["ablation"](n_classes=2), seed=0)
+    save_checkpoint(tmp / "checkpoint", net.state_dict())
+    return {name: (tmp / name).read_bytes() for name in ("checkpoint", "images", "labels")}
+
+
 class TestCli:
     def test_missing_config_path_is_usage_error(self, capsys):
         assert main(["pretrain", "--config", "/nonexistent/x.cfg"]) == 2
@@ -276,6 +288,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "experiment" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "transfer", "uda"])
+    def test_a_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        # pretrain exited 1 from numpy's seeding after writing config.txt and seeds.txt
+        ds = synth_digits(2, (0, 1), image_size=28, seed=0)
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(images, ds.images, labels, ds.labels)
+        ckpt = tmp_path / "source.ckpt"
+        ckpt.write_bytes(b"")  # never read: the config is checked first
+        out = tmp_path / "out"
+        data = [arg for role in ("source", "target", "test")
+                for arg in (f"--{role}_images", str(images), f"--{role}_labels", str(labels))]
+        code = main([command, "--experiment", "ablation", "--seed", "-1", "--seeds", "0",
+                     "--checkpoint", str(ckpt), "--output_dir", str(out), *data])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "seed must be >= 0" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_uda_with_target_classes_outside_the_source_is_usage_error(self, tmp_path, capsys):
         ckpt = tmp_path / "source.ckpt"
@@ -358,7 +388,8 @@ class TestCli:
         assert code == 0
         assert (pre / "source.ckpt").exists()
         assert (pre / "config.txt").exists()
-        assert (pre / "seeds.txt").read_text().split() == ["0", "1", "2"]
+        # it trains at the seed key only, not at each of seeds
+        assert (pre / "seeds.txt").read_text().split() == ["0"]
         rows = read_csv(pre / "pretrain_metrics.csv")
         assert list(rows[0]) == CSV_FIELDS
         assert len(rows) == 30
@@ -617,6 +648,41 @@ class TestCli:
         for argv in (["eval", f"--{key}", raw.replace("/", "")], ["eval", "--config", str(config)]):
             assert main(argv) in (1, 2)
             assert "Traceback" not in capsys.readouterr().err
+
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(["checkpoint", "images", "labels"]), draw=st.data())
+    def test_eval_fails_cleanly_on_a_mutated_checkpoint_or_idx_file(self, tmp_path, capsys,
+                                                                     eval_files, target, draw):
+        # the header fields: (offset, byte order) of each u32 that sizes what follows
+        fields = {"checkpoint": [(8, "little"), (12, "little"), (16, "little")],
+                  "images": [(0, "big"), (4, "big"), (8, "big"), (12, "big")],
+                  "labels": [(0, "big"), (4, "big")]}[target]
+        files = dict(eval_files)
+        buf = bytearray(files[target])
+        mutation = draw.draw(st.sampled_from(["truncate", "overwrite", "append", "field"]))
+        # half the positions fall in the header, where the parsers read sizes
+        pos = draw.draw(st.one_of(st.integers(0, 24), st.integers(0, len(buf) - 1)))
+        if mutation == "truncate":
+            del buf[pos:]
+        elif mutation == "overwrite":
+            junk = draw.draw(st.binary(min_size=1, max_size=8))
+            buf[pos:pos + len(junk)] = junk
+        elif mutation == "append":
+            buf += draw.draw(st.binary(min_size=1, max_size=16))
+        else:
+            offset, order = draw.draw(st.sampled_from(fields))
+            value = draw.draw(st.sampled_from([0, 1, 2**31, 2**32 - 1]))
+            buf[offset:offset + 4] = value.to_bytes(4, order)
+        files[target] = bytes(buf)
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        code = main(["eval", "--experiment", "ablation", "--checkpoint",
+                     str(tmp_path / "checkpoint"), "--test_images", str(tmp_path / "images"),
+                     "--test_labels", str(tmp_path / "labels")])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.out + captured.err
 
     def test_a_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         # exited 1

@@ -1,19 +1,49 @@
-"""scripts/fingerprint.py: reruns print the same fingerprint."""
+"""scripts/fingerprint.py: reruns print the same fingerprint, and a tree
+compared with a git revision of itself."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "fingerprint.py"
 
 
-def _fingerprint(*args):
+def _with_src():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / "fingerprint.py"), *args],
-                          env=env, capture_output=True, text=True, check=True).stdout
+    return env
+
+
+def _fingerprint(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *args], env=_with_src(),
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _against(*args):
+    """The script run with ``args`` as documented, with no src/ on PYTHONPATH."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    return subprocess.run([sys.executable, str(SCRIPT), *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+
+
+def _clean_checkout() -> bool:
+    """Whether this is a git checkout whose src matches HEAD; both sides run this
+    tree's script."""
+    try:
+        status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                                capture_output=True, text=True)
+    except OSError:
+        return False
+    return status.returncode == 0 and not status.stdout.strip()
+
+
+needs_clean_src = pytest.mark.skipif(not _clean_checkout(),
+                                     reason="needs a git checkout whose src matches HEAD")
 
 
 def test_two_runs_print_identical_fingerprints():
@@ -67,3 +97,40 @@ def test_the_cli_workload_hashes_every_file_of_a_synth_grid():
         "uda/uda.csv", "uda/uda_metrics_seed2.csv", "uda/uda_seed2.ckpt",
         *(f"transfer/{run}.ckpt" for run in runs), *(f"transfer/metrics_{run}.csv" for run in runs)}
     assert len(names) == len(set(names))
+
+
+@needs_clean_src
+def test_head_against_itself_is_identical():
+    run = _against("--against", "HEAD", "--seeds", "3", "--steps", "1",
+                   "--workloads", "finetune_k5")
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1] == "4 fingerprint lines, identical"
+
+
+@needs_clean_src
+def test_the_float64_shadow_is_compared_across_revisions():
+    # the old wrapper passed on only --seeds, --steps and --workloads
+    run = _against("--against=HEAD", "--seeds", "3", "--steps", "1",
+                   "--workloads", "finetune_k5", "--shadow")
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1] == "5 fingerprint lines, identical"
+
+
+def test_a_bad_revision_is_a_usage_error():
+    run = _against("--against", "no-such-revision", "--seeds", "3", "--steps", "1")
+    assert run.returncode == 2
+    assert "no-such-revision" in run.stderr and "Traceback" not in run.stderr
+    assert run.stdout == ""
+
+
+def test_loading_the_script_leaves_sys_path_alone():
+    # it once imported refcheck, whose perfbench/workload.py put this tree's
+    # src/ first on sys.path, so a revision's run could import this tree's modules
+    code = ("import importlib.util, sys\n"
+            "before = list(sys.path)\n"
+            f"spec = importlib.util.spec_from_file_location('fingerprint', {str(SCRIPT)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print('xferlearn' in sys.modules, 'workload' in sys.modules, sys.path == before)")
+    done = subprocess.run([sys.executable, "-c", code], env=_with_src(), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["True", "False", "True"]
